@@ -57,7 +57,9 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.array(g)
+        # a leaf keeps its grad, so it gets its own copy; an op's grad is
+        # consumed and dropped by backward(), so a view of g is enough
+        t.grad = np.array(g) if t._backward is None else np.asarray(g)
     else:
         t.grad = t.grad + g
 
@@ -78,6 +80,9 @@ def backward(loss: Tensor):
 
     loss must be a scalar. Grads add onto whatever is already stored, so zero
     parameter grads between optimization steps, not between samples of a batch.
+    Only leaves (tensors no op produced, such as parameters) keep their grads:
+    an op's output grad is dropped once it has been passed on, so a batched
+    graph does not hold a second copy of its activations.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -102,6 +107,7 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +178,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, g @ bd.T)
             _accum(b, ad.T @ g)
 
-    elif ad.ndim == 3 and bd.ndim == 3:
-        if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
+    elif ad.ndim == bd.ndim >= 3:
+        if ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
             raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
 
         def bw(g):
-            _accum(a, g @ bd.transpose(0, 2, 1))
-            _accum(b, ad.transpose(0, 2, 1) @ g)
+            _accum(a, g @ np.swapaxes(bd, -1, -2))
+            _accum(b, np.swapaxes(ad, -1, -2) @ g)
 
     elif ad.ndim == 3 and bd.ndim == 2:
         if ad.shape[2] != bd.shape[0]:
@@ -281,28 +287,27 @@ def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
     return _node(out, (a,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, axis: int = -1) -> Tensor:
-    """(x - mean) / sqrt(var + eps) along axis, then per-position gain and bias."""
-    d = x.data.shape[axis]
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """(x - mean) / sqrt(var + eps) along the last axis, then per-feature gain and bias."""
+    d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm gain/bias must be vectors matching the normalized axis")
     if not np.isfinite(x.data).all():
         raise ValueError("layer_norm over non-finite input")
 
-    xv = np.moveaxis(x.data, axis, -1)
+    xv = x.data
     mean = xv.mean(axis=-1, keepdims=True)
     var = xv.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xv - mean) * inv
-    out = np.moveaxis(gain.data * xhat + bias.data, -1, axis)
+    out = gain.data * xhat + bias.data
 
     def bw(g):
-        gv = np.moveaxis(g, axis, -1)
-        _accum(bias, gv.reshape(-1, d).sum(axis=0))
-        _accum(gain, (gv * xhat).reshape(-1, d).sum(axis=0))
-        gx = gv * gain.data
+        _accum(bias, g.reshape(-1, d).sum(axis=0))
+        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        gx = g * gain.data
         term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, np.moveaxis(term * inv, -1, axis))
+        _accum(x, term * inv)
 
     return _node(out, (x, gain, bias), bw)
 

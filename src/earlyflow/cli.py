@@ -16,7 +16,9 @@ from .earliness import PrefixSpec
 from .features import (
     DatasetFormatError, FLOWS_HEADER, extract_mts, read_dataset, write_dataset,
 )
-from .flows import FlowKeyError, FlowTable, LabelRuleError, join_labels, load_label_rules
+from .flows import (
+    FlowKeyError, FlowTable, LabelRuleError, OrderingError, join_labels, load_label_rules,
+)
 from .model import MdtConfig, MdtModel, export_latents, load_checkpoint, save_checkpoint
 from .pcap import CaptureError, Transport, open_capture
 from .training import (
@@ -264,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 INVALID_INPUT_ERRORS = (
-    CliError, CaptureError, FlowKeyError, LabelRuleError, DatasetFormatError,
-    ExternalFormatError, ValueError, json.JSONDecodeError,
+    CliError, CaptureError, FlowKeyError, LabelRuleError, OrderingError,
+    DatasetFormatError, ExternalFormatError, ValueError, json.JSONDecodeError,
 )
 
 

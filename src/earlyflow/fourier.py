@@ -130,11 +130,12 @@ def fft_along(x, axis: int, inverse: bool = False) -> np.ndarray:
 
 
 def fft_2d(x, inverse: bool = False) -> np.ndarray:
-    """Transform rows then columns of a matrix; inverse scaled by 1/(rows*cols)."""
+    """Transform rows then columns of a matrix, or of each matrix in a stack
+    (the last two axes); inverse scaled by 1/(rows*cols)."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ValueError(f"fft_2d expects a matrix, got shape {x.shape}")
+    if x.ndim < 2:
+        raise ValueError(f"fft_2d expects a matrix or a stack of them, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("fft_2d of an empty matrix")
-    out = fft_along(x, axis=1, inverse=inverse)
-    return fft_along(out, axis=0, inverse=inverse)
+    out = fft_along(x, axis=-1, inverse=inverse)
+    return fft_along(out, axis=-2, inverse=inverse)

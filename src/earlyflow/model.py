@@ -31,6 +31,12 @@ from .fourier import fft_2d
 
 LN_EPS = 1e-5
 CHECKPOINT_FORMAT = "earlyflow-checkpoint-v1"
+# Most prefixes one graph holds, and the most B * T^2 attention cells (T =
+# prefix length + the classification token): 32 prefixes at attention length
+# 65. Longer prefixes run in smaller groups, so no graph allocates more rows
+# or bigger score tensors than that group does.
+MAX_GROUP = 32
+MAX_GROUP_CELLS = MAX_GROUP * 65 ** 2
 
 
 @dataclass
@@ -78,7 +84,9 @@ class BlockParams:
 
 @dataclass
 class AttentionTrace:
-    """Numpy snapshots of one attention application, for inspection/tests."""
+    """Numpy snapshots of one attention application, for inspection/tests.
+    Per-head arrays are (batch, heads, ...); heads is (batch, length, concat
+    width)."""
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
@@ -161,70 +169,55 @@ def positional_encoding(max_len: int, d_model: int) -> np.ndarray:
 
 def ifft_augment(x: np.ndarray) -> np.ndarray:
     """Concatenate the input with the real and imaginary parts of its 2D
-    inverse transform (input treated as complex with zero imaginary part)."""
+    inverse transform (input treated as complex with zero imaginary part).
+    x is one (length, features) matrix or a (batch, length, features) stack,
+    each matrix transformed on its own."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError("expected a non-empty (length, features) matrix")
+    if x.ndim not in (2, 3) or x.size == 0:
+        raise ValueError("expected a non-empty (length, features) matrix or a stack of them")
     spectrum = fft_2d(x, inverse=True)
-    return np.concatenate([x, spectrum.real, spectrum.imag], axis=1)
+    return np.concatenate([x, spectrum.real, spectrum.imag], axis=-1)
 
 
-def _split_heads(t: Tensor, length: int, n_heads: int, dv: int) -> Tensor:
-    return ad.transpose(ad.reshape(t, (length, n_heads, dv)), (1, 0, 2))
+def _split_heads(t: Tensor, batch: int, length: int, n_heads: int, dv: int) -> Tensor:
+    return ad.transpose(ad.reshape(t, (batch, length, n_heads, dv)), (0, 2, 1, 3))
 
 
-def _merge_heads(t: Tensor, length: int, width: int) -> Tensor:
-    return ad.reshape(ad.transpose(t, (1, 0, 2)), (length, width))
+def _merge_heads(t: Tensor, batch: int, length: int, width: int) -> Tensor:
+    return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (batch, length, width))
 
 
 def md_mha(z: Tensor, params: MdMhaParams, n_heads: int,
-           use_frequency: bool = True, mask=None, collect_trace: list | None = None) -> Tensor:
-    """Multi-domain multi-head attention over a (length, d_model) sequence.
-
-    mask, when given, is a boolean validity vector that must be a contiguous
-    prefix (padding is trailing); padded rows produce zero output and are
-    invisible to valid rows. Scores are scaled by 1/sqrt(d_model)."""
-    length, d_model = z.shape
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (length,):
-            raise ValueError("mask must be one flag per sequence position")
-        valid = int(mask.sum())
-        if valid == 0:
-            raise ValueError("all positions masked")
-        if not mask[:valid].all():
-            raise ValueError("mask must be a contiguous valid prefix")
-        if valid < length:
-            core = md_mha(ad.slice_axis(z, 0, 0, valid), params, n_heads,
-                          use_frequency, None, collect_trace)
-            padding = const(np.zeros((length - valid, d_model)))
-            return ad.concat([core, padding], axis=0)
-
+           use_frequency: bool = True, collect_trace: list | None = None) -> Tensor:
+    """Multi-domain multi-head attention over a (batch, length, d_model) stack
+    of equal-length sequences; each sequence attends only to itself. Scores
+    are scaled by 1/sqrt(d_model)."""
+    batch, length, d_model = z.shape
     dv = d_model // n_heads
     scaling = 1.0 / math.sqrt(d_model)
-    q = _split_heads(ad.matmul(z, params.w_q), length, n_heads, dv)
-    k = _split_heads(ad.matmul(z, params.w_k), length, n_heads, dv)
-    v = _split_heads(ad.matmul(z, params.w_v), length, n_heads, dv)
+    q = _split_heads(ad.matmul(z, params.w_q), batch, length, n_heads, dv)
+    k = _split_heads(ad.matmul(z, params.w_k), batch, length, n_heads, dv)
+    v = _split_heads(ad.matmul(z, params.w_v), batch, length, n_heads, dv)
 
     time_scores = ad.softmax(
-        ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scaling), axis=-1)
-    time_heads = _merge_heads(ad.matmul(time_scores, v), length, n_heads * dv)
+        ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scaling), axis=-1)
+    time_heads = _merge_heads(ad.matmul(time_scores, v), batch, length, n_heads * dv)
 
     freq_scores = None
     q_f = k_f = v_f = None
     if use_frequency:
-        q_re, q_im = ad.fft_pair(q, None, axis=1)
-        k_re, k_im = ad.fft_pair(k, None, axis=1)
-        v_re, _v_im = ad.fft_pair(v, None, axis=1)
+        q_re, q_im = ad.fft_pair(q, None, axis=2)
+        k_re, k_im = ad.fft_pair(k, None, axis=2)
+        v_re, _v_im = ad.fft_pair(v, None, axis=2)
         q_f = q_re.data + 1j * q_im.data
         k_f = k_re.data + 1j * k_im.data
         v_f = v_re.data + 1j * _v_im.data
         # real part of the cross spectrum as similarity
-        cross = ad.add(ad.matmul(q_re, ad.transpose(k_re, (0, 2, 1))),
-                       ad.matmul(q_im, ad.transpose(k_im, (0, 2, 1))))
+        cross = ad.add(ad.matmul(q_re, ad.transpose(k_re, (0, 1, 3, 2))),
+                       ad.matmul(q_im, ad.transpose(k_im, (0, 1, 3, 2))))
         freq_scores = ad.softmax(ad.scale(cross, scaling), axis=-1)
-        freq_heads = _merge_heads(ad.matmul(freq_scores, v_re), length, n_heads * dv)
-        merged = ad.concat([time_heads, freq_heads], axis=1)
+        freq_heads = _merge_heads(ad.matmul(freq_scores, v_re), batch, length, n_heads * dv)
+        merged = ad.concat([time_heads, freq_heads], axis=2)
     else:
         merged = time_heads
 
@@ -249,12 +242,13 @@ def _dropout(t: Tensor, p: float, training: bool, rng) -> Tensor:
 
 
 def encoder_block(z: Tensor, block: BlockParams, config: MdtConfig,
-                  training: bool = False, rng=None, mask=None,
+                  training: bool = False, rng=None,
                   collect_trace: list | None = None) -> Tensor:
-    """Post-norm block: attention, residual + layer norm, feed-forward,
-    residual + layer norm. Shape preserving."""
+    """Post-norm block over a (batch, length, d_model) stack: attention,
+    residual + layer norm, feed-forward, residual + layer norm. Shape
+    preserving."""
     attended = md_mha(z, block.attn, config.n_heads, config.use_frequency_heads,
-                      mask, collect_trace)
+                      collect_trace)
     z = ad.layer_norm(ad.add(z, _dropout(attended, config.dropout, training, rng)),
                       block.ln1_gain, block.ln1_bias, eps=LN_EPS)
     hidden = ad.relu(ad.linear(z, block.ff_w1, block.ff_b1))
@@ -266,21 +260,26 @@ def encoder_block(z: Tensor, block: BlockParams, config: MdtConfig,
 
 def forward(model: MdtModel, x, training: bool = False, rng=None,
             valid_len: int | None = None, collect_trace: list | None = None):
-    """Run one prefix through the model.
+    """Run one prefix, or a stack of equal-length prefixes as one graph.
 
-    x: (l, d_in) array. valid_len, when given, marks trailing rows as padding;
-    only the valid slice enters the pipeline, so padded twins give identical
-    logits. Returns (logits Tensor (n_classes,), latent Tensor (d_model,))."""
+    x: an (l, d_in) prefix or a (b, l, d_in) stack. valid_len, when given,
+    keeps only the first valid_len rows of each prefix, so padded twins give
+    identical logits. Returns (logits, latent) Tensors shaped (n_classes,)
+    and (d_model,) for one prefix, (b, n_classes) and (b, d_model) for a
+    stack."""
     c = model.config
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != c.d_in:
-        raise ValueError(f"expected (l, {c.d_in}) input, got {x.shape}")
+    single = x.ndim == 2
+    if single:
+        x = x[None]
+    if x.ndim != 3 or x.shape[2] != c.d_in:
+        raise ValueError(f"expected (l, {c.d_in}) or (b, l, {c.d_in}) input, got {x.shape}")
     if valid_len is not None:
-        if not 1 <= valid_len <= x.shape[0]:
+        if not 1 <= valid_len <= x.shape[1]:
             raise ValueError("valid_len outside the provided rows")
-        x = x[:valid_len]
-    length = x.shape[0]
-    if length < 1:
+        x = x[:, :valid_len]
+    batch, length = x.shape[:2]
+    if batch < 1 or length < 1:
         raise ValueError("empty input")
     if length > c.max_len:
         raise ValueError(f"prefix length {length} exceeds max_len {c.max_len}")
@@ -289,20 +288,51 @@ def forward(model: MdtModel, x, training: bool = False, rng=None,
 
     feats = ifft_augment(x) if c.use_frequency_heads else x
     z = ad.add_bias(ad.matmul(const(feats), model.input_w), model.input_b)
-    z = ad.add(z, const(model.positional[:length]))
-    z = ad.concat([model.cls_token, z], axis=0)
+    z = ad.add(z, const(np.broadcast_to(model.positional[:length], z.shape)))
+    cls = ad.matmul(const(np.ones((batch, 1, 1))), model.cls_token)
+    z = ad.concat([cls, z], axis=1)
     for block in model.blocks:
-        z = encoder_block(z, block, c, training, rng, None, collect_trace)
-    latent_row = ad.slice_axis(z, 0, 0, 1)
-    logits = ad.reshape(ad.add_bias(ad.matmul(latent_row, model.head_w), model.head_b),
-                        (c.n_classes,))
-    latent = ad.reshape(latent_row, (c.d_model,))
+        z = encoder_block(z, block, c, training, rng, collect_trace)
+    latent = ad.reshape(ad.slice_axis(z, 1, 0, 1), (batch, c.d_model))
+    logits = ad.add_bias(ad.matmul(latent, model.head_w), model.head_b)
+    if single:
+        return ad.reshape(logits, (c.n_classes,)), ad.reshape(latent, (c.d_model,))
     return logits, latent
 
 
 def predict(model: MdtModel, x, valid_len=None) -> int:
     logits, _ = forward(model, x, training=False, valid_len=valid_len)
     return int(np.argmax(logits.data))
+
+
+def length_buckets(lengths) -> list:
+    """Positions of equal lengths, grouped in first-seen order. A group of
+    length l holds at most max(1, min(MAX_GROUP, MAX_GROUP_CELLS // (l+1)^2))
+    positions, l+1 being its attention length."""
+    by_length = {}
+    for i, n in enumerate(lengths):
+        by_length.setdefault(int(n), []).append(i)
+    groups = []
+    for n, members in by_length.items():
+        size = max(1, min(MAX_GROUP, MAX_GROUP_CELLS // (n + 1) ** 2))
+        groups.extend(members[s:s + size] for s in range(0, len(members), size))
+    return groups
+
+
+def forward_prefixes(model: MdtModel, prefixes):
+    """Eval-mode logits (n, n_classes) and latents (n, d_model) as arrays,
+    in input order, for ragged (l, d_in) prefixes run as length buckets."""
+    c = model.config
+    logits = np.empty((len(prefixes), c.n_classes))
+    latents = np.empty((len(prefixes), c.d_model))
+    for group in length_buckets([len(p) for p in prefixes]):
+        # the previous group's graph is freed only after this forward: freeing
+        # it first let the allocator hand its pages back to the OS and fault
+        # them in again, measured at 20-30% of infer_duration's eval time
+        group_logits, group_latents = forward(model, np.stack([prefixes[i] for i in group]))
+        logits[group] = group_logits.data
+        latents[group] = group_latents.data
+    return logits, latents
 
 
 # ---------------------------------------------------------------------------
@@ -334,28 +364,41 @@ def save_checkpoint(model: MdtModel, path):
 
 
 def load_checkpoint(path) -> MdtModel:
+    """Model from a manifest and its blob. A manifest that does not fit its
+    config (unknown or missing keys, parameter names or shapes the config
+    does not produce) raises ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint manifest")
-    config = MdtConfig(**manifest["config"])
-    model = MdtModel(config, seed=manifest["seed"])
+    try:
+        config = MdtConfig(**manifest["config"])
+        seed = manifest["seed"]
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in manifest["parameters"]]
+    except KeyError as exc:
+        raise ValueError(f"{path}: manifest lacks {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed manifest: {exc}") from None
+    model = MdtModel(config, seed=seed)
     if manifest.get("classes"):
         model.classes = tuple(manifest["classes"])
     with open(_blob_path(path), "rb") as fh:
         blob = fh.read()
     offset = 0
     arrays = {}
-    for entry in manifest["parameters"]:
-        shape = tuple(entry["shape"])
+    for name, shape in entries:
         count = int(np.prod(shape)) if shape else 1
         chunk = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = chunk.reshape(shape)
+        arrays[name] = chunk.reshape(shape)
         offset += count * 8
     if offset != len(blob):
         raise ValueError(f"{path}: parameter blob size mismatch")
     if set(arrays) != set(model.params):
         raise ValueError(f"{path}: parameter names do not match the config")
+    for name, t in model.params.items():
+        if arrays[name].shape != t.data.shape:
+            raise ValueError(f"{path}: parameter {name} has shape {list(arrays[name].shape)}, "
+                             f"the config needs {list(t.data.shape)}")
     model.load_state(arrays)
     return model
 
@@ -363,13 +406,13 @@ def load_checkpoint(path) -> MdtModel:
 def export_latents(model: MdtModel, samples, spec: PrefixSpec, out_path):
     """CSV of flow_id, label, and the d_model latent values per sample, so an
     external classifier can replace the built-in head."""
+    samples = list(samples)
+    prefixes = [take_prefix(sample, spec)[0].values for sample in samples]
+    _, latents = forward_prefixes(model, prefixes)
     d_model = model.config.d_model
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["flow_id", "label"] + [f"latent_{i}" for i in range(d_model)])
-        for sample in samples:
-            prefix, _ = take_prefix(sample, spec)
-            _, latent = forward(model, prefix.values, training=False)
-            writer.writerow([sample.flow_id, sample.label]
-                            + [f"{v:.9f}" for v in latent.data])
+        for sample, latent in zip(samples, latents):
+            writer.writerow([sample.flow_id, sample.label] + [f"{v:.9f}" for v in latent])
     return out_path

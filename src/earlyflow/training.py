@@ -2,8 +2,10 @@
 
 Splits are stratified 70/15/15 with a fixed seed. Training minimizes
 class-weighted cross entropy on prefixes with Adam, stops early on validation
-macro F1, and restores the best parameters. Every random draw (split order,
-shuffling, dropout) descends from the one seed, so reruns are bit-identical.
+macro F1, and restores the best parameters. Each minibatch runs as one graph
+per prefix length (sequence bucketing, no padding). Every random draw (split
+order, shuffling, dropout) descends from the one seed, so reruns are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .autodiff import backward, cross_entropy, scale, zero_grad
 from .earliness import BY_COUNT, BY_DURATION, PrefixSpec, aggregate_earliness, take_prefix
 from .features import MtsSample
 from .metrics import Metrics, compute_metrics
-from .model import MdtConfig, MdtModel, forward
+from .model import MdtConfig, MdtModel, forward, forward_prefixes, length_buckets
 
 
 @dataclass
@@ -124,6 +126,24 @@ def _prefix_arrays(samples, spec):
     return prefixes, reports
 
 
+def minibatch_gradients(model: MdtModel, prefixes, targets, weights, rng=None):
+    """Add to the parameter grads the gradient of sum(w * nll) / sum(w) over
+    one training minibatch, w being each target's class weight. Prefixes of
+    one length run as one graph. Returns (sum(w * nll), sum(w))."""
+    targets = np.asarray(targets, dtype=np.intp)
+    batch_w = float(weights[targets].sum())
+    loss_sum = 0.0
+    for group in length_buckets([len(p) for p in prefixes]):
+        logits, _ = forward(model, np.stack([prefixes[i] for i in group]),
+                            training=True, rng=rng)
+        nll = cross_entropy(logits, targets[group], class_weights=weights)
+        # the group's weighted mean nll times its share of the batch weight
+        group_w = float(weights[targets[group]].sum())
+        backward(scale(nll, group_w / batch_w))
+        loss_sum += group_w * float(nll.data)
+    return loss_sum, batch_w
+
+
 def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
           seed: int = 42, verbose: bool = False) -> TrainResult:
     samples = list(samples)
@@ -146,6 +166,9 @@ def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
             f"longest prefix ({longest}) exceeds model max_len ({model.config.max_len})")
 
     weights = inverse_frequency_weights(train_labels, classes)
+    targets = np.array([class_index[s.label] for s in samples], dtype=np.intp)
+    val_prefixes = [prefixes[i] for i in val_ids]
+    val_labels = [samples[i].label for i in val_ids]
     params = model.parameters()
     optimizer = Adam(params, lr=hp.learning_rate)
     rng = np.random.default_rng([seed, 202])
@@ -162,20 +185,14 @@ def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
         weight_sum = 0.0
         for start in range(0, len(order), hp.batch_size):
             batch = order[start:start + hp.batch_size]
-            batch_w = sum(weights[class_index[samples[i].label]] for i in batch)
             zero_grad(params)
-            for i in batch:
-                target = class_index[samples[i].label]
-                logits, _ = forward(model, prefixes[i], training=True, rng=rng)
-                nll = cross_entropy(logits, target)
-                w = weights[target]
-                backward(scale(nll, w / batch_w))
-                loss_sum += w * float(nll.data)
-                weight_sum += w
+            batch_loss, batch_w = minibatch_gradients(
+                model, [prefixes[i] for i in batch], targets[batch], weights, rng)
+            loss_sum += batch_loss
+            weight_sum += batch_w
             optimizer.step()
 
-        val_preds = [classes[_argmax_prediction(model, prefixes[i])] for i in val_ids]
-        val_f1 = compute_metrics(val_preds, [samples[i].label for i in val_ids],
+        val_f1 = compute_metrics(_predict_labels(model, val_prefixes, classes), val_labels,
                                  classes).macro_f1 if val_ids else 0.0
         epoch_loss = loss_sum / weight_sum if weight_sum else 0.0
         history.append(EpochStats(epoch=epoch, loss=epoch_loss, val_macro_f1=val_f1))
@@ -196,9 +213,9 @@ def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
                        train_ids=train_ids, val_ids=val_ids, test_ids=test_ids)
 
 
-def _argmax_prediction(model, prefix_values) -> int:
-    logits, _ = forward(model, prefix_values, training=False)
-    return int(np.argmax(logits.data))
+def _predict_labels(model, prefixes, classes) -> list:
+    logits, _ = forward_prefixes(model, prefixes)
+    return [classes[k] for k in np.argmax(logits, axis=1)]
 
 
 def evaluate(model: MdtModel, samples, spec: PrefixSpec, classes):
@@ -207,7 +224,7 @@ def evaluate(model: MdtModel, samples, spec: PrefixSpec, classes):
     if not samples:
         raise ValueError("nothing to evaluate")
     prefixes, reports = _prefix_arrays(samples, spec)
-    predictions = [classes[_argmax_prediction(model, p)] for p in prefixes]
+    predictions = _predict_labels(model, prefixes, classes)
     metrics = compute_metrics(predictions, [s.label for s in samples], classes)
     mean_e, mean_de = aggregate_earliness(reports)
     return metrics, mean_e, mean_de

@@ -179,6 +179,9 @@ def test_batched_matmul_matches_finite_differences():
     assert_grads_match(lambda: f(matmul(a, b)), [a, b])
     shared = rand(rng, 5, 2)
     assert_grads_match(lambda: f(matmul(a, shared)), [a, shared])
+    a4, b4 = rand(rng, 2, 3, 4, 5), rand(rng, 2, 3, 5, 2)
+    f4 = functional(rng, (2, 3, 4, 2))
+    assert_grads_match(lambda: f4(matmul(a4, b4)), [a4, b4])
 
 
 def test_fft_pair_gradients_match_finite_differences():

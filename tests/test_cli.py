@@ -72,6 +72,16 @@ def test_extract_bad_magic_is_input_error(tmp_path):
     assert run_cli("extract", "--pcap", bad, "--out", tmp_path / "ds") == 2
 
 
+def test_extract_out_of_order_capture_is_input_error(tmp_path, capsys):
+    # the second frame is 2 s older than the first, beyond the 1 ms tolerance
+    path = tmp_path / "backwards.pcap"
+    write_pcap(path, [(100.0, udp_frame("10.0.0.3", 5353, "10.0.0.4", 53)),
+                      (98.0, udp_frame("10.0.0.4", 53, "10.0.0.3", 5353))])
+    assert run_cli("extract", "--pcap", path, "--out", tmp_path / "ds") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.fixture
 def toy_dataset(tmp_path):
     samples = separable_suite(0, n=60, length=10, d=4)

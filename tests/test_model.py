@@ -10,8 +10,8 @@ from earlyflow.earliness import PrefixSpec
 from earlyflow.features import MtsSample
 from earlyflow.model import (
     AttentionTrace, MdMhaParams, MdtConfig, MdtModel, encoder_block,
-    export_latents, forward, ifft_augment, load_checkpoint, md_mha, predict,
-    save_checkpoint,
+    export_latents, forward, forward_prefixes, ifft_augment, length_buckets,
+    load_checkpoint, md_mha, predict, save_checkpoint,
 )
 
 from gradcheck import assert_grads_match
@@ -56,6 +56,14 @@ def test_ifft_augment_matches_naive_oracle():
     assert np.abs(out[:, :13] - x).max() == 0.0
     assert np.abs(out[:, 13:26] - want.real).max() < 1e-9
     assert np.abs(out[:, 26:] - want.imag).max() < 1e-9
+
+
+def test_ifft_augment_stack_matches_per_matrix():
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(3, 5, 13))
+    out = ifft_augment(x)
+    for b in range(3):
+        assert np.abs(out[b] - ifft_augment(x[b])).max() < 1e-12
 
 
 def test_ifft_augment_scale_sensitivity_vs_layer_norm():
@@ -115,19 +123,21 @@ def straight_line_mdmha(z, wq, wk, wv, wo, n_heads, use_freq=True):
 
 
 def test_md_mha_matches_straight_line_oracle():
+    # each sequence of the stack attends only to itself
     rng = np.random.default_rng(2)
-    z = rng.normal(size=(4, 8))
+    z = rng.normal(size=(3, 4, 8))
     p = make_attn_params(rng, 8, 2)
     got = md_mha(const(z), p, n_heads=2).data
-    want = straight_line_mdmha(z, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data, 2)
-    assert np.abs(got - want).max() < 1e-9
+    for b in range(3):
+        want = straight_line_mdmha(z[b], p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data, 2)
+        assert np.abs(got[b] - want).max() < 1e-9
 
 
 def test_md_mha_vanilla_matches_straight_line_oracle():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(5, 8))
     p = make_attn_params(rng, 8, 2, use_freq=False)
-    got = md_mha(const(z), p, n_heads=2, use_frequency=False).data
+    got = md_mha(const(z[None]), p, n_heads=2, use_frequency=False).data[0]
     want = straight_line_mdmha(z, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data, 2,
                                use_freq=False)
     assert np.abs(got - want).max() < 1e-9
@@ -139,7 +149,7 @@ def test_md_mha_length_one_passes_values_through():
     rng = np.random.default_rng(4)
     z = rng.normal(size=(1, 8))
     p = make_attn_params(rng, 8, 2)
-    got = md_mha(const(z), p, n_heads=2).data
+    got = md_mha(const(z[None]), p, n_heads=2).data[0]
     v = z @ p.w_v.data
     want = np.concatenate([v, v], axis=1) @ p.w_o.data
     assert np.abs(got - want).max() < 1e-12
@@ -148,7 +158,7 @@ def test_md_mha_length_one_passes_values_through():
 def test_md_mha_identical_rows_give_uniform_scores():
     rng = np.random.default_rng(5)
     row = rng.normal(size=8)
-    z = np.tile(row, (6, 1))
+    z = np.tile(row, (1, 6, 1))
     p = make_attn_params(rng, 8, 2)
     traces = []
     md_mha(const(z), p, n_heads=2, collect_trace=traces)
@@ -156,13 +166,13 @@ def test_md_mha_identical_rows_give_uniform_scores():
     assert np.abs(trace.time_scores - 1.0 / 6).max() < 1e-12
     # time-head output rows are identical (frequency heads see the DC bin
     # concentration instead, so they are exempt)
-    time_block = trace.heads[:, :2 * 4]
+    time_block = trace.heads[0, :, :2 * 4]
     assert np.abs(time_block - time_block[0]).max() < 1e-12
 
 
 def test_md_mha_score_rows_sum_to_one():
     rng = np.random.default_rng(6)
-    z = rng.normal(size=(5, 8))
+    z = rng.normal(size=(1, 5, 8))
     p = make_attn_params(rng, 8, 2)
     traces = []
     md_mha(const(z), p, n_heads=2, collect_trace=traces)
@@ -171,30 +181,11 @@ def test_md_mha_score_rows_sum_to_one():
     assert np.allclose(t.freq_scores.sum(axis=-1), 1.0)
 
 
-def test_md_mha_mask_prefix_semantics():
-    rng = np.random.default_rng(7)
-    z_valid = rng.normal(size=(3, 8))
-    z_padded = np.vstack([z_valid, rng.normal(size=(2, 8))])
-    p = make_attn_params(rng, 8, 2)
-    mask = np.array([True, True, True, False, False])
-    got = md_mha(const(z_padded), p, n_heads=2, mask=mask).data
-    want = md_mha(const(z_valid), p, n_heads=2).data
-    assert np.abs(got[:3] - want).max() < 1e-12
-    assert np.abs(got[3:]).max() == 0.0
-
-
-def test_md_mha_all_masked_rejected():
-    rng = np.random.default_rng(8)
-    p = make_attn_params(rng, 8, 2)
-    with pytest.raises(ValueError):
-        md_mha(const(np.zeros((2, 8))), p, n_heads=2, mask=np.array([False, False]))
-
-
 def test_md_mha_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
-    z = param(rng.normal(size=(4, 8)) * 0.5)
+    z = param(rng.normal(size=(2, 4, 8)) * 0.5)
     p = make_attn_params(rng, 8, 2)
-    c = const(rng.normal(size=(4, 8)))
+    c = const(rng.normal(size=(2, 4, 8)))
     tensors = [z, p.w_q, p.w_k, p.w_v, p.w_o]
 
     def loss():
@@ -210,9 +201,9 @@ def test_encoder_block_shape_and_composition():
     rng = np.random.default_rng(10)
     config = toy_config(n_blocks=2)
     model = MdtModel(config, seed=0)
-    z = const(rng.normal(size=(5, 8)))
+    z = const(rng.normal(size=(1, 5, 8)))
     out1 = encoder_block(z, model.blocks[0], config)
-    assert out1.data.shape == (5, 8)
+    assert out1.data.shape == (1, 5, 8)
     assert np.isfinite(out1.data).all()
     out2 = encoder_block(out1, model.blocks[1], config)
 
@@ -229,8 +220,8 @@ def test_encoder_block_gradient_wrt_wq():
     rng = np.random.default_rng(11)
     config = toy_config()
     model = MdtModel(config, seed=1)
-    z = const(rng.normal(size=(4, 8)))
-    c = const(rng.normal(size=(4, 8)))
+    z = const(rng.normal(size=(1, 4, 8)))
+    c = const(rng.normal(size=(1, 4, 8)))
     block = model.blocks[0]
 
     def loss():
@@ -245,6 +236,31 @@ def test_forward_single_row():
     assert logits.data.shape == (3,)
     assert latent.data.shape == (8,)
     assert np.isfinite(logits.data).all()
+
+
+def test_batched_forward_matches_single_prefix_ragged():
+    # lengths 1-40 with repeats, so every length bucket holds several prefixes
+    rng = np.random.default_rng(16)
+    lengths = list(range(1, 41)) + list(rng.integers(1, 41, size=40))
+    prefixes = [rng.normal(size=(n, 13)) for n in lengths]
+    for use_freq in (True, False):
+        model = MdtModel(toy_config(max_len=40, use_frequency_heads=use_freq), seed=11)
+        logits, latents = forward_prefixes(model, prefixes)
+        for i, x in enumerate(prefixes):
+            one_logits, one_latent = forward(model, x)
+            assert np.abs(logits[i] - one_logits.data).max() < 1e-9
+            assert np.abs(latents[i] - one_latent.data).max() < 1e-9
+
+
+def test_length_buckets_group_equal_lengths_under_cap():
+    lengths = [3, 5, 3, 129, 5, 3] + [129] * 20 + [3] * 40
+    groups = length_buckets(lengths)
+    # at most 32 per group; at attention length 130, 32 * 65^2 // 130^2 = 8
+    assert [len(g) for g in groups] == [32, 11, 2, 8, 8, 5]
+    assert groups[0][:4] == [0, 2, 5, 26] and groups[2] == [1, 4]
+    assert sorted(i for g in groups for i in g) == list(range(len(lengths)))
+    assert all(len({lengths[i] for i in g}) == 1 for g in groups)
+    assert length_buckets([1000]) == [[0]]
 
 
 def test_forward_padded_twin_identical_logits():
@@ -324,6 +340,30 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(model, b)
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.ckpt.bin").read_bytes() == (tmp_path / "b.ckpt.bin").read_bytes()
+
+
+def _edit_manifest(path, edit):
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _swap_w_o_shape(manifest):
+    entry = next(e for e in manifest["parameters"] if e["name"] == "blocks.0.attn.w_o")
+    entry["shape"] = entry["shape"][::-1]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["config"].update(bogus_knob=1),
+    lambda m: m.pop("parameters"),
+    _swap_w_o_shape,
+], ids=["unknown_config_key", "missing_parameters", "transposed_shape"])
+def test_checkpoint_manifest_mismatch_rejected(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(MdtModel(toy_config(), seed=12), path)
+    _edit_manifest(path, edit)
+    with pytest.raises(ValueError, match="model.ckpt"):
+        load_checkpoint(path)
 
 
 def sample_of(rng, n, label="x"):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from earlyflow.autodiff import backward, cross_entropy, scale, zero_grad
 from earlyflow.earliness import PrefixSpec
-from earlyflow.model import MdtConfig, MdtModel
+from earlyflow.features import MtsSample
+from earlyflow.metrics import compute_metrics
+from earlyflow.model import MdtConfig, MdtModel, forward, predict
 from earlyflow.training import (
     EXPECT_PROFILES, ExternalFormatError, Hyperparams, dataset_classes,
-    evaluate, inverse_frequency_weights, load_external_mts, stratified_split,
-    sweep, sweep_rows, train, write_history_csv,
+    evaluate, inverse_frequency_weights, load_external_mts, minibatch_gradients,
+    stratified_split, sweep, sweep_rows, train, write_history_csv,
 )
 
 from gen_mts import amplitude_suite, frequency_suite, separable_suite
@@ -73,6 +76,50 @@ def test_deterministic_rerun_bit_identical():
     a, b = run(), run()
     for name in a:
         assert np.array_equal(a[name], b[name]), name
+
+
+def test_bucketed_minibatch_gradient_equals_per_sample_sum():
+    # two length groups, interleaved; the per-sample loop is the reference
+    rng = np.random.default_rng(0)
+    model = MdtModel(small_config(4, 2), seed=5)
+    params = model.parameters()
+    prefixes = [rng.normal(size=(n, 4)) for n in (3, 7, 3, 3, 7, 7, 3)]
+    targets = [0, 1, 1, 0, 0, 1, 1]
+    weights = np.array([0.7, 1.6])
+
+    zero_grad(params)
+    loss_sum, weight_sum = minibatch_gradients(model, prefixes, targets, weights,
+                                               np.random.default_rng(1))
+    batched = [p.grad.copy() for p in params]
+
+    zero_grad(params)
+    total_w = sum(weights[t] for t in targets)
+    want_loss = 0.0
+    for x, t in zip(prefixes, targets):
+        logits, _ = forward(model, x, training=True)
+        nll = cross_entropy(logits, t)
+        backward(scale(nll, weights[t] / total_w))
+        want_loss += weights[t] * float(nll.data)
+    assert weight_sum == pytest.approx(total_w, abs=1e-12)
+    assert loss_sum == pytest.approx(want_loss, abs=1e-9)
+    for p, g in zip(params, batched):
+        assert np.abs(g - p.grad).max() < 1e-9
+
+
+def test_evaluate_matches_per_prefix_predict():
+    # ragged prefixes: samples shorter than the count keep all their rows
+    rng = np.random.default_rng(1)
+    samples = [MtsSample(flow_id=f"s{i}", values=rng.normal(size=(n, 4)),
+                         timestamps=np.arange(n, dtype=float), label=f"class{i % 3}")
+               for i, n in enumerate(rng.integers(1, 17, size=90))]
+    classes = dataset_classes(samples)
+    model = MdtModel(small_config(4, 3), seed=6)
+    spec = PrefixSpec.by_count(12)
+    metrics, _, _ = evaluate(model, samples, spec, classes)
+    one_by_one = [classes[predict(model, s.values[:12])] for s in samples]
+    want = compute_metrics(one_by_one, [s.label for s in samples], classes)
+    assert np.array_equal(metrics.confusion, want.confusion)
+    assert len(set(one_by_one)) > 1
 
 
 def test_train_rejects_missing_class():
