@@ -8,11 +8,18 @@ map with its exact adjoint, so gradients flow through frequency-domain code
 the same way they flow through a matmul.
 
 There is no implicit broadcasting: shapes must match exactly except for the
-documented bias add (a vector added along the last axis) and batched matmul
-with a shared right-hand matrix.
+documented bias add (a vector added along the last axis) and matmul, which
+multiplies two matrices, two equal-rank stacks of matrices, or a (batch, rows,
+cols) stack and one matrix shared by all its members, on either side.
+
+Inside ``with no_grad():`` ops record nothing: every result is a plain value
+with no parents, so a forward pass frees each intermediate as soon as the
+next op has used it. The switch is process-wide and restored on exit.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -64,8 +71,22 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad = t.grad + g
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Run the enclosed ops without building a graph."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(data, parents, backward) -> Tensor:
-    tracked = any(p.requires_grad for p in parents)
+    tracked = _recording and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=tracked, parents=parents if tracked else (),
                   backward=backward if tracked else None)
 
@@ -174,28 +195,52 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if ad.shape[1] != bd.shape[0]:
             raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
 
-        def bw(g):
-            _accum(a, g @ bd.T)
-            _accum(b, ad.T @ g)
+        def grad_a(g):
+            return g @ bd.T
+
+        def grad_b(g):
+            return ad.T @ g
 
     elif ad.ndim == bd.ndim >= 3:
         if ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
             raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
 
-        def bw(g):
-            _accum(a, g @ np.swapaxes(bd, -1, -2))
-            _accum(b, np.swapaxes(ad, -1, -2) @ g)
+        def grad_a(g):
+            return g @ np.swapaxes(bd, -1, -2)
+
+        def grad_b(g):
+            return np.swapaxes(ad, -1, -2) @ g
 
     elif ad.ndim == 3 and bd.ndim == 2:
         if ad.shape[2] != bd.shape[0]:
             raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
 
-        def bw(g):
-            _accum(a, g @ bd.T)
-            _accum(b, ad.reshape(-1, ad.shape[2]).T @ g.reshape(-1, g.shape[2]))
+        def grad_a(g):
+            return g @ bd.T
+
+        def grad_b(g):
+            return ad.reshape(-1, ad.shape[2]).T @ g.reshape(-1, g.shape[2])
+
+    elif ad.ndim == 2 and bd.ndim == 3:
+        if ad.shape[1] != bd.shape[1]:
+            raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
+
+        def grad_a(g):
+            return (g @ np.swapaxes(bd, 1, 2)).sum(axis=0)
+
+        def grad_b(g):
+            return ad.T @ g
 
     else:
         raise ValueError(f"unsupported matmul ranks: {ad.ndim} @ {bd.ndim}")
+
+    # a constant operand (the input features, a transform kernel) gets no grad,
+    # so its product is skipped rather than computed and dropped
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, grad_a(g))
+        if b.requires_grad:
+            _accum(b, grad_b(g))
 
     return _node(ad @ bd, (a, b), bw)
 
@@ -261,23 +306,11 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.where(keep, a.data, 0.0), (a,), bw)
 
 
-def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
-    """Softmax along axis. mask, if given, is a boolean array (True = valid)
-    of the same shape; invalid positions get probability exactly 0."""
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
     if not np.isfinite(x).all():
         raise ValueError("softmax over non-finite input")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ValueError(f"mask shape {mask.shape} != input shape {x.shape}")
-        if not mask.any(axis=axis).all():
-            raise ValueError("softmax row with every position masked")
-        x = np.where(mask, x, -np.inf)
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
     out = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):

@@ -4,6 +4,8 @@ Forward transform uses exp(-2*pi*i*j*k/n) and is unnormalized; the inverse
 uses the conjugate kernel scaled by 1/n, so ifft(fft(x)) == x. Power-of-two
 lengths run through an iterative radix-2 Cooley-Tukey; everything else goes
 through Bluestein's chirp-z algorithm, so no input ever needs padding.
+real_dft_kernel gives the forward transform of real input as one real
+matrix, for callers that fold it into other matmuls.
 """
 
 from __future__ import annotations
@@ -87,6 +89,23 @@ DIRECT_LEN = 64
 def _dft_matrix(n: int, sign: int) -> np.ndarray:
     j = np.arange(n)
     return np.exp(sign * 2j * np.pi * np.outer(j, j) / n)
+
+
+@lru_cache(maxsize=8)
+def real_dft_kernel(n: int) -> np.ndarray:
+    """Read-only (2n, n) matrix [C; -S], C[j, k] = cos(2*pi*j*k/n) and S the
+    matching sines: kernel @ x stacks the real part of the forward transform
+    of a real x (along its first axis) on top of the imaginary part.
+
+    Angles come from an n-entry table indexed by j*k mod n, so they stay
+    exact for large n. The cache is small on purpose: a kernel for n = 512 is
+    4 MB, and callers that see many lengths only reuse the recent ones.
+    """
+    jk = np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n
+    angle = 2 * np.pi * np.arange(n) / n
+    kernel = np.concatenate([np.cos(angle)[jk], -np.sin(angle)[jk]])
+    kernel.flags.writeable = False
+    return kernel
 
 
 def _transform_last(x: np.ndarray, sign: int) -> np.ndarray:

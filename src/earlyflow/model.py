@@ -9,7 +9,11 @@ plus an equal number of heads whose queries, keys and values are transformed
 along the sequence axis; those heads score with the real part of the cross
 spectrum and mix the real part of the transformed values. Both head families
 share the same Q/K/V projections, so turning the frequency path off only
-shrinks the output projection.
+shrinks the output projection. The frequency heads project one shared
+sequence-axis DFT of the block input, a real matmul by a cached [cos; -sin]
+kernel, instead of transforming q, k and v apiece.
+
+predict and forward_prefixes run without an autodiff graph.
 
 use_frequency_heads=False disables both the input widening and the frequency
 heads, giving the plain transformer ablation.
@@ -27,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, const, param
 from .earliness import PrefixSpec, take_prefix
-from .fourier import fft_2d
+from .fourier import fft_2d, real_dft_kernel
 
 LN_EPS = 1e-5
 CHECKPOINT_FORMAT = "earlyflow-checkpoint-v1"
@@ -191,7 +195,12 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int,
            use_frequency: bool = True, collect_trace: list | None = None) -> Tensor:
     """Multi-domain multi-head attention over a (batch, length, d_model) stack
     of equal-length sequences; each sequence attends only to itself. Scores
-    are scaled by 1/sqrt(d_model)."""
+    are scaled by 1/sqrt(d_model).
+
+    The frequency heads see q, k and v transformed along the sequence axis.
+    That transform commutes with the shared projections, DFT(z W) = DFT(z) W,
+    so z is transformed once, by one real matmul with the [C; -S] kernel, and
+    its real and imaginary halves are projected like z itself."""
     batch, length, d_model = z.shape
     dv = d_model // n_heads
     scaling = 1.0 / math.sqrt(d_model)
@@ -204,14 +213,15 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int,
     time_heads = _merge_heads(ad.matmul(time_scores, v), batch, length, n_heads * dv)
 
     freq_scores = None
-    q_f = k_f = v_f = None
     if use_frequency:
-        q_re, q_im = ad.fft_pair(q, None, axis=2)
-        k_re, k_im = ad.fft_pair(k, None, axis=2)
-        v_re, _v_im = ad.fft_pair(v, None, axis=2)
-        q_f = q_re.data + 1j * q_im.data
-        k_f = k_re.data + 1j * k_im.data
-        v_f = v_re.data + 1j * _v_im.data
+        spectrum = ad.matmul(const(real_dft_kernel(length)), z)
+        spec_re, spec_im = (ad.slice_axis(spectrum, 1, start, length) for start in (0, length))
+        q_re = _split_heads(ad.matmul(spec_re, params.w_q), batch, length, n_heads, dv)
+        q_im = _split_heads(ad.matmul(spec_im, params.w_q), batch, length, n_heads, dv)
+        k_re = _split_heads(ad.matmul(spec_re, params.w_k), batch, length, n_heads, dv)
+        k_im = _split_heads(ad.matmul(spec_im, params.w_k), batch, length, n_heads, dv)
+        # the heads mix only the real part of the transformed values
+        v_re = _split_heads(ad.matmul(spec_re, params.w_v), batch, length, n_heads, dv)
         # real part of the cross spectrum as similarity
         cross = ad.add(ad.matmul(q_re, ad.transpose(k_re, (0, 1, 3, 2))),
                        ad.matmul(q_im, ad.transpose(k_im, (0, 1, 3, 2))))
@@ -223,9 +233,16 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int,
 
     out = ad.matmul(merged, params.w_o)
     if collect_trace is not None:
+        q_freq = k_freq = v_freq = None
+        if use_frequency:
+            q_freq = q_re.data + 1j * q_im.data
+            k_freq = k_re.data + 1j * k_im.data
+            v_im = (spec_im.data @ params.w_v.data).reshape(
+                batch, length, n_heads, dv).transpose(0, 2, 1, 3)
+            v_freq = v_re.data + 1j * v_im
         collect_trace.append(AttentionTrace(
             q=q.data.copy(), k=k.data.copy(), v=v.data.copy(),
-            q_freq=q_f, k_freq=k_f, v_freq=v_f,
+            q_freq=q_freq, k_freq=k_freq, v_freq=v_freq,
             time_scores=time_scores.data.copy(),
             freq_scores=None if freq_scores is None else freq_scores.data.copy(),
             heads=merged.data.copy()))
@@ -301,7 +318,8 @@ def forward(model: MdtModel, x, training: bool = False, rng=None,
 
 
 def predict(model: MdtModel, x, valid_len=None) -> int:
-    logits, _ = forward(model, x, training=False, valid_len=valid_len)
+    with ad.no_grad():
+        logits, _ = forward(model, x, training=False, valid_len=valid_len)
     return int(np.argmax(logits.data))
 
 
@@ -325,13 +343,11 @@ def forward_prefixes(model: MdtModel, prefixes):
     c = model.config
     logits = np.empty((len(prefixes), c.n_classes))
     latents = np.empty((len(prefixes), c.d_model))
-    for group in length_buckets([len(p) for p in prefixes]):
-        # the previous group's graph is freed only after this forward: freeing
-        # it first let the allocator hand its pages back to the OS and fault
-        # them in again, measured at 20-30% of infer_duration's eval time
-        group_logits, group_latents = forward(model, np.stack([prefixes[i] for i in group]))
-        logits[group] = group_logits.data
-        latents[group] = group_latents.data
+    with ad.no_grad():
+        for group in length_buckets([len(p) for p in prefixes]):
+            group_logits, group_latents = forward(model, np.stack([prefixes[i] for i in group]))
+            logits[group] = group_logits.data
+            latents[group] = group_latents.data
     return logits, latents
 
 

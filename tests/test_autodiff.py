@@ -38,21 +38,6 @@ def test_softmax_uniform_on_zeros():
     assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3])
 
 
-def test_softmax_rows_sum_to_one_with_mask():
-    rng = np.random.default_rng(1)
-    x = const(rng.normal(size=(4, 6)))
-    mask = np.ones((4, 6), dtype=bool)
-    mask[:, 4:] = False
-    out = softmax(x, axis=-1, mask=mask).data
-    assert np.allclose(out.sum(axis=-1), 1.0)
-    assert np.all(out[:, 4:] == 0.0)
-
-
-def test_softmax_fully_masked_row_rejected():
-    with pytest.raises(ValueError):
-        softmax(const(np.zeros((2, 3))), mask=np.zeros((2, 3), dtype=bool))
-
-
 def test_layer_norm_two_dim_pathology():
     # rows [a, a] normalize to [0, 0]; [a, b] with a > b to [1, -1]
     g = const(np.ones(2))
@@ -111,6 +96,22 @@ def test_add_shape_mismatch_rejected():
 def test_softmax_nonfinite_rejected():
     with pytest.raises(ValueError):
         softmax(const([1.0, np.inf]))
+
+
+def test_no_grad_records_nothing_and_restores_on_exit():
+    rng = np.random.default_rng(8)
+    w = rand(rng, 3, 2)
+    x = const(rng.normal(size=(4, 3)))
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            out = relu(matmul(x, w))
+            assert not out.requires_grad and out._parents == ()
+            raise RuntimeError
+    assert np.array_equal(out.data, relu(matmul(x, w)).data)
+    tracked = sum_all(matmul(x, w))
+    assert tracked.requires_grad
+    backward(tracked)
+    assert w.grad is not None
 
 
 def test_grad_accumulates_across_backward_calls():
@@ -182,6 +183,9 @@ def test_batched_matmul_matches_finite_differences():
     a4, b4 = rand(rng, 2, 3, 4, 5), rand(rng, 2, 3, 5, 2)
     f4 = functional(rng, (2, 3, 4, 2))
     assert_grads_match(lambda: f4(matmul(a4, b4)), [a4, b4])
+    shared_left = rand(rng, 6, 4)
+    f_left = functional(rng, (3, 6, 5))
+    assert_grads_match(lambda: f_left(matmul(shared_left, a)), [shared_left, a])
 
 
 def test_fft_pair_gradients_match_finite_differences():

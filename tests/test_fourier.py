@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from earlyflow.fourier import fft_1d, fft_2d, fft_along
+from earlyflow.fourier import fft_1d, fft_2d, fft_along, real_dft_kernel
 
 from naive import naive_dft, naive_dft_2d
 
@@ -36,6 +36,17 @@ def test_matches_naive_dft(n):
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     assert rel_err(fft_1d(x), naive_dft(x)) < 1e-9
     assert rel_err(fft_1d(x, inverse=True), naive_dft(x, inverse=True)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 67, 257, 513])
+def test_real_dft_kernel_matches_naive_dft(n):
+    # [C; -S] @ x stacks the real part of the forward transform on the imaginary
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 3))
+    kernel = real_dft_kernel(n)
+    assert kernel.shape == (2 * n, n) and not kernel.flags.writeable
+    want = np.stack([naive_dft(x[:, c]) for c in range(3)], axis=1)
+    assert rel_err(kernel @ x, np.concatenate([want.real, want.imag])) < 1e-9
 
 
 def test_empty_vector_rejected():

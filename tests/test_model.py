@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from earlyflow import autodiff as ad
+from earlyflow import model as model_module
 from earlyflow.autodiff import backward, const, cross_entropy, param, sum_all, zero_grad
 from earlyflow.earliness import PrefixSpec
 from earlyflow.features import MtsSample
@@ -13,6 +14,7 @@ from earlyflow.model import (
     export_latents, forward, forward_prefixes, ifft_augment, length_buckets,
     load_checkpoint, md_mha, predict, save_checkpoint,
 )
+from earlyflow.training import minibatch_gradients
 
 from gradcheck import assert_grads_match
 from naive import naive_dft, naive_dft_2d
@@ -181,17 +183,83 @@ def test_md_mha_score_rows_sum_to_one():
     assert np.allclose(t.freq_scores.sum(axis=-1), 1.0)
 
 
+def fft_pair_md_mha(z, params, n_heads, use_frequency=True, collect_trace=None):
+    """Reference for md_mha's frequency heads: q, k and v each transformed
+    per head along the sequence axis by ad.fft_pair."""
+    assert use_frequency
+    batch, length, d_model = z.shape
+    dv = d_model // n_heads
+    scaling = 1.0 / math.sqrt(d_model)
+
+    def heads(w):
+        return ad.transpose(ad.reshape(ad.matmul(z, w), (batch, length, n_heads, dv)),
+                            (0, 2, 1, 3))
+
+    def merge(t):
+        return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (batch, length, d_model))
+
+    def keys(t):
+        return ad.transpose(t, (0, 1, 3, 2))
+
+    q, k, v = heads(params.w_q), heads(params.w_k), heads(params.w_v)
+    time_scores = ad.softmax(ad.scale(ad.matmul(q, keys(k)), scaling))
+    q_re, q_im = ad.fft_pair(q, None, axis=2)
+    k_re, k_im = ad.fft_pair(k, None, axis=2)
+    v_re, v_im = ad.fft_pair(v, None, axis=2)
+    cross = ad.add(ad.matmul(q_re, keys(k_re)), ad.matmul(q_im, keys(k_im)))
+    freq_scores = ad.softmax(ad.scale(cross, scaling))
+    merged = ad.concat([merge(ad.matmul(time_scores, v)), merge(ad.matmul(freq_scores, v_re))],
+                       axis=2)
+    if collect_trace is not None:
+        collect_trace.append(AttentionTrace(
+            q=q.data, k=k.data, v=v.data, q_freq=q_re.data + 1j * q_im.data,
+            k_freq=k_re.data + 1j * k_im.data, v_freq=v_re.data + 1j * v_im.data,
+            time_scores=time_scores.data, freq_scores=freq_scores.data, heads=merged.data))
+    return ad.matmul(merged, params.w_o)
+
+
+RAGGED_LENGTHS = [1, 2, 17, 64, 65, 100, 257]
+
+
+def test_md_mha_matches_fft_pair_path_ragged():
+    # lengths on both sides of fourier.DIRECT_LEN, so the reference runs both
+    # the direct and the Bluestein transforms
+    rng = np.random.default_rng(30)
+    for length in RAGGED_LENGTHS:
+        z = const(rng.normal(size=(2, length, 8)))
+        p = make_attn_params(rng, 8, 2)
+        got_trace, want_trace = [], []
+        got = md_mha(z, p, n_heads=2, collect_trace=got_trace).data
+        want = fft_pair_md_mha(z, p, n_heads=2, collect_trace=want_trace).data
+        assert np.abs(got - want).max() < 1e-9
+        for field in ("q_freq", "k_freq", "v_freq", "freq_scores", "heads"):
+            diff = getattr(got_trace[0], field) - getattr(want_trace[0], field)
+            assert np.abs(diff).max() < 1e-9, (length, field)
+
+
+def test_forward_matches_fft_pair_path_ragged(monkeypatch):
+    rng = np.random.default_rng(31)
+    model = MdtModel(toy_config(max_len=300), seed=12)
+    prefixes = [rng.normal(size=(n, 13)) for n in RAGGED_LENGTHS for _ in range(2)]
+    logits, latents = forward_prefixes(model, prefixes)
+    monkeypatch.setattr(model_module, "md_mha", fft_pair_md_mha)
+    want_logits, want_latents = forward_prefixes(model, prefixes)
+    assert np.abs(logits - want_logits).max() < 1e-9
+    assert np.abs(latents - want_latents).max() < 1e-9
+
+
 def test_md_mha_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
-    z = param(rng.normal(size=(2, 4, 8)) * 0.5)
-    p = make_attn_params(rng, 8, 2)
-    c = const(rng.normal(size=(2, 4, 8)))
-    tensors = [z, p.w_q, p.w_k, p.w_v, p.w_o]
+    for length in (4, 67):
+        z = param(rng.normal(size=(2, length, 8)) * 0.5)
+        p = make_attn_params(rng, 8, 2)
+        c = const(rng.normal(size=(2, length, 8)))
+        tensors = [z, p.w_q, p.w_k, p.w_v, p.w_o]
 
-    def loss():
-        return sum_all(ad.mul(md_mha(z, p, n_heads=2), c))
+        def loss():
+            return sum_all(ad.mul(md_mha(z, p, n_heads=2), c))
 
-    assert_grads_match(loss, tensors)
+        assert_grads_match(loss, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +457,43 @@ def test_export_latents_one_row(tmp_path):
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 2
     assert len(lines[1].split(",")) == 2 + 8
+
+
+def test_eval_forwards_build_no_graph(monkeypatch):
+    rng = np.random.default_rng(32)
+    model = MdtModel(toy_config(max_len=40), seed=13)
+    lengths = [3, 5, 3, 20, 5, 3]
+    prefixes = [rng.normal(size=(n, 13)) for n in lengths]
+    graph_forward = model_module.forward
+    outputs = []
+
+    def recording_forward(*args, **kwargs):
+        outputs.extend(graph_forward(*args, **kwargs))
+        return outputs[-2:]
+
+    monkeypatch.setattr(model_module, "forward", recording_forward)
+    logits, latents = forward_prefixes(model, prefixes)
+    for group in length_buckets(lengths):
+        want_logits, want_latents = graph_forward(model, np.stack([prefixes[i] for i in group]))
+        assert np.array_equal(logits[group], want_logits.data)
+        assert np.array_equal(latents[group], want_latents.data)
+    for x in prefixes:
+        index = predict(model, x)
+        want_logits, _ = graph_forward(model, x)
+        assert np.array_equal(outputs[-2].data, want_logits.data)
+        assert index == int(np.argmax(want_logits.data))
+    assert all(not t.requires_grad and t._parents == () for t in outputs)
+    assert all(p.grad is None for p in model.parameters())
+
+
+def test_training_step_after_eval_gets_gradients():
+    rng = np.random.default_rng(33)
+    model = MdtModel(toy_config(), seed=14)
+    prefixes = [rng.normal(size=(4, 13)) for _ in range(3)]
+    forward_prefixes(model, prefixes)
+    predict(model, prefixes[0])
+    minibatch_gradients(model, prefixes, np.array([0, 1, 2]), np.ones(3))
+    assert all(p.grad is not None for p in model.parameters())
 
 
 def test_predict_returns_class_index():
