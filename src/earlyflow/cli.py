@@ -13,16 +13,14 @@ import json
 import sys
 
 from .earliness import PrefixSpec
-from .features import (
-    DatasetFormatError, FLOWS_HEADER, extract_mts, read_dataset, write_dataset,
-)
+from .features import DatasetFormatError, extract_mts, write_dataset
 from .flows import (
     FlowKeyError, FlowTable, LabelRuleError, OrderingError, join_labels, load_label_rules,
 )
 from .model import MdtConfig, MdtModel, export_latents, load_checkpoint, save_checkpoint
 from .pcap import CaptureError, Transport, open_capture
 from .training import (
-    ExternalFormatError, Hyperparams, SweepPoint, dataset_classes, evaluate,
+    Hyperparams, SweepPoint, dataset_classes, evaluate,
     load_external_mts, stratified_split, sweep, sweep_rows, train,
     write_history_csv, write_sweep_csv,
 )
@@ -49,20 +47,7 @@ def _load_config_file(path):
 
 
 def _load_samples(args):
-    """Dispatch on the flows.csv header: our extractor's layout round-trips
-    through read_dataset, anything else goes through the long-format loader."""
-    import csv
-    import os
-
-    flows_path = os.path.join(args.data, "flows.csv")
-    if not os.path.exists(flows_path):
-        raise CliError(f"{flows_path}: not found")
-    with open(flows_path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    expect = getattr(args, "expect", None)
-    if header == FLOWS_HEADER and expect is None:
-        return read_dataset(args.data)
-    return load_external_mts(args.data, expect=expect)
+    return load_external_mts(args.data, expect=getattr(args, "expect", None))
 
 
 def _prefix_spec(args) -> PrefixSpec:
@@ -267,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 INVALID_INPUT_ERRORS = (
     CliError, CaptureError, FlowKeyError, LabelRuleError, OrderingError,
-    DatasetFormatError, ExternalFormatError, ValueError, json.JSONDecodeError,
+    DatasetFormatError, ValueError, json.JSONDecodeError,
 )
 
 

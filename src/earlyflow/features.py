@@ -5,14 +5,23 @@ Each finalized flow becomes one multivariate time series with a fixed-order
 time in seconds (0 for the first packet), size in bytes at the IP layer, and
 the ten TCP flag bits. Datasets are a pair of CSVs: flows.csv holds per-flow
 metadata, series.csv holds the long-format feature rows with 9 fractional
-digits.
+digits. The series columns are named after the sample width: FEATURE_NAMES
+at the extractor's 13, feature_0 ... feature_{d-1} at any other width d.
+
+write_dataset formats each flow's rows as one block. One long-format reader,
+read_long_format, serves both the extractor layout (read_dataset) and
+external series (training.load_external_mts): it takes d from the series
+header, parses every numeric cell with one np.loadtxt call and groups rows
+by id in one pass.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -28,7 +37,16 @@ NUM_FEATURES = len(FEATURE_NAMES)
 
 FLOWS_HEADER = ["flow_id", "src_ip", "src_port", "dst_ip", "dst_port",
                 "transport", "start_ts", "end_ts", "num_packets", "label"]
-SERIES_HEADER = ["flow_id", "seq_index"] + FEATURE_NAMES + ["rel_ts"]
+
+
+def series_header(d: int) -> list:
+    """series.csv columns for width d: the features are FEATURE_NAMES at the
+    extractor's width, feature_0 ... feature_{d-1} otherwise."""
+    names = FEATURE_NAMES if d == NUM_FEATURES else [f"feature_{j}" for j in range(d)]
+    return ["flow_id", "seq_index", *names, "rel_ts"]
+
+
+SERIES_HEADER = series_header(NUM_FEATURES)
 
 
 class DatasetFormatError(Exception):
@@ -60,129 +78,238 @@ class MtsSample:
         return float(self.timestamps[-1] - self.timestamps[0])
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9f}"
-
-
-def flow_id_for(flow: Flow) -> str:
-    src_ip, src_port = flow.initiator
-    dst_ip, dst_port = flow.responder
-    return (f"{ip_to_str(src_ip)}:{src_port}-{ip_to_str(dst_ip)}:{dst_port}"
-            f"-{flow.key.transport.value}@{flow.start_ts:.6f}")
-
-
 def extract_mts(flow: Flow) -> MtsSample:
-    """Row i holds the feature vector of packet i; the first IAT entry is 0."""
-    n = len(flow.packets)
-    values = np.zeros((n, NUM_FEATURES))
+    """Row i holds the feature vector of packet i; the first IAT entry is 0.
+    The flow id is initiator-responder-transport@start."""
     timestamps = np.array([p.timestamp for p in flow.packets])
-    for i, (packet, direction) in enumerate(zip(flow.packets, flow.directions)):
-        values[i, 0] = direction
-        values[i, 1] = 0.0 if i == 0 else timestamps[i] - timestamps[i - 1]
-        values[i, 2] = packet.total_bytes
-        values[i, 3:13] = packet.tcp_flags
-    src_ip, src_port = flow.initiator
-    dst_ip, dst_port = flow.responder
+    values = np.array([(direction, 0.0, p.total_bytes, *p.tcp_flags)
+                       for p, direction in zip(flow.packets, flow.directions)],
+                      dtype=np.float64)
+    values[1:, 1] = np.diff(timestamps)
+    (src_ip, src_port), (dst_ip, dst_port) = flow.initiator, flow.responder
+    src, dst, transport = ip_to_str(src_ip), ip_to_str(dst_ip), flow.key.transport.value
     return MtsSample(
-        flow_id=flow_id_for(flow),
+        flow_id=f"{src}:{src_port}-{dst}:{dst_port}-{transport}@{flow.start_ts:.6f}",
         values=values,
         timestamps=timestamps,
         label=flow.label if flow.label is not None else "BENIGN",
-        endpoints=(ip_to_str(src_ip), src_port, ip_to_str(dst_ip), dst_port,
-                   flow.key.transport.value),
+        endpoints=(src, src_port, dst, dst_port, transport),
     )
 
 
 def write_dataset(samples, out_dir) -> dict:
     """Write flows.csv and series.csv under out_dir; returns a small manifest
-    with row counts. Numeric fields carry exactly 9 fractional digits."""
+    with row counts. Numeric fields carry exactly 9 fractional digits, and
+    the series columns are named by series_header(d) for the samples' width
+    d. Each flow's series rows are formatted as one block."""
     samples = list(samples)
+    widths = {s.width for s in samples}
+    if len(widths) > 1:
+        raise ValueError(f"samples mix feature widths: {sorted(widths)}")
+    d = widths.pop() if widths else NUM_FEATURES
+    row_fmt = ",%d" + ",%.9f" * (d + 1) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     flows_path = os.path.join(out_dir, "flows.csv")
     series_path = os.path.join(out_dir, "series.csv")
     n_rows = 0
+    # the flow id goes through csv.writer once per flow, so it is quoted
+    # exactly as a csv.writer row would quote it
+    id_buf = io.StringIO()
+    id_csv = csv.writer(id_buf, lineterminator="")
     with open(flows_path, "w", newline="", encoding="utf-8") as fh_flows, \
             open(series_path, "w", newline="", encoding="utf-8") as fh_series:
         flows_csv = csv.writer(fh_flows, lineterminator="\n")
-        series_csv = csv.writer(fh_series, lineterminator="\n")
         flows_csv.writerow(FLOWS_HEADER)
-        series_csv.writerow(SERIES_HEADER)
+        csv.writer(fh_series, lineterminator="\n").writerow(series_header(d))
         for sample in samples:
+            ts = sample.timestamps
             endpoints = sample.endpoints or ("*", "*", "*", "*", "*")
             flows_csv.writerow([
-                sample.flow_id,
-                endpoints[0], endpoints[1], endpoints[2], endpoints[3], endpoints[4],
-                _fmt(sample.timestamps[0]), _fmt(sample.timestamps[-1]),
-                sample.length, sample.label,
+                sample.flow_id, *endpoints,
+                f"{ts[0]:.9f}", f"{ts[-1]:.9f}", sample.length, sample.label,
             ])
-            start = sample.timestamps[0]
-            for i in range(sample.length):
-                row = [sample.flow_id, i]
-                row.extend(_fmt(v) for v in sample.values[i])
-                row.append(_fmt(sample.timestamps[i] - start))
-                series_csv.writerow(row)
-                n_rows += 1
+            id_buf.seek(0)
+            id_buf.truncate()
+            id_csv.writerow([sample.flow_id, ""])
+            prefix = id_buf.getvalue()[:-1].replace("%", "%%")
+            n = sample.length
+            block = np.empty((n, d + 2))
+            block[:, 0] = np.arange(n)
+            block[:, 1:-1] = sample.values
+            block[:, -1] = ts - ts[0]
+            fh_series.write(((prefix + row_fmt) * n) % tuple(block.ravel().tolist()))
+            n_rows += n
     return {"flows": len(samples), "series_rows": n_rows,
             "flows_path": flows_path, "series_path": series_path}
 
 
 def read_dataset(directory) -> list:
-    """Inverse of write_dataset. Rows of one flow must carry contiguous
-    seq_index values starting at 0."""
+    """Inverse of write_dataset: read_long_format restricted to the
+    extractor layout, raising DatasetFormatError."""
+    return read_long_format(directory, DatasetFormatError, extractor_only=True)
+
+
+def read_long_format(directory, error=DatasetFormatError, extractor_only=False) -> list:
+    """Read flows.csv plus a long-format series.csv into MtsSamples, in
+    flows.csv order; every problem raises `error`.
+
+    The series header is an id column (flow_id or series_id), seq_index, the
+    d feature columns and an optional trailing rel_ts. Each id's rows must
+    carry seq_index 0..n-1; they may interleave with other ids' rows. The
+    extractor layout (flows.csv header FLOWS_HEADER) adds endpoints,
+    start_ts and num_packets: its series header must be series_header(d),
+    every series id must be listed in flows.csv with that many rows, and
+    timestamps are start_ts + rel_ts. Any other flows.csv needs an id and a
+    label column; timestamps are then rel_ts, or unit spacing without it."""
     flows_path = os.path.join(directory, "flows.csv")
     series_path = os.path.join(directory, "series.csv")
     for path in (flows_path, series_path):
         if not os.path.exists(path):
-            raise DatasetFormatError(f"missing dataset file: {path}")
+            raise error(f"missing dataset file: {path}")
+    extractor, entries = _read_metadata(flows_path, error, extractor_only)
+    header, ids, table = _read_series(series_path, error)
+    has_rel = header[-1] == "rel_ts"
+    d = len(header) - 2 - has_rel
+    if extractor and header != series_header(len(header) - 3):
+        raise error(f"{series_path}: unexpected header")
+    if d < 1:
+        raise error(f"{series_path}: no feature columns")
 
-    meta = {}
-    order = []
-    with open(flows_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FLOWS_HEADER:
-            raise DatasetFormatError(f"{flows_path}: unexpected header")
-        for row in reader:
-            endpoints = None
-            if row[1] != "*":
-                endpoints = (row[1], int(row[2]), row[3], int(row[4]), row[5])
-            meta[row[0]] = {
-                "endpoints": endpoints,
-                "start_ts": float(row[6]),
-                "num_packets": int(row[8]),
-                "label": row[9],
-            }
-            order.append(row[0])
+    # one pass over the ids: each run of equal ids becomes a row range
+    spans = {}
+    ends = []
+    for flow_id, run in groupby(ids):
+        start = ends[-1] if ends else 0
+        ends.append(start + sum(1 for _ in run))
+        spans.setdefault(flow_id, []).append((start, ends[-1]))
+    if extractor:
+        listed = {entry[0] for entry in entries}
+        unknown = next((i for i in spans if i not in listed), None)
+        if unknown is not None:
+            raise error(f"{series_path}: unknown flow_id {unknown}")
 
-    rows_by_flow = {}
-    with open(series_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SERIES_HEADER:
-            raise DatasetFormatError(f"{series_path}: unexpected header")
-        for row in reader:
-            flow_id = row[0]
-            if flow_id not in meta:
-                raise DatasetFormatError(f"{series_path}: unknown flow_id {flow_id}")
-            rows_by_flow.setdefault(flow_id, []).append(row)
-
+    seq = table[:, 0]
+    # when each id's rows form one run, one comparison checks every seq_index
+    ends = np.array(ends, dtype=np.intp)
+    lengths = np.diff(ends, prepend=0)
+    seq_ok = len(spans) == len(ends) and np.array_equal(
+        seq, np.arange(len(seq)) - np.repeat(ends - lengths, lengths))
+    values = np.ascontiguousarray(table[:, 1:1 + d])
+    rel = np.ascontiguousarray(table[:, -1]) if has_rel else None
     samples = []
-    for flow_id in order:
-        rows = rows_by_flow.get(flow_id, [])
-        info = meta[flow_id]
-        if len(rows) != info["num_packets"]:
-            raise DatasetFormatError(
-                f"{flow_id}: {len(rows)} series rows, metadata says {info['num_packets']}")
-        indices = [int(r[1]) for r in rows]
-        if indices != list(range(len(rows))):
-            raise DatasetFormatError(f"{flow_id}: seq_index not contiguous from 0")
-        values = np.array([[float(v) for v in r[2:2 + NUM_FEATURES]] for r in rows])
-        rel = np.array([float(r[-1]) for r in rows])
-        samples.append(MtsSample(
-            flow_id=flow_id,
-            values=values,
-            timestamps=info["start_ts"] + rel,
-            label=info["label"],
-            endpoints=info["endpoints"],
-        ))
+    for flow_id, label, endpoints, start_ts, num_packets in entries:
+        ranges = spans.get(flow_id, [])
+        n = sum(b - a for a, b in ranges)
+        if extractor and n != num_packets:
+            raise error(f"{flow_id}: {n} series rows, metadata says {num_packets}")
+        if n == 0:
+            raise error(f"{series_path}: no rows for {flow_id!r}")
+        if len(ranges) == 1:
+            rows = slice(*ranges[0])
+        else:
+            rows = np.concatenate([np.arange(a, b) for a, b in ranges])
+        if not seq_ok and not np.array_equal(seq[rows], np.arange(n)):
+            raise error(f"{flow_id}: seq_index not contiguous from 0")
+        if rel is None:
+            timestamps = np.arange(n, dtype=np.float64)
+        elif extractor:
+            timestamps = start_ts + rel[rows]
+        else:
+            timestamps = rel[rows]
+        samples.append(MtsSample(flow_id=flow_id, values=values[rows],
+                                 timestamps=timestamps, label=label,
+                                 endpoints=endpoints))
     return samples
+
+
+def _read_metadata(path, error, extractor_only):
+    """flows.csv -> (is extractor layout, [(id, label, endpoints, start_ts,
+    num_packets)]); the last three are None outside the extractor layout."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        extractor = header == FLOWS_HEADER
+        if extractor_only and not extractor:
+            raise error(f"{path}: unexpected header")
+        if header is None:
+            raise error(f"{path}: empty metadata")
+        cols = {name: i for i, name in enumerate(header)}
+        id_col = cols.get("flow_id", cols.get("series_id"))
+        label_col = cols.get("label")
+        if id_col is None or label_col is None:
+            raise error(f"{path}: need flow_id/series_id and label columns")
+        entries = []
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise error(f"{where}: {len(row)} fields, header has {len(header)}")
+            endpoints = start_ts = num_packets = None
+            if extractor:
+                try:
+                    if row[1] != "*":
+                        endpoints = (row[1], int(row[2]), row[3], int(row[4]), row[5])
+                    start_ts = float(row[6])
+                    num_packets = int(row[8])
+                except ValueError as exc:
+                    raise error(f"{where}: {exc}") from None
+            entries.append((row[id_col], row[label_col], endpoints, start_ts, num_packets))
+    return extractor, entries
+
+
+def _read_series(path, error):
+    """series.csv -> (header, id of each row, float64 table of the columns
+    after the id). Numbers are parsed by one np.loadtxt call, which gives
+    the same doubles as float()."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    if '"' in text or "\r" in text:
+        # quoted ids or CR line ends: csv splits the records
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        header = rows[0] if rows else []
+        body = rows[1:]
+        ids = [row[0] if row else "" for row in body]
+        numeric = [",".join(row[1:]) for row in body]
+        blank = [] in body
+    else:
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        header = lines[0].split(",") if lines else []
+        body = lines[1:]
+        ids = [line.partition(",")[0] for line in body]
+        numeric = [line.partition(",")[2] for line in body]
+        blank = "" in body
+    if len(header) < 3 or header[0] not in ("flow_id", "series_id") \
+            or header[1] != "seq_index":
+        raise error(f"{path}: header must start with flow_id/series_id,seq_index")
+    width = len(header) - 1
+    if not body:
+        return header, ids, np.zeros((0, width))
+    table = None
+    if not blank:
+        try:
+            table = np.loadtxt(numeric, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if table is None or table.shape != (len(body), width):
+        _raise_bad_row(path, text, len(header), error)
+    return header, ids, table
+
+
+def _raise_bad_row(path, text, n_fields, error):
+    """Name the first blank, ragged or non-numeric row of a series.csv that
+    np.loadtxt rejected."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        if not row:
+            raise error(f"{where}: blank row")
+        if len(row) != n_fields:
+            raise error(f"{where}: {len(row)} fields, header has {n_fields}")
+        for cell in row[1:]:
+            try:
+                float(cell)
+            except ValueError:
+                raise error(f"{where}: non-numeric cell {cell!r}") from None
+    raise error(f"{path}: unparseable numeric cells")

@@ -5,6 +5,10 @@ either byte order and micro- or nanosecond timestamps, and only Ethernet
 link-layer captures. Frames that are not parseable IP packets are skipped
 and counted, never fatal; a truncated record header ends the stream with a
 distinct error.
+
+Each frame is decoded by one flat function: precompiled struct.Struct
+unpack_from calls at layer offsets into the frame (no slicing), and a
+4096-entry table for the TCP flag vector. Timestamps are float seconds.
 """
 
 from __future__ import annotations
@@ -90,19 +94,79 @@ def ip_to_str(value: int) -> str:
     return str(ipaddress.IPv6Address(value))
 
 
-def _decode_tcp_flags(offset_byte: int, flag_byte: int) -> tuple:
-    return (
-        offset_byte & 0x01,          # NS
-        (flag_byte >> 7) & 1,        # CWR
-        (flag_byte >> 6) & 1,        # ECE
-        (flag_byte >> 5) & 1,        # URG
-        (flag_byte >> 4) & 1,        # ACK
-        (flag_byte >> 3) & 1,        # PSH
-        (flag_byte >> 2) & 1,        # RST
-        (flag_byte >> 1) & 1,        # SYN
-        flag_byte & 1,               # FIN
-        1 if offset_byte & 0x0E else 0,  # any reserved bit set
-    )
+# Flag vector for every (offset_byte & 0x0F) << 8 | flag_byte: NS is bit 0 of
+# the data-offset byte, CWR..FIN the flag byte from its top bit down, and the
+# last entry is set when any of the three reserved bits is.
+_FLAG_BYTE_BITS = [tuple(f >> bit & 1 for bit in range(7, -1, -1)) for f in range(256)]
+TCP_FLAGS = tuple((offset & 1, *_FLAG_BYTE_BITS[f], 1 if offset & 0x0E else 0)
+                  for offset in range(16) for f in range(256))
+
+_U16 = struct.Struct(">H").unpack_from
+_PORTS = struct.Struct(">HH").unpack_from
+# version/IHL, total length, fragment field, protocol, source, destination
+_IPV4 = struct.Struct(">BxHxxHxBxxII").unpack_from
+# from byte 4: payload length, next header, source and destination as 64-bit halves
+_IPV6 = struct.Struct(">HBxQQQQ").unpack_from
+
+
+def _decode_frame(data: bytes, ts: float, index: int):
+    """One Ethernet frame -> PacketRecord, or None for a frame that is not a
+    parseable IP packet. Fields are unpacked at offsets into `data`."""
+    n = len(data)
+    if n < 14:
+        return None
+    ethertype = _U16(data, 12)[0]
+    offset = 14
+    if ethertype == ETHERTYPE_VLAN:
+        # unwrap a single 802.1Q tag; nested tags are skipped
+        if n < 18:
+            return None
+        ethertype = _U16(data, 16)[0]
+        offset = 18
+        if ethertype == ETHERTYPE_VLAN:
+            return None
+    if ethertype == ETHERTYPE_IPV4:
+        if n - offset < 20:
+            return None
+        ver_ihl, total_bytes, frag, proto, src, dst = _IPV4(data, offset)
+        ihl = (ver_ihl & 0x0F) * 4
+        if ver_ihl >> 4 != 4 or ihl < 20 or n - offset < ihl or total_bytes < ihl:
+            return None
+        if frag & 0x1FFF:
+            return None  # non-first fragment: header-level features only
+        src |= V4_MAPPED_PREFIX
+        dst |= V4_MAPPED_PREFIX
+        l4 = offset + ihl
+        # Ethernet padding can extend past the IP datagram; clip to its length
+        end = min(n, offset + total_bytes)
+    elif ethertype == ETHERTYPE_IPV6:
+        if n - offset < 40 or data[offset] >> 4 != 6:
+            return None
+        payload_len, proto, src_hi, src_lo, dst_hi, dst_lo = _IPV6(data, offset + 4)
+        src = src_hi << 64 | src_lo
+        dst = dst_hi << 64 | dst_lo
+        l4 = offset + 40
+        end = min(n, l4 + payload_len)
+        total_bytes = payload_len + 40
+    else:
+        return None
+    if proto == IPPROTO_TCP:
+        if end - l4 < 14:
+            return None  # need ports through the flags byte
+        sport, dport = _PORTS(data, l4)
+        flags = TCP_FLAGS[(data[l4 + 12] & 0x0F) << 8 | data[l4 + 13]]
+        transport = Transport.TCP
+    elif proto == IPPROTO_UDP:
+        if end - l4 < 8:
+            return None
+        sport, dport = _PORTS(data, l4)
+        flags = NO_FLAGS
+        transport = Transport.UDP
+    else:
+        sport = dport = 0
+        flags = NO_FLAGS
+        transport = Transport.OTHER
+    return PacketRecord(ts, src, dst, sport, dport, transport, total_bytes, flags, index)
 
 
 class CaptureReader:
@@ -127,6 +191,7 @@ class CaptureReader:
                 raise TruncatedHeaderError(f"{self.path}: global header truncated")
             native_magic = struct.unpack(self._endian + "I", header[:4])[0]
             self._tick = 1e-9 if native_magic == MAGIC_LE_NANOS else 1e-6
+            self._record_header = struct.Struct(self._endian + "IIII").unpack
             link_type = struct.unpack(self._endian + "I", header[20:24])[0]
             if link_type != LINKTYPE_ETHERNET:
                 raise UnsupportedLinkTypeError(
@@ -152,94 +217,25 @@ class CaptureReader:
         return self
 
     def __next__(self) -> PacketRecord:
+        read = self._fh.read
         while True:
-            header = self._fh.read(16)
+            header = read(16)
             if len(header) == 0:
                 raise StopIteration
             if len(header) < 16:
                 raise TruncatedRecordError(f"{self.path}: record header truncated")
-            ts_sec, ts_frac, incl_len, _orig_len = struct.unpack(self._endian + "IIII", header)
-            data = self._fh.read(incl_len)
+            ts_sec, ts_frac, incl_len, _orig_len = self._record_header(header)
+            data = read(incl_len)
             if len(data) < incl_len:
                 raise TruncatedRecordError(f"{self.path}: packet data truncated")
             index = self.frames_total
-            self.frames_total += 1
-            record = self._decode_frame(ts_sec + ts_frac * self._tick, data, index)
+            self.frames_total = index + 1
+            record = _decode_frame(data, ts_sec + ts_frac * self._tick, index)
             if record is None:
                 self.frames_skipped += 1
                 continue
             self.records_emitted += 1
             return record
-
-    def _decode_frame(self, ts: float, data: bytes, index: int):
-        if len(data) < 14:
-            return None
-        ethertype = struct.unpack(">H", data[12:14])[0]
-        offset = 14
-        if ethertype == ETHERTYPE_VLAN:
-            # unwrap a single 802.1Q tag; nested tags are skipped
-            if len(data) < 18:
-                return None
-            ethertype = struct.unpack(">H", data[16:18])[0]
-            offset = 18
-            if ethertype == ETHERTYPE_VLAN:
-                return None
-        if ethertype == ETHERTYPE_IPV4:
-            return self._decode_ipv4(ts, data[offset:], index)
-        if ethertype == ETHERTYPE_IPV6:
-            return self._decode_ipv6(ts, data[offset:], index)
-        return None
-
-    def _decode_ipv4(self, ts: float, ip: bytes, index: int):
-        if len(ip) < 20 or ip[0] >> 4 != 4:
-            return None
-        ihl = (ip[0] & 0x0F) * 4
-        if ihl < 20 or len(ip) < ihl:
-            return None
-        total_len = struct.unpack(">H", ip[2:4])[0]
-        if total_len < ihl:
-            return None
-        frag = struct.unpack(">H", ip[6:8])[0]
-        if frag & 0x1FFF:
-            return None  # non-first fragment: header-level features only
-        proto = ip[9]
-        src = V4_MAPPED_PREFIX | struct.unpack(">I", ip[12:16])[0]
-        dst = V4_MAPPED_PREFIX | struct.unpack(">I", ip[16:20])[0]
-        # Ethernet padding can extend past the IP datagram; clip to total_len
-        l4 = ip[ihl:min(len(ip), total_len)]
-        return self._finish(ts, src, dst, proto, l4, total_len, index)
-
-    def _decode_ipv6(self, ts: float, ip: bytes, index: int):
-        if len(ip) < 40 or ip[0] >> 4 != 6:
-            return None
-        payload_len = struct.unpack(">H", ip[4:6])[0]
-        next_header = ip[6]
-        src = int.from_bytes(ip[8:24], "big")
-        dst = int.from_bytes(ip[24:40], "big")
-        l4 = ip[40:min(len(ip), 40 + payload_len)]
-        return self._finish(ts, src, dst, next_header, l4, payload_len + 40, index)
-
-    def _finish(self, ts, src, dst, proto, l4, total_bytes, index):
-        if proto == IPPROTO_TCP:
-            if len(l4) < 14:
-                return None  # need ports through the flags byte
-            sport, dport = struct.unpack(">HH", l4[:4])
-            flags = _decode_tcp_flags(l4[12], l4[13])
-            transport = Transport.TCP
-        elif proto == IPPROTO_UDP:
-            if len(l4) < 8:
-                return None
-            sport, dport = struct.unpack(">HH", l4[:4])
-            flags = NO_FLAGS
-            transport = Transport.UDP
-        else:
-            sport = dport = 0
-            flags = NO_FLAGS
-            transport = Transport.OTHER
-        return PacketRecord(
-            timestamp=ts, src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
-            transport=transport, total_bytes=total_bytes, tcp_flags=flags,
-            capture_index=index)
 
 
 def open_capture(path) -> CaptureReader:

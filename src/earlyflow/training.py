@@ -11,7 +11,6 @@ bit-identical.
 from __future__ import annotations
 
 import csv
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .autodiff import backward, cross_entropy, scale, zero_grad
 from .earliness import BY_COUNT, BY_DURATION, PrefixSpec, aggregate_earliness, take_prefix
-from .features import MtsSample
+from .features import DatasetFormatError, MtsSample, read_long_format
 from .metrics import Metrics, compute_metrics
 from .model import MdtConfig, MdtModel, forward, forward_prefixes, length_buckets
 
@@ -311,77 +310,24 @@ EXPECT_PROFILES = {
 }
 
 
-class ExternalFormatError(Exception):
+class ExternalFormatError(DatasetFormatError):
     pass
 
 
 def load_external_mts(directory, expect: str | None = None) -> list:
     """Load a long-format series.csv plus flows.csv-style metadata carrying at
-    least (series id, label). Timestamps come from a rel_ts column when
-    present, otherwise unit spacing. d is inferred from the columns."""
-    series_path = os.path.join(directory, "series.csv")
-    meta_path = os.path.join(directory, "flows.csv")
-    for path in (series_path, meta_path):
-        if not os.path.exists(path):
-            raise ExternalFormatError(f"missing file: {path}")
-
-    labels = {}
-    order = []
-    with open(meta_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ExternalFormatError(f"{meta_path}: empty metadata")
-        cols = {name: i for i, name in enumerate(header)}
-        id_col = cols.get("flow_id", cols.get("series_id"))
-        label_col = cols.get("label")
-        if id_col is None or label_col is None:
-            raise ExternalFormatError(
-                f"{meta_path}: need flow_id/series_id and label columns")
-        for row in reader:
-            labels[row[id_col]] = row[label_col]
-            order.append(row[id_col])
-
-    with open(series_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3:
-            raise ExternalFormatError(f"{series_path}: unusable header")
-        if header[0] not in ("flow_id", "series_id") or header[1] != "seq_index":
-            raise ExternalFormatError(
-                f"{series_path}: header must start with flow_id/series_id,seq_index")
-        has_rel_ts = header[-1] == "rel_ts"
-        feature_cols = header[2:-1] if has_rel_ts else header[2:]
-        d = len(feature_cols)
-        if d < 1:
-            raise ExternalFormatError(f"{series_path}: no feature columns")
-        rows_by_id = {}
-        for row in reader:
-            if len(row) != len(header):
-                raise ExternalFormatError(f"{series_path}: ragged row for {row[0]!r}")
-            rows_by_id.setdefault(row[0], []).append(row)
-
-    samples = []
-    for sid in order:
-        rows = rows_by_id.get(sid)
-        if not rows:
-            raise ExternalFormatError(f"{series_path}: no rows for {sid!r}")
-        indices = [int(r[1]) for r in rows]
-        if indices != list(range(len(rows))):
-            raise ExternalFormatError(f"{sid}: seq_index not contiguous from 0")
-        values = np.array([[float(v) for v in r[2:2 + d]] for r in rows])
-        if has_rel_ts:
-            ts = np.array([float(r[-1]) for r in rows])
-        else:
-            ts = np.arange(len(rows), dtype=np.float64)
-        samples.append(MtsSample(flow_id=sid, values=values, timestamps=ts,
-                                 label=labels[sid]))
-
+    least (series id, label) with features.read_long_format, raising
+    ExternalFormatError. Timestamps come from a rel_ts column when present,
+    otherwise unit spacing; an extractor-layout dataset loads as read_dataset
+    loads it. d is inferred from the columns; `expect` names a profile in
+    EXPECT_PROFILES that d and the maximum length must fit."""
+    samples = read_long_format(directory, ExternalFormatError)
     if expect is not None:
         profile = EXPECT_PROFILES.get(expect)
         if profile is None:
             raise ExternalFormatError(f"unknown expectation profile {expect!r}")
-        max_len = max(s.length for s in samples)
+        d = samples[0].width if samples else 0
+        max_len = max((s.length for s in samples), default=0)
         if d != profile["d"] or max_len > profile["max_len"]:
             raise ExternalFormatError(
                 f"profile {expect}: expected d={profile['d']}, "

@@ -98,3 +98,22 @@ def write_pcap(path, frames, endian="<", nanos=False):
 def write_raw(path, blob):
     with open(path, "wb") as fh:
         fh.write(blob)
+
+
+def ipv6_frame(src, dst, next_header, l4):
+    """Ethernet/IPv6 frame around an already built L4 segment."""
+    from ipaddress import IPv6Address
+    ip = struct.pack(">IHBB", 6 << 28, len(l4), next_header, 64) \
+        + IPv6Address(src).packed + IPv6Address(dst).packed
+    return MAC_B + MAC_A + struct.pack(">H", 0x86DD) + ip + l4
+
+
+def ipv6_tcp_frame(src, sport, dst, dport, flags=(), payload=b""):
+    """TCP over IPv6; the segment is taken from tcp_frame's IPv4 build."""
+    segment = tcp_frame("0.0.0.0", sport, "0.0.0.0", dport, flags, payload)[34:]
+    return ipv6_frame(src, dst, 6, segment)
+
+
+def ipv6_udp_frame(src, sport, dst, dport, payload=b""):
+    segment = udp_frame("0.0.0.0", sport, "0.0.0.0", dport, payload)[34:]
+    return ipv6_frame(src, dst, 17, segment)

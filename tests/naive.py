@@ -1,10 +1,18 @@
 """Brute-force reference implementations used as oracles by several test modules.
 
 Everything here is written straight from the defining formulas (quadratic
-loops, explicit matrices) and stays independent of the fast paths it checks.
+loops, explicit matrices, one csv row or one struct field at a time) and
+stays independent of the fast paths it checks.
 """
 
+import csv
+import os
+import struct
+
 import numpy as np
+
+from earlyflow import pcap
+from earlyflow.features import FEATURE_NAMES, FLOWS_HEADER
 
 
 def naive_dft(x, inverse=False):
@@ -37,3 +45,207 @@ def naive_matmul(a, b):
                 s += a[i, k] * b[k, j]
             out[i, j] = s
     return out
+
+
+# ---------------------------------------------------------------------------
+# features: one row per packet, one csv.writer row per packet, float() per cell
+
+def naive_extract_values(flow):
+    """(L, 13) feature rows of a flow, filled packet by packet."""
+    timestamps = np.array([p.timestamp for p in flow.packets])
+    values = np.zeros((len(flow.packets), len(FEATURE_NAMES)))
+    for i, (packet, direction) in enumerate(zip(flow.packets, flow.directions)):
+        values[i, 0] = direction
+        values[i, 1] = 0.0 if i == 0 else timestamps[i] - timestamps[i - 1]
+        values[i, 2] = packet.total_bytes
+        values[i, 3:13] = packet.tcp_flags
+    return values
+
+
+def naive_series_header(d):
+    names = FEATURE_NAMES if d == len(FEATURE_NAMES) else [f"feature_{j}" for j in range(d)]
+    return ["flow_id", "seq_index"] + list(names) + ["rel_ts"]
+
+
+def naive_write_dataset(samples, out_dir):
+    """write_dataset through csv.writer, one row and one f-string per cell."""
+    samples = list(samples)
+    d = samples[0].width if samples else len(FEATURE_NAMES)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "flows.csv"), "w", newline="", encoding="utf-8") as fh_flows, \
+            open(os.path.join(out_dir, "series.csv"), "w", newline="", encoding="utf-8") as fh_series:
+        flows_csv = csv.writer(fh_flows, lineterminator="\n")
+        series_csv = csv.writer(fh_series, lineterminator="\n")
+        flows_csv.writerow(FLOWS_HEADER)
+        series_csv.writerow(naive_series_header(d))
+        for sample in samples:
+            endpoints = sample.endpoints or ("*", "*", "*", "*", "*")
+            flows_csv.writerow([
+                sample.flow_id,
+                endpoints[0], endpoints[1], endpoints[2], endpoints[3], endpoints[4],
+                f"{sample.timestamps[0]:.9f}", f"{sample.timestamps[-1]:.9f}",
+                sample.length, sample.label,
+            ])
+            start = sample.timestamps[0]
+            for i in range(sample.length):
+                row = [sample.flow_id, i]
+                row.extend(f"{v:.9f}" for v in sample.values[i])
+                row.append(f"{sample.timestamps[i] - start:.9f}")
+                series_csv.writerow(row)
+
+
+def naive_read_long_format(directory):
+    """Samples as (id, label, endpoints, values, timestamps) in flows.csv
+    order: rows grouped by id in a dict, every number parsed by float().
+    The extractor layout adds start_ts to rel_ts; other layouts use rel_ts,
+    or unit spacing without it."""
+    with open(os.path.join(directory, "flows.csv"), newline="", encoding="utf-8") as fh:
+        meta = list(csv.reader(fh))
+    extractor = meta[0] == FLOWS_HEADER
+    id_col = 0 if extractor else meta[0].index("series_id")
+    label_col = meta[0].index("label")
+    with open(os.path.join(directory, "series.csv"), newline="", encoding="utf-8") as fh:
+        series = list(csv.reader(fh))
+    has_rel = series[0][-1] == "rel_ts"
+    d = len(series[0]) - 2 - has_rel
+    rows_by_id = {}
+    for row in series[1:]:
+        rows_by_id.setdefault(row[0], []).append(row)
+    out = []
+    for row in meta[1:]:
+        rows = rows_by_id[row[id_col]]
+        assert [int(float(r[1])) for r in rows] == list(range(len(rows)))
+        values = np.array([[float(v) for v in r[2:2 + d]] for r in rows])
+        if not has_rel:
+            ts = np.arange(len(rows), dtype=np.float64)
+        else:
+            ts = np.array([float(r[-1]) for r in rows])
+            if extractor:
+                ts = float(row[6]) + ts
+        endpoints = None
+        if extractor and row[1] != "*":
+            endpoints = (row[1], int(row[2]), row[3], int(row[4]), row[5])
+        out.append((row[id_col], row[label_col], endpoints, values, ts))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# pcap: the slicing decoder, one struct.unpack per field
+
+def naive_tcp_flags(offset_byte, flag_byte):
+    return (
+        offset_byte & 0x01,          # NS
+        (flag_byte >> 7) & 1,        # CWR
+        (flag_byte >> 6) & 1,        # ECE
+        (flag_byte >> 5) & 1,        # URG
+        (flag_byte >> 4) & 1,        # ACK
+        (flag_byte >> 3) & 1,        # PSH
+        (flag_byte >> 2) & 1,        # RST
+        (flag_byte >> 1) & 1,        # SYN
+        flag_byte & 1,               # FIN
+        1 if offset_byte & 0x0E else 0,  # any reserved bit set
+    )
+
+
+def _naive_finish(ts, src, dst, proto, l4, total_bytes, index):
+    if proto == pcap.IPPROTO_TCP:
+        if len(l4) < 14:
+            return None
+        sport, dport = struct.unpack(">HH", l4[:4])
+        flags = naive_tcp_flags(l4[12], l4[13])
+        transport = pcap.Transport.TCP
+    elif proto == pcap.IPPROTO_UDP:
+        if len(l4) < 8:
+            return None
+        sport, dport = struct.unpack(">HH", l4[:4])
+        flags = (0,) * 10
+        transport = pcap.Transport.UDP
+    else:
+        sport = dport = 0
+        flags = (0,) * 10
+        transport = pcap.Transport.OTHER
+    return pcap.PacketRecord(
+        timestamp=ts, src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
+        transport=transport, total_bytes=total_bytes, tcp_flags=flags,
+        capture_index=index)
+
+
+def naive_decode_frame(ts, data, index):
+    """One Ethernet frame -> PacketRecord or None, slicing at each layer."""
+    if len(data) < 14:
+        return None
+    ethertype = struct.unpack(">H", data[12:14])[0]
+    offset = 14
+    if ethertype == pcap.ETHERTYPE_VLAN:
+        if len(data) < 18:
+            return None
+        ethertype = struct.unpack(">H", data[16:18])[0]
+        offset = 18
+        if ethertype == pcap.ETHERTYPE_VLAN:
+            return None
+    ip = data[offset:]
+    if ethertype == pcap.ETHERTYPE_IPV4:
+        if len(ip) < 20 or ip[0] >> 4 != 4:
+            return None
+        ihl = (ip[0] & 0x0F) * 4
+        if ihl < 20 or len(ip) < ihl:
+            return None
+        total_len = struct.unpack(">H", ip[2:4])[0]
+        if total_len < ihl:
+            return None
+        frag = struct.unpack(">H", ip[6:8])[0]
+        if frag & 0x1FFF:
+            return None
+        src = pcap.V4_MAPPED_PREFIX | struct.unpack(">I", ip[12:16])[0]
+        dst = pcap.V4_MAPPED_PREFIX | struct.unpack(">I", ip[16:20])[0]
+        l4 = ip[ihl:min(len(ip), total_len)]
+        return _naive_finish(ts, src, dst, ip[9], l4, total_len, index)
+    if ethertype == pcap.ETHERTYPE_IPV6:
+        if len(ip) < 40 or ip[0] >> 4 != 6:
+            return None
+        payload_len = struct.unpack(">H", ip[4:6])[0]
+        src = int.from_bytes(ip[8:24], "big")
+        dst = int.from_bytes(ip[24:40], "big")
+        l4 = ip[40:min(len(ip), 40 + payload_len)]
+        return _naive_finish(ts, src, dst, ip[6], l4, payload_len + 40, index)
+    return None
+
+
+def naive_read_capture(path):
+    """(records, frames_total, frames_skipped) of a classic pcap file, read
+    record by record with naive_decode_frame. Raises what CaptureReader
+    raises for a bad global header or a truncated record."""
+    with open(path, "rb") as fh:
+        header = fh.read(24)
+        if len(header) < 4:
+            raise pcap.TruncatedHeaderError(path)
+        magic = struct.unpack("<I", header[:4])[0]
+        if magic in (pcap.MAGIC_LE_MICROS, pcap.MAGIC_LE_NANOS):
+            endian = "<"
+        elif magic in (pcap.MAGIC_BE_MICROS, pcap.MAGIC_BE_NANOS):
+            endian = ">"
+        else:
+            raise pcap.UnknownMagicError(path)
+        if len(header) < 24:
+            raise pcap.TruncatedHeaderError(path)
+        native_magic = struct.unpack(endian + "I", header[:4])[0]
+        tick = 1e-9 if native_magic == pcap.MAGIC_LE_NANOS else 1e-6
+        if struct.unpack(endian + "I", header[20:24])[0] != pcap.LINKTYPE_ETHERNET:
+            raise pcap.UnsupportedLinkTypeError(path)
+        records, total, skipped = [], 0, 0
+        while True:
+            rec_header = fh.read(16)
+            if len(rec_header) == 0:
+                return records, total, skipped
+            if len(rec_header) < 16:
+                raise pcap.TruncatedRecordError(path)
+            ts_sec, ts_frac, incl_len, _ = struct.unpack(endian + "IIII", rec_header)
+            data = fh.read(incl_len)
+            if len(data) < incl_len:
+                raise pcap.TruncatedRecordError(path)
+            record = naive_decode_frame(ts_sec + ts_frac * tick, data, total)
+            total += 1
+            if record is None:
+                skipped += 1
+            else:
+                records.append(record)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from earlyflow.features import write_dataset
 
 from gen_mts import separable_suite
 from gen_pcap import tcp_frame, udp_frame, arp_frame, write_pcap
+from test_features import MALFORMED, break_dataset
 
 
 @pytest.fixture
@@ -186,6 +188,16 @@ def test_invalid_config_key_exit_2(tmp_path, toy_dataset):
 def test_missing_data_dir_exit_2(tmp_path):
     assert run_cli("train", "--data", tmp_path / "absent", "--prefix-packets", 4,
                    "--out", tmp_path / "x.ckpt") == 2
+
+
+@pytest.mark.parametrize("name,mutate,message", MALFORMED)
+def test_malformed_dataset_row_exit_2_one_line(tmp_path, toy_dataset, capsys, name, mutate,
+                                               message):
+    path = break_dataset(toy_dataset, name, mutate)
+    assert run_cli("train", "--data", toy_dataset, "--prefix-packets", 4,
+                   "--out", tmp_path / "x.ckpt") == 2
+    err = capsys.readouterr().err
+    assert re.match(re.escape(f"error: {path}: ") + message, err) and err.count("\n") == 1
 
 
 def test_bad_grid_exit_2(tmp_path, toy_dataset):

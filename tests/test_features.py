@@ -1,8 +1,13 @@
+import csv
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from earlyflow.features import (
     DatasetFormatError, FEATURE_NAMES, MtsSample, extract_mts, read_dataset,
@@ -10,7 +15,11 @@ from earlyflow.features import (
 )
 from earlyflow.flows import FlowTable
 from earlyflow.pcap import Transport
+from earlyflow.training import ExternalFormatError, load_external_mts
 
+from flow_oracle import random_capture_records
+from gen_mts import separable_suite
+from naive import naive_extract_values, naive_read_long_format, naive_write_dataset
 from test_flows import rec
 
 
@@ -63,6 +72,17 @@ def test_three_packet_flow_matches_hand_decode():
 def test_udp_flow_has_zero_flags():
     sample = extract_mts(build_flow([rec(0.0, transport=Transport.UDP)]))
     assert np.all(sample.values[0, 3:13] == 0)
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_extract_mts_equals_per_packet_loop(seed):
+    table = FlowTable(window_secs=120.0)
+    for record in random_capture_records(np.random.default_rng(seed), 200):
+        table.assign_packet(record)
+    for flow in table.flush(math.inf):
+        values = extract_mts(flow).values
+        assert values.tobytes() == naive_extract_values(flow).tobytes()
 
 
 def make_samples(rng, count, max_len=12):
@@ -156,3 +176,193 @@ def test_roundtrip_property(seed):
         assert np.abs(a.values - b.values).max() <= 1e-9
         assert abs(a.values[:, 1].sum() - (a.timestamps[-1] - a.timestamps[0])) < 1e-9
         assert b.values[0, 1] == 0.0
+
+
+def test_width_4_dataset_roundtrips_with_width_4(tmp_path):
+    samples = separable_suite(0, n=10, length=10, d=4)
+    write_dataset(samples, tmp_path)
+    header = (tmp_path / "series.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "flow_id,seq_index,feature_0,feature_1,feature_2,feature_3,rel_ts"
+    for back in (read_dataset(tmp_path), load_external_mts(tmp_path)):
+        assert [s.values.shape for s in back] == [(10, 4)] * 10
+        for a, b in zip(samples, back):
+            assert np.abs(a.values - b.values).max() <= 1e-9
+
+
+def test_write_rejects_mixed_widths(tmp_path):
+    samples = separable_suite(0, n=2, length=3, d=2) + separable_suite(0, n=1, length=3, d=3)
+    with pytest.raises(ValueError):
+        write_dataset(samples, tmp_path)
+
+
+# ids and labels that csv.writer has to quote, or that % formatting would read
+NASTY_TEXT = st.text(alphabet='ab1 ,"%:.-@', max_size=10)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([0.0, -0.0, 1e-10, -5e-10, 0.5e-9, 123456789.123456789]))
+
+
+@st.composite
+def sample_sets(draw, unique_ids=False):
+    d = draw(st.integers(1, 16))
+    ids = draw(st.lists(NASTY_TEXT, min_size=1, max_size=3, unique=unique_ids))
+    samples = []
+    for flow_id in ids:
+        n = draw(st.integers(1, 40))
+        values = draw(arrays(np.float64, (n, d), elements=FLOATS))
+        start = draw(st.floats(1.69e9, 1.71e9))
+        offsets = np.cumsum(draw(arrays(np.float64, n, elements=st.floats(0, 10))))
+        endpoints = draw(st.one_of(st.none(), st.tuples(
+            NASTY_TEXT, st.integers(0, 65535), NASTY_TEXT, st.integers(0, 65535),
+            st.sampled_from(["tcp", "udp"]))))
+        samples.append(MtsSample(flow_id=flow_id, values=values,
+                                 timestamps=start + offsets - offsets[0],
+                                 label=draw(NASTY_TEXT), endpoints=endpoints))
+    return samples
+
+
+@settings(max_examples=60)
+@given(sample_sets())
+def test_block_writer_bytes_equal_csv_writer(samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, slow = Path(tmp, "fast"), Path(tmp, "slow")
+        write_dataset(samples, fast)
+        naive_write_dataset(samples, slow)
+        for name in ("flows.csv", "series.csv"):
+            assert (fast / name).read_bytes() == (slow / name).read_bytes()
+
+
+def assert_bit_equal(samples, reference):
+    assert len(samples) == len(reference)
+    for s, (flow_id, label, endpoints, values, ts) in zip(samples, reference):
+        assert (s.flow_id, s.label, s.endpoints) == (flow_id, label, endpoints)
+        assert s.values.tobytes() == values.tobytes() and s.values.shape == values.shape
+        assert s.timestamps.tobytes() == ts.tobytes()
+
+
+def interleave(series_path):
+    """Rewrite series.csv so the rows of its first two ids alternate, each
+    id keeping its own row order."""
+    lines = series_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    ids = [next(csv.reader([line]))[0] for line in lines[1:]]
+    first, second = list(dict.fromkeys(ids))[:2]
+    a = [line for i, line in zip(ids, lines[1:]) if i == first]
+    b = [line for i, line in zip(ids, lines[1:]) if i == second]
+    rest = [line for i, line in zip(ids, lines[1:]) if i not in (first, second)]
+    mixed = [line for pair in zip(a, b) for line in pair] + a[len(b):] + b[len(a):]
+    series_path.write_text("".join([lines[0]] + mixed + rest), encoding="utf-8")
+
+
+@settings(max_examples=40)
+@given(sample_sets(unique_ids=True), st.booleans())
+def test_reader_bit_equal_to_float_per_cell(samples, mix):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(samples, tmp)
+        if mix and len(samples) >= 2:
+            interleave(Path(tmp, "series.csv"))
+        ref = naive_read_long_format(tmp)
+        assert_bit_equal(read_dataset(tmp), ref)
+        assert_bit_equal(load_external_mts(tmp), ref)
+
+
+def write_external(directory, series, rel_ts):
+    """External layout: series_id/label metadata, optional rel_ts column."""
+    d = series[0][1].shape[1]
+    header = ["series_id", "seq_index"] + [f"ch{j}" for j in range(d)] + (["rel_ts"] if rel_ts else [])
+    lines = [",".join(header)]
+    for sid, values in series:
+        for i, row in enumerate(values):
+            cells = [sid, str(i)] + [repr(float(v)) for v in row]
+            if rel_ts:
+                cells.append(repr(0.25 * i))
+            lines.append(",".join(cells))
+    Path(directory, "series.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    meta = ["series_id,label"] + [f"{sid},c{k % 2}" for k, (sid, _) in enumerate(series)]
+    Path(directory, "flows.csv").write_text("\n".join(meta) + "\n", encoding="utf-8")
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 6), st.lists(st.integers(1, 30), min_size=2, max_size=4),
+       st.booleans(), st.data())
+def test_external_reader_bit_equal_to_float_per_cell(d, lengths, rel_ts, data):
+    series = [(f"s{k}", data.draw(arrays(np.float64, (n, d), elements=FLOATS)))
+              for k, n in enumerate(lengths)]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_external(tmp, series, rel_ts)
+        interleave(Path(tmp, "series.csv"))
+        assert_bit_equal(load_external_mts(tmp), naive_read_long_format(tmp))
+
+
+def _blank_series_row(lines):
+    lines.insert(2, "")
+
+
+def _short_series_row(lines):
+    lines[2] = lines[2].rsplit(",", 1)[0]
+
+
+def _non_numeric_series_cell(lines):
+    lines[2] = lines[2].replace(",", ",x", 1)
+
+
+def _short_flows_row(lines):
+    lines[1] = lines[1].rsplit(",", 2)[0]
+
+
+# (file, mutation, pattern of the error message after "<path>: ")
+MALFORMED = [
+    ("series.csv", _blank_series_row, r"line 3: blank row$"),
+    ("series.csv", _short_series_row, r"line 3: (\d+) fields, header has (?!\1)\d+$"),
+    ("series.csv", _non_numeric_series_cell, r"line 3: non-numeric cell 'x"),
+    ("flows.csv", _short_flows_row, r"line 2: 8 fields, header has 10$"),
+]
+
+
+def break_dataset(directory, name, mutate):
+    path = Path(directory, name)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    mutate(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name,mutate,message", MALFORMED)
+def test_malformed_rows_name_file_and_line(tmp_path, name, mutate, message):
+    write_dataset(make_samples(np.random.default_rng(3), 3, max_len=4), tmp_path)
+    path = break_dataset(tmp_path, name, mutate)
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: ") + message):
+        read_dataset(tmp_path)
+    with pytest.raises(ExternalFormatError, match=re.escape(f"{path}: ") + message):
+        load_external_mts(tmp_path)
+
+
+def test_unknown_series_id_rejected(tmp_path):
+    write_dataset(make_samples(np.random.default_rng(4), 2), tmp_path)
+    break_dataset(tmp_path, "series.csv", lambda lines: lines.append(
+        "ghost," + lines[1].split(",", 1)[1]))
+    with pytest.raises(DatasetFormatError, match="unknown flow_id ghost"):
+        read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("mix", [False, True])
+def test_seq_index_gap_rejected_with_matching_row_count(tmp_path, mix):
+    samples = [s for s in make_samples(np.random.default_rng(6), 12, max_len=5) if s.length >= 3]
+    write_dataset(samples, tmp_path)
+    if mix:
+        interleave(tmp_path / "series.csv")
+    # the third row of the first flow claims seq_index 7 instead of 2
+    path = tmp_path / "series.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    prefix = lines[1].split(",")[0] + ",2,"
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = lines[i].replace(",2,", ",7,", 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="seq_index not contiguous"):
+        read_dataset(tmp_path)
+
+
+def test_row_count_must_match_num_packets(tmp_path):
+    write_dataset(make_samples(np.random.default_rng(5), 2), tmp_path)
+    break_dataset(tmp_path, "series.csv", lambda lines: lines.pop())
+    with pytest.raises(DatasetFormatError, match="metadata says"):
+        read_dataset(tmp_path)

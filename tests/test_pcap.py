@@ -1,17 +1,24 @@
+import math
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from earlyflow.features import extract_mts
+from earlyflow.flows import FlowTable
 from earlyflow.pcap import (
-    CaptureReader, Transport, TruncatedHeaderError, TruncatedRecordError,
-    UnknownMagicError, UnsupportedLinkTypeError, ip_to_int, ip_to_str,
-    open_capture,
+    TCP_FLAGS, CaptureError, CaptureReader, TCP_FLAG_NAMES, Transport, TruncatedHeaderError,
+    TruncatedRecordError, UnknownMagicError, UnsupportedLinkTypeError, ip_to_int,
+    ip_to_str, open_capture,
 )
 
 from gen_pcap import (
-    arp_frame, fragment_frame, icmp_frame, tcp_flag_tuple, tcp_frame,
-    udp_frame, vlan_wrap, write_pcap, write_raw,
+    arp_frame, fragment_frame, icmp_frame, ipv6_tcp_frame, ipv6_udp_frame,
+    tcp_flag_tuple, tcp_frame, udp_frame, vlan_wrap, write_pcap, write_raw,
 )
+from naive import naive_read_capture, naive_tcp_flags
 
 
 def read_all(path):
@@ -196,3 +203,113 @@ def test_roundtrip_random_records(tmp_path):
 def test_ip_int_string_roundtrip():
     for text in ("0.0.0.0", "10.0.0.1", "255.255.255.255", "2001:db8::1"):
         assert ip_to_str(ip_to_int(text)) == text
+
+
+def mixed_frames():
+    """One frame of every kind the decoder tells apart."""
+    tcp = tcp_frame("10.0.0.1", 1234, "10.0.0.2", 80, flags=("syn", "ns", "reserved"))
+    return [
+        tcp,
+        tcp_frame("10.0.0.2", 80, "10.0.0.1", 1234, flags=TCP_FLAG_NAMES, payload=b"x" * 30),
+        udp_frame("10.0.0.3", 53, "10.0.0.4", 5353, payload=b"q" * 12),
+        vlan_wrap(tcp),
+        vlan_wrap(vlan_wrap(tcp)),
+        vlan_wrap(udp_frame("10.0.0.3", 53, "10.0.0.4", 5353))[:20],
+        ipv6_tcp_frame("2001:db8::1", 4000, "2001:db8::2", 443, flags=("ack", "psh"),
+                       payload=b"p" * 7),
+        ipv6_udp_frame("fe80::1", 546, "ff02::1:2", 547),
+        vlan_wrap(ipv6_tcp_frame("::1", 1, "::2", 2, flags=("fin",))),
+        arp_frame(),
+        icmp_frame("10.0.0.1", "10.0.0.2"),
+        fragment_frame("10.0.0.1", "10.0.0.2"),
+        tcp + b"\x00" * 6,          # Ethernet padding past the IP datagram
+        tcp[:14 + 20 + 13],         # TCP header cut before the flags byte
+        udp_frame("10.0.0.3", 53, "10.0.0.4", 5353)[:14 + 20 + 7],
+        tcp[:30],
+        b"",
+    ]
+
+
+def parse_both(path):
+    """(records, frames_total, frames_skipped) or the error type, from the
+    flat decoder and from the slicing oracle."""
+    try:
+        with open_capture(path) as reader:
+            fast = (list(reader), reader.frames_total, reader.frames_skipped)
+    except CaptureError as exc:
+        fast = type(exc)
+    try:
+        slow = naive_read_capture(path)
+    except CaptureError as exc:
+        slow = type(exc)
+    return fast, slow
+
+
+@pytest.mark.parametrize("endian,nanos", [("<", False), (">", True)])
+def test_flat_decoder_matches_slicing_decoder(tmp_path, endian, nanos):
+    frames = mixed_frames()
+    path = tmp_path / "mixed.pcap"
+    write_pcap(path, [(1.7e9 + 0.001 * i, f) for i, f in enumerate(frames)],
+               endian=endian, nanos=nanos)
+    fast, slow = parse_both(path)
+    assert fast == slow
+    records, total, skipped = fast
+    assert (total, len(records)) == (len(frames), 9)
+    transports = [r.transport for r in records]
+    assert transports.count(Transport.OTHER) == 1 and transports.count(Transport.UDP) == 2
+
+
+def test_flag_table_matches_bitwise_decode():
+    for offset_byte in range(256):
+        for flag_byte in range(256):
+            assert TCP_FLAGS[(offset_byte & 0x0F) << 8 | flag_byte] == \
+                naive_tcp_flags(offset_byte, flag_byte)
+
+
+def test_every_truncation_and_bit_flip_matches_oracle(tmp_path):
+    """Each mixed frame cut at every length, and with single bits of every
+    byte flipped (version nibbles, header lengths, ethertypes, ports)."""
+    frames = []
+    for frame in mixed_frames():
+        frames.extend(frame[:n] for n in range(len(frame)))
+        for pos in range(len(frame)):
+            for mask in (0x01, 0x04, 0x08, 0x20, 0x40, 0x80, 0xFF):
+                mutated = bytearray(frame)
+                mutated[pos] ^= mask
+                frames.append(bytes(mutated))
+    path = tmp_path / "sweep.pcap"
+    write_pcap(path, [(100.0 + 1e-4 * i, f) for i, f in enumerate(frames)])
+    fast, slow = parse_both(path)
+    assert fast == slow
+    assert 0 < len(fast[0]) < len(frames)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(
+    st.integers(0, len(mixed_frames()) - 1),
+    st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=6),
+    st.one_of(st.none(), st.integers(0, 120))), min_size=1, max_size=6),
+    st.integers(0, 40))
+def test_mutated_frames_match_oracle_and_raise_only_capture_errors(specs, cut):
+    base = mixed_frames()
+    frames = []
+    for i, (which, edits, length) in enumerate(specs):
+        frame = bytearray(base[which])
+        for pos, byte in edits:
+            if pos < len(frame):
+                frame[pos] = byte
+        frames.append((100.0 + 0.01 * i, bytes(frame[:length])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "fuzz.pcap")
+        write_pcap(path, frames)
+        if cut:
+            path.write_bytes(path.read_bytes()[:-cut])
+        fast, slow = parse_both(path)
+        assert fast == slow
+        if isinstance(fast, tuple):
+            table = FlowTable(window_secs=120.0)
+            for record in fast[0]:
+                if record.transport is not Transport.OTHER:
+                    table.assign_packet(record)
+            for flow in table.flush(math.inf):
+                extract_mts(flow)
