@@ -45,12 +45,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def const(data) -> Tensor:
     return Tensor(data, requires_grad=False)
@@ -345,9 +339,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(out, (x, gain, bias), bw)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    return out if b is None else add_bias(out, b)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return add_bias(matmul(x, w), b)
 
 
 def mean_pool(x: Tensor, axis: int = 0) -> Tensor:

@@ -12,17 +12,18 @@ import argparse
 import json
 import sys
 
-from .earliness import PrefixSpec
+from .earliness import PrefixSpec, take_prefix
 from .features import DatasetFormatError, extract_mts, write_dataset
 from .flows import (
-    FlowKeyError, FlowTable, LabelRuleError, OrderingError, join_labels, load_label_rules,
+    FlowKeyError, FlowTable, LabelRuleError, OrderingError, flow_order, join_labels,
+    load_label_rules,
 )
 from .model import MdtConfig, MdtModel, export_latents, load_checkpoint, save_checkpoint
 from .pcap import CaptureError, Transport, open_capture
 from .training import (
     Hyperparams, SweepPoint, dataset_classes, evaluate,
     load_external_mts, stratified_split, sweep, sweep_rows, train,
-    write_history_csv, write_sweep_csv,
+    write_history_csv,
 )
 
 MODEL_KEYS = {"d_model", "n_heads", "n_blocks", "d_ff", "max_len", "dropout",
@@ -58,11 +59,17 @@ def _prefix_spec(args) -> PrefixSpec:
     raise CliError("one of --prefix-packets / --prefix-duration is required")
 
 
-def _auto_max_len(samples, spec, requested):
-    if requested is not None:
-        return requested
-    from .earliness import take_prefix
+def _auto_max_len(samples, spec):
     return max(take_prefix(s, spec)[0].length for s in samples)
+
+
+def _write_rows(rows, path):
+    """CSV rows to stdout, and to path when one is given."""
+    out = "\n".join(",".join(r) for r in rows) + "\n"
+    sys.stdout.write(out)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(out)
 
 
 def cmd_extract(args) -> int:
@@ -78,11 +85,10 @@ def cmd_extract(args) -> int:
                     skipped += 1
                     continue
                 table.assign_packet(record)
-                packets += 1
             skipped += reader.frames_skipped
+        packets += table.packets_accepted
         all_flows.extend(table.flush())
-    all_flows.sort(key=lambda f: (f.start_ts, f.key.endpoint_a, f.key.endpoint_b,
-                                  f.key.transport.value, f.key.window_index))
+    all_flows.sort(key=flow_order)
     join_labels(all_flows, rules)
     samples = [extract_mts(f) for f in all_flows]
     write_dataset(samples, args.out)
@@ -96,10 +102,9 @@ def _build_model_and_hp(args, samples, spec):
     if len(widths) != 1:
         raise CliError(f"dataset mixes feature widths: {sorted(widths)}")
     classes = dataset_classes(samples)
-    model_kwargs.setdefault("max_len", _auto_max_len(samples, spec, None))
+    model_kwargs.setdefault("max_len", _auto_max_len(samples, spec))
     config = MdtConfig(d_in=widths.pop(), n_classes=len(classes), **model_kwargs)
-    hp = Hyperparams(**train_kwargs)
-    return config, hp, classes
+    return config, Hyperparams(**train_kwargs)
 
 
 def cmd_train(args) -> int:
@@ -107,7 +112,7 @@ def cmd_train(args) -> int:
     if not samples:
         raise CliError("dataset is empty")
     spec = _prefix_spec(args)
-    config, hp, _classes = _build_model_and_hp(args, samples, spec)
+    config, hp = _build_model_and_hp(args, samples, spec)
     model = MdtModel(config, seed=args.seed)
     result = train(model, samples, spec, hp, seed=args.seed, verbose=args.verbose)
     model.classes = result.classes
@@ -138,12 +143,7 @@ def cmd_eval(args) -> int:
     metrics, mean_e, mean_de = evaluate(model, subset, spec, classes)
     point = SweepPoint(spec=spec, mean_earliness=mean_e,
                        mean_duration_earliness=mean_de, metrics=metrics)
-    rows = sweep_rows([point])
-    out = "\n".join(",".join(r) for r in rows) + "\n"
-    sys.stdout.write(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+    _write_rows(sweep_rows([point]), args.out)
     return 0
 
 
@@ -160,14 +160,9 @@ def cmd_sweep(args) -> int:
         raise CliError("empty sweep grid")
     probe_spec = (PrefixSpec.by_count(max(values)) if args.mode == "packets"
                   else PrefixSpec.by_duration(max(values)))
-    config, hp, _ = _build_model_and_hp(args, samples, probe_spec)
+    config, hp = _build_model_and_hp(args, samples, probe_spec)
     points = sweep(config, samples, args.mode, values, hp, seed=args.seed, jobs=args.jobs)
-    rows = sweep_rows(points)
-    out = "\n".join(",".join(r) for r in rows) + "\n"
-    sys.stdout.write(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+    _write_rows(sweep_rows(points), args.out)
     return 0
 
 

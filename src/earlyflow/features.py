@@ -106,6 +106,9 @@ def write_dataset(samples, out_dir) -> dict:
     widths = {s.width for s in samples}
     if len(widths) > 1:
         raise ValueError(f"samples mix feature widths: {sorted(widths)}")
+    duplicate = _first_duplicate(s.flow_id for s in samples)
+    if duplicate is not None:
+        raise ValueError(f"duplicate flow_id {duplicate!r}")
     d = widths.pop() if widths else NUM_FEATURES
     row_fmt = ",%d" + ",%.9f" * (d + 1) + "\n"
     os.makedirs(out_dir, exist_ok=True)
@@ -253,7 +256,20 @@ def _read_metadata(path, error, extractor_only):
                 except ValueError as exc:
                     raise error(f"{where}: {exc}") from None
             entries.append((row[id_col], row[label_col], endpoints, start_ts, num_packets))
+    duplicate = _first_duplicate(entry[0] for entry in entries)
+    if duplicate is not None:
+        raise error(f"{path}: duplicate id {duplicate!r}")
     return extractor, entries
+
+
+def _first_duplicate(ids):
+    """The first id that repeats an earlier one, or None."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
 
 
 def _read_series(path, error):

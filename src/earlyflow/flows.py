@@ -60,7 +60,6 @@ class Flow:
     key: FlowKey
     initiator: tuple
     packets: list = field(default_factory=list)
-    directions: list = field(default_factory=list)
     label: str | None = None
 
     @property
@@ -77,26 +76,26 @@ class Flow:
             return self.key.endpoint_b
         return self.key.endpoint_a
 
+    @property
+    def directions(self) -> list:
+        """+1 for each packet the initiator sent, -1 for each the responder sent."""
+        return [1 if (p.src_ip, p.src_port) == self.initiator else -1 for p in self.packets]
+
     def _insert(self, record: PacketRecord):
-        if not self.packets or record.timestamp >= self.packets[-1].timestamp:
-            pos = len(self.packets)
-        else:
-            # tolerated jitter: place the straggler by timestamp, after ties
-            pos = len(self.packets)
-            while pos > 0 and self.packets[pos - 1].timestamp > record.timestamp:
-                pos -= 1
+        # tolerated jitter: place a straggler by timestamp, after ties
+        pos = len(self.packets)
+        while pos > 0 and self.packets[pos - 1].timestamp > record.timestamp:
+            pos -= 1
         self.packets.insert(pos, record)
-        self.directions.insert(pos, 0)  # placeholder, fixed below
         if pos == 0:
             # the straggler now opens the flow: it defines the initiator
             self.initiator = (record.src_ip, record.src_port)
-            self.directions = [
-                1 if (p.src_ip, p.src_port) == self.initiator else -1
-                for p in self.packets
-            ]
-        else:
-            src = (record.src_ip, record.src_port)
-            self.directions[pos] = 1 if src == self.initiator else -1
+
+
+def flow_order(flow: Flow):
+    """Sort key of emitted flows: start time, then the flow key."""
+    return (flow.start_ts, flow.key.endpoint_a, flow.key.endpoint_b,
+            flow.key.transport.value, flow.key.window_index)
 
 
 class FlowTable:
@@ -148,8 +147,7 @@ class FlowTable:
             if flow.start_ts + self.window_secs < horizon_ts:
                 out.append(flow)
                 del self._open[ckey]
-        out.sort(key=lambda f: (f.start_ts, f.key.endpoint_a, f.key.endpoint_b,
-                                f.key.transport.value, f.key.window_index))
+        out.sort(key=flow_order)
         return out
 
 

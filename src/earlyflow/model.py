@@ -86,22 +86,6 @@ class BlockParams:
     ln2_bias: Tensor
 
 
-@dataclass
-class AttentionTrace:
-    """Numpy snapshots of one attention application, for inspection/tests.
-    Per-head arrays are (batch, heads, ...); heads is (batch, length, concat
-    width)."""
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    q_freq: np.ndarray
-    k_freq: np.ndarray
-    v_freq: np.ndarray
-    time_scores: np.ndarray
-    freq_scores: np.ndarray | None
-    heads: np.ndarray
-
-
 class MdtModel:
     def __init__(self, config: MdtConfig, seed: int):
         self.config = config
@@ -191,8 +175,7 @@ def _merge_heads(t: Tensor, batch: int, length: int, width: int) -> Tensor:
     return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (batch, length, width))
 
 
-def md_mha(z: Tensor, params: MdMhaParams, n_heads: int,
-           use_frequency: bool = True, collect_trace: list | None = None) -> Tensor:
+def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = True) -> Tensor:
     """Multi-domain multi-head attention over a (batch, length, d_model) stack
     of equal-length sequences; each sequence attends only to itself. Scores
     are scaled by 1/sqrt(d_model).
@@ -212,7 +195,6 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int,
         ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scaling), axis=-1)
     time_heads = _merge_heads(ad.matmul(time_scores, v), batch, length, n_heads * dv)
 
-    freq_scores = None
     if use_frequency:
         spectrum = ad.matmul(const(real_dft_kernel(length)), z)
         spec_re, spec_im = (ad.slice_axis(spectrum, 1, start, length) for start in (0, length))
@@ -231,22 +213,7 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int,
     else:
         merged = time_heads
 
-    out = ad.matmul(merged, params.w_o)
-    if collect_trace is not None:
-        q_freq = k_freq = v_freq = None
-        if use_frequency:
-            q_freq = q_re.data + 1j * q_im.data
-            k_freq = k_re.data + 1j * k_im.data
-            v_im = (spec_im.data @ params.w_v.data).reshape(
-                batch, length, n_heads, dv).transpose(0, 2, 1, 3)
-            v_freq = v_re.data + 1j * v_im
-        collect_trace.append(AttentionTrace(
-            q=q.data.copy(), k=k.data.copy(), v=v.data.copy(),
-            q_freq=q_freq, k_freq=k_freq, v_freq=v_freq,
-            time_scores=time_scores.data.copy(),
-            freq_scores=None if freq_scores is None else freq_scores.data.copy(),
-            heads=merged.data.copy()))
-    return out
+    return ad.matmul(merged, params.w_o)
 
 
 def _dropout(t: Tensor, p: float, training: bool, rng) -> Tensor:
@@ -259,13 +226,11 @@ def _dropout(t: Tensor, p: float, training: bool, rng) -> Tensor:
 
 
 def encoder_block(z: Tensor, block: BlockParams, config: MdtConfig,
-                  training: bool = False, rng=None,
-                  collect_trace: list | None = None) -> Tensor:
+                  training: bool = False, rng=None) -> Tensor:
     """Post-norm block over a (batch, length, d_model) stack: attention,
     residual + layer norm, feed-forward, residual + layer norm. Shape
     preserving."""
-    attended = md_mha(z, block.attn, config.n_heads, config.use_frequency_heads,
-                      collect_trace)
+    attended = md_mha(z, block.attn, config.n_heads, config.use_frequency_heads)
     z = ad.layer_norm(ad.add(z, _dropout(attended, config.dropout, training, rng)),
                       block.ln1_gain, block.ln1_bias, eps=LN_EPS)
     hidden = ad.relu(ad.linear(z, block.ff_w1, block.ff_b1))
@@ -275,15 +240,12 @@ def encoder_block(z: Tensor, block: BlockParams, config: MdtConfig,
     return z
 
 
-def forward(model: MdtModel, x, training: bool = False, rng=None,
-            valid_len: int | None = None, collect_trace: list | None = None):
+def forward(model: MdtModel, x, training: bool = False, rng=None):
     """Run one prefix, or a stack of equal-length prefixes as one graph.
 
-    x: an (l, d_in) prefix or a (b, l, d_in) stack. valid_len, when given,
-    keeps only the first valid_len rows of each prefix, so padded twins give
-    identical logits. Returns (logits, latent) Tensors shaped (n_classes,)
-    and (d_model,) for one prefix, (b, n_classes) and (b, d_model) for a
-    stack."""
+    x: an (l, d_in) prefix or a (b, l, d_in) stack. Returns (logits, latent)
+    Tensors shaped (n_classes,) and (d_model,) for one prefix, (b, n_classes)
+    and (b, d_model) for a stack."""
     c = model.config
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 2
@@ -291,10 +253,6 @@ def forward(model: MdtModel, x, training: bool = False, rng=None,
         x = x[None]
     if x.ndim != 3 or x.shape[2] != c.d_in:
         raise ValueError(f"expected (l, {c.d_in}) or (b, l, {c.d_in}) input, got {x.shape}")
-    if valid_len is not None:
-        if not 1 <= valid_len <= x.shape[1]:
-            raise ValueError("valid_len outside the provided rows")
-        x = x[:, :valid_len]
     batch, length = x.shape[:2]
     if batch < 1 or length < 1:
         raise ValueError("empty input")
@@ -309,7 +267,7 @@ def forward(model: MdtModel, x, training: bool = False, rng=None,
     cls = ad.matmul(const(np.ones((batch, 1, 1))), model.cls_token)
     z = ad.concat([cls, z], axis=1)
     for block in model.blocks:
-        z = encoder_block(z, block, c, training, rng, collect_trace)
+        z = encoder_block(z, block, c, training, rng)
     latent = ad.reshape(ad.slice_axis(z, 1, 0, 1), (batch, c.d_model))
     logits = ad.add_bias(ad.matmul(latent, model.head_w), model.head_b)
     if single:
@@ -317,9 +275,9 @@ def forward(model: MdtModel, x, training: bool = False, rng=None,
     return logits, latent
 
 
-def predict(model: MdtModel, x, valid_len=None) -> int:
+def predict(model: MdtModel, x) -> int:
     with ad.no_grad():
-        logits, _ = forward(model, x, training=False, valid_len=valid_len)
+        logits, _ = forward(model, x)
     return int(np.argmax(logits.data))
 
 

@@ -22,6 +22,8 @@ from .features import DatasetFormatError, MtsSample, read_long_format
 from .metrics import Metrics, compute_metrics
 from .model import MdtConfig, MdtModel, forward, forward_prefixes, length_buckets
 
+SPLIT = (0.70, 0.15, 0.15)   # train, validation, test shares of each class
+
 
 @dataclass
 class Hyperparams:
@@ -29,7 +31,6 @@ class Hyperparams:
     batch_size: int = 32
     max_epochs: int = 60
     patience: int = 10
-    split: tuple = (0.70, 0.15, 0.15)
 
 
 @dataclass
@@ -87,10 +88,9 @@ def dataset_classes(samples) -> tuple:
     return tuple(sorted({s.label for s in samples}))
 
 
-def stratified_split(samples, seed: int, fractions=(0.70, 0.15, 0.15)):
-    """Deterministic per-class shuffle and allocation into train/val/test."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
+def stratified_split(samples, seed: int):
+    """Deterministic per-class shuffle and allocation into train/val/test by
+    the SPLIT shares; every class keeps at least one training sample."""
     rng = np.random.default_rng([seed, 101])
     by_class = {}
     for i, s in enumerate(samples):
@@ -100,10 +100,9 @@ def stratified_split(samples, seed: int, fractions=(0.70, 0.15, 0.15)):
         idx = np.array(by_class[label])
         rng.shuffle(idx)
         n = len(idx)
-        n_train = int(round(fractions[0] * n))
-        n_val = int(round(fractions[1] * n))
-        n_train = min(n_train, n)
-        n_val = min(n_val, n - n_train)
+        # 1 <= n_train and n_train + n_val <= n hold for every n >= 1
+        n_train = int(round(SPLIT[0] * n))
+        n_val = int(round(SPLIT[1] * n))
         train.extend(idx[:n_train])
         val.extend(idx[n_train:n_train + n_val])
         test.extend(idx[n_train + n_val:])
@@ -152,11 +151,8 @@ def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
             f"model expects {model.config.n_classes} classes, dataset has {len(classes)}")
     class_index = {c: i for i, c in enumerate(classes)}
 
-    train_ids, val_ids, test_ids = stratified_split(samples, seed, hp.split)
+    train_ids, val_ids, test_ids = stratified_split(samples, seed)
     train_labels = [samples[i].label for i in train_ids]
-    missing = [c for c in classes if c not in train_labels]
-    if missing:
-        raise ValueError(f"classes absent from training split: {missing}")
 
     prefixes, _ = _prefix_arrays(samples, spec)
     longest = max(p.shape[0] for p in prefixes)
@@ -293,12 +289,6 @@ def sweep_rows(points):
             f"{p.metrics.detection_rate:.9f}",
         ])
     return rows
-
-
-def write_sweep_csv(points, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(sweep_rows(points))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,16 @@ def test_extract_out_of_order_capture_is_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_extract_same_capture_twice_is_input_error(tmp_path, two_flow_capture, capsys):
+    # every flow would be written twice under one flow_id
+    out_dir = tmp_path / "ds"
+    assert run_cli("extract", "--pcap", two_flow_capture, "--pcap", two_flow_capture,
+                   "--out", out_dir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duplicate flow_id ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 @pytest.fixture
 def toy_dataset(tmp_path):
     samples = separable_suite(0, n=60, length=10, d=4)

@@ -195,6 +195,31 @@ def test_write_rejects_mixed_widths(tmp_path):
         write_dataset(samples, tmp_path)
 
 
+def test_write_rejects_duplicate_flow_id_before_writing(tmp_path):
+    samples = separable_suite(0, n=3, length=3, d=2)
+    samples[2].flow_id = samples[0].flow_id
+    out = tmp_path / "ds"
+    with pytest.raises(ValueError, match=re.escape(f"duplicate flow_id {samples[0].flow_id!r}")):
+        write_dataset(samples, out)
+    assert not out.exists()
+
+
+def test_read_rejects_duplicate_id(tmp_path):
+    # extractor layout: one flows.csv row repeated
+    write_dataset(make_samples(np.random.default_rng(7), 2), tmp_path / "ds")
+    path = break_dataset(tmp_path / "ds", "flows.csv", lambda lines: lines.append(lines[1]))
+    flow_id = next(csv.reader([path.read_text(encoding="utf-8").splitlines()[1]]))[0]
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: duplicate id {flow_id!r}")):
+        read_dataset(tmp_path / "ds")
+    # external layout: "a" listed twice over two rows of "a"
+    Path(tmp_path, "series.csv").write_text("series_id,seq_index,ch0\na,0,1.0\na,1,2.0\n",
+                                            encoding="utf-8")
+    Path(tmp_path, "flows.csv").write_text("series_id,label\na,x\na,x\n", encoding="utf-8")
+    with pytest.raises(ExternalFormatError,
+                       match=re.escape(f"{tmp_path / 'flows.csv'}: duplicate id 'a'")):
+        load_external_mts(tmp_path)
+
+
 # ids and labels that csv.writer has to quote, or that % formatting would read
 NASTY_TEXT = st.text(alphabet='ab1 ,"%:.-@', max_size=10)
 FLOATS = st.one_of(
@@ -203,9 +228,9 @@ FLOATS = st.one_of(
 
 
 @st.composite
-def sample_sets(draw, unique_ids=False):
+def sample_sets(draw):
     d = draw(st.integers(1, 16))
-    ids = draw(st.lists(NASTY_TEXT, min_size=1, max_size=3, unique=unique_ids))
+    ids = draw(st.lists(NASTY_TEXT, min_size=1, max_size=3, unique=True))
     samples = []
     for flow_id in ids:
         n = draw(st.integers(1, 40))
@@ -254,7 +279,7 @@ def interleave(series_path):
 
 
 @settings(max_examples=40)
-@given(sample_sets(unique_ids=True), st.booleans())
+@given(sample_sets(), st.booleans())
 def test_reader_bit_equal_to_float_per_cell(samples, mix):
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(samples, tmp)

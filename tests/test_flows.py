@@ -112,6 +112,24 @@ def test_small_jitter_tolerated_and_sorted():
     assert flow.directions[0] == 1  # first packet is always the initiator
 
 
+def test_responder_straggler_becomes_initiator():
+    a = dict(src="10.0.0.1", sport=5000, dst="10.0.0.2", dport=80)
+    b = dict(src="10.0.0.2", sport=80, dst="10.0.0.1", dport=5000)
+    table = FlowTable(window_secs=120.0)
+    table.assign_packet(rec(10.0, idx=0, **a))
+    table.assign_packet(rec(10.0, idx=1, **a))
+    # the responder's packet lands first: its endpoint now opens the flow
+    table.assign_packet(rec(10.0 - 0.0005, idx=2, **b))
+    table.assign_packet(rec(10.0002, idx=3, **a))
+    table.assign_packet(rec(10.0003, idx=4, **b))
+    table.assign_packet(rec(10.0001, idx=5, **b))   # straggler after the flip
+    flow = table.flush(math.inf)[0]
+    assert [p.capture_index for p in flow.packets] == [2, 0, 1, 5, 3, 4]
+    assert flow.initiator == (ip_to_int("10.0.0.2"), 80)
+    assert flow.responder == (ip_to_int("10.0.0.1"), 5000)
+    assert flow.directions == [1, -1, -1, 1, -1, 1]
+
+
 def test_interleaved_conversations_match_oracle():
     rng = np.random.default_rng(5)
     records = random_capture_records(rng, 400, n_conversations=3)

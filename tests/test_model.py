@@ -10,7 +10,7 @@ from earlyflow.autodiff import backward, const, cross_entropy, param, sum_all, z
 from earlyflow.earliness import PrefixSpec
 from earlyflow.features import MtsSample
 from earlyflow.model import (
-    AttentionTrace, MdMhaParams, MdtConfig, MdtModel, encoder_block,
+    MdMhaParams, MdtConfig, MdtModel, encoder_block,
     export_latents, forward, forward_prefixes, ifft_augment, length_buckets,
     load_checkpoint, md_mha, predict, save_checkpoint,
 )
@@ -157,33 +157,47 @@ def test_md_mha_length_one_passes_values_through():
     assert np.abs(got - want).max() < 1e-12
 
 
-def test_md_mha_identical_rows_give_uniform_scores():
+@pytest.fixture
+def softmax_outputs(monkeypatch):
+    """Data of every ad.softmax result, in call order: each md_mha call adds
+    its time scores, then its frequency scores."""
+    recorded = []
+    softmax = ad.softmax
+
+    def recording(*args, **kwargs):
+        out = softmax(*args, **kwargs)
+        recorded.append(out.data)
+        return out
+
+    monkeypatch.setattr(ad, "softmax", recording)
+    return recorded
+
+
+def test_md_mha_identical_rows_give_uniform_scores(softmax_outputs):
     rng = np.random.default_rng(5)
     row = rng.normal(size=8)
     z = np.tile(row, (1, 6, 1))
     p = make_attn_params(rng, 8, 2)
-    traces = []
-    md_mha(const(z), p, n_heads=2, collect_trace=traces)
-    trace = traces[0]
-    assert np.abs(trace.time_scores - 1.0 / 6).max() < 1e-12
+    md_mha(const(z), p, n_heads=2)
+    assert np.abs(softmax_outputs[0] - 1.0 / 6).max() < 1e-12
     # time-head output rows are identical (frequency heads see the DC bin
     # concentration instead, so they are exempt)
-    time_block = trace.heads[0, :, :2 * 4]
-    assert np.abs(time_block - time_block[0]).max() < 1e-12
+    time_only = MdMhaParams(p.w_q, p.w_k, p.w_v, param(p.w_o.data[:8]))
+    out = md_mha(const(z), time_only, n_heads=2, use_frequency=False).data[0]
+    assert np.abs(out - out[0]).max() < 1e-12
 
 
-def test_md_mha_score_rows_sum_to_one():
+def test_md_mha_score_rows_sum_to_one(softmax_outputs):
     rng = np.random.default_rng(6)
     z = rng.normal(size=(1, 5, 8))
     p = make_attn_params(rng, 8, 2)
-    traces = []
-    md_mha(const(z), p, n_heads=2, collect_trace=traces)
-    t = traces[0]
-    assert np.allclose(t.time_scores.sum(axis=-1), 1.0)
-    assert np.allclose(t.freq_scores.sum(axis=-1), 1.0)
+    md_mha(const(z), p, n_heads=2)
+    time_scores, freq_scores = softmax_outputs
+    assert np.allclose(time_scores.sum(axis=-1), 1.0)
+    assert np.allclose(freq_scores.sum(axis=-1), 1.0)
 
 
-def fft_pair_md_mha(z, params, n_heads, use_frequency=True, collect_trace=None):
+def fft_pair_md_mha(z, params, n_heads, use_frequency=True):
     """Reference for md_mha's frequency heads: q, k and v each transformed
     per head along the sequence axis by ad.fft_pair."""
     assert use_frequency
@@ -205,36 +219,31 @@ def fft_pair_md_mha(z, params, n_heads, use_frequency=True, collect_trace=None):
     time_scores = ad.softmax(ad.scale(ad.matmul(q, keys(k)), scaling))
     q_re, q_im = ad.fft_pair(q, None, axis=2)
     k_re, k_im = ad.fft_pair(k, None, axis=2)
-    v_re, v_im = ad.fft_pair(v, None, axis=2)
+    v_re, _ = ad.fft_pair(v, None, axis=2)
     cross = ad.add(ad.matmul(q_re, keys(k_re)), ad.matmul(q_im, keys(k_im)))
     freq_scores = ad.softmax(ad.scale(cross, scaling))
     merged = ad.concat([merge(ad.matmul(time_scores, v)), merge(ad.matmul(freq_scores, v_re))],
                        axis=2)
-    if collect_trace is not None:
-        collect_trace.append(AttentionTrace(
-            q=q.data, k=k.data, v=v.data, q_freq=q_re.data + 1j * q_im.data,
-            k_freq=k_re.data + 1j * k_im.data, v_freq=v_re.data + 1j * v_im.data,
-            time_scores=time_scores.data, freq_scores=freq_scores.data, heads=merged.data))
     return ad.matmul(merged, params.w_o)
 
 
 RAGGED_LENGTHS = [1, 2, 17, 64, 65, 100, 257]
 
 
-def test_md_mha_matches_fft_pair_path_ragged():
+def test_md_mha_matches_fft_pair_path_ragged(softmax_outputs):
     # lengths on both sides of fourier.DIRECT_LEN, so the reference runs both
     # the direct and the Bluestein transforms
     rng = np.random.default_rng(30)
     for length in RAGGED_LENGTHS:
         z = const(rng.normal(size=(2, length, 8)))
         p = make_attn_params(rng, 8, 2)
-        got_trace, want_trace = [], []
-        got = md_mha(z, p, n_heads=2, collect_trace=got_trace).data
-        want = fft_pair_md_mha(z, p, n_heads=2, collect_trace=want_trace).data
+        softmax_outputs.clear()
+        got = md_mha(z, p, n_heads=2).data
+        want = fft_pair_md_mha(z, p, n_heads=2).data
         assert np.abs(got - want).max() < 1e-9
-        for field in ("q_freq", "k_freq", "v_freq", "freq_scores", "heads"):
-            diff = getattr(got_trace[0], field) - getattr(want_trace[0], field)
-            assert np.abs(diff).max() < 1e-9, (length, field)
+        got_time, got_freq, want_time, want_freq = softmax_outputs
+        assert np.abs(got_time - want_time).max() < 1e-9, length
+        assert np.abs(got_freq - want_freq).max() < 1e-9, length
 
 
 def test_forward_matches_fft_pair_path_ragged(monkeypatch):
@@ -329,16 +338,6 @@ def test_length_buckets_group_equal_lengths_under_cap():
     assert sorted(i for g in groups for i in g) == list(range(len(lengths)))
     assert all(len({lengths[i] for i in g}) == 1 for g in groups)
     assert length_buckets([1000]) == [[0]]
-
-
-def test_forward_padded_twin_identical_logits():
-    rng = np.random.default_rng(12)
-    model = MdtModel(toy_config(), seed=3)
-    x = rng.normal(size=(4, 13))
-    padded = np.vstack([x, np.zeros((3, 13))])
-    a, _ = forward(model, x)
-    b, _ = forward(model, padded, valid_len=4)
-    assert np.abs(a.data - b.data).max() == 0.0
 
 
 def test_forward_rejects_overlong_prefix():

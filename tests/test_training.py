@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earlyflow.autodiff import backward, cross_entropy, scale, zero_grad
 from earlyflow.earliness import PrefixSpec
@@ -35,6 +38,21 @@ def test_stratified_split_deterministic_and_stratified():
     assert set(train_ids).isdisjoint(test_ids)
     train_labels = [samples[i].label for i in train_ids]
     assert abs(train_labels.count("class0") - train_labels.count("class1")) <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=5), st.integers(0, 2 ** 32 - 1),
+       st.randoms(use_true_random=False))
+def test_stratified_split_partitions_and_keeps_every_class(counts, seed, random):
+    labels = [f"c{k}" for k, n in enumerate(counts) for _ in range(n)]
+    random.shuffle(labels)
+    parts = stratified_split([SimpleNamespace(label=y) for y in labels], seed)
+    assert sorted(i for part in parts for i in part) == list(range(len(labels)))
+    for k, n in enumerate(counts):
+        sizes = [sum(1 for i in part if labels[i] == f"c{k}") for part in parts]
+        n_train, n_val = round(0.70 * n), round(0.15 * n)
+        assert sizes == [n_train, n_val, n - n_train - n_val]
+        assert sizes[0] >= 1
 
 
 def test_inverse_frequency_weights():
@@ -120,16 +138,6 @@ def test_evaluate_matches_per_prefix_predict():
     want = compute_metrics(one_by_one, [s.label for s in samples], classes)
     assert np.array_equal(metrics.confusion, want.confusion)
     assert len(set(one_by_one)) > 1
-
-
-def test_train_rejects_missing_class():
-    # with a train fraction of zero the class cannot reach the training split
-    samples = separable_suite(3, n=40)
-    samples[0].label = "rare"
-    model = MdtModel(small_config(4, 3), seed=0)
-    hp = Hyperparams(max_epochs=1, split=(0.0, 0.5, 0.5))
-    with pytest.raises(ValueError, match="absent from training"):
-        train(model, samples, PrefixSpec.by_count(4), hp, seed=0)
 
 
 def test_train_rejects_overlong_prefix():
