@@ -408,7 +408,7 @@ def fft_pair(re: Tensor, im: Tensor | None, axis: int, inverse: bool = False):
 
     im may be None for purely real inputs. Forward is unnormalized, inverse
     scaled by 1/n, matching fourier.fft_along. The backward pass applies the
-    Hermitian adjoint of the transform, which is again a fast transform.
+    Hermitian adjoint of the transform, which is one more forward transform.
     """
     z = re.data.astype(np.complex128)
     if im is not None:

@@ -38,8 +38,12 @@ class CliError(Exception):
 def _load_config_file(path):
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    model_kwargs = dict(raw.get("model", {}))
-    train_kwargs = dict(raw.get("training", {}))
+    if not isinstance(raw, dict):
+        raise CliError(f"{path}: config must be a JSON object")
+    model_kwargs = raw.get("model", {})
+    train_kwargs = raw.get("training", {})
+    if not isinstance(model_kwargs, dict) or not isinstance(train_kwargs, dict):
+        raise CliError(f'{path}: "model" and "training" must be JSON objects')
     unknown = (set(raw) - {"model", "training"}) | \
         (set(model_kwargs) - MODEL_KEYS) | (set(train_kwargs) - TRAINING_KEYS)
     if unknown:
@@ -158,9 +162,10 @@ def cmd_sweep(args) -> int:
         raise CliError(f"bad grid: {exc}") from exc
     if not values:
         raise CliError("empty sweep grid")
-    probe_spec = (PrefixSpec.by_count(max(values)) if args.mode == "packets"
-                  else PrefixSpec.by_duration(max(values)))
-    config, hp = _build_model_and_hp(args, samples, probe_spec)
+    make_spec = PrefixSpec.by_count if args.mode == "packets" else PrefixSpec.by_duration
+    for value in values:
+        make_spec(value)  # reject every bad grid point before any training
+    config, hp = _build_model_and_hp(args, samples, make_spec(max(values)))
     points = sweep(config, samples, args.mode, values, hp, seed=args.seed, jobs=args.jobs)
     _write_rows(sweep_rows(points), args.out)
     return 0

@@ -31,7 +31,7 @@ class PrefixSpec:
             if self.packet_count is None or self.packet_count < 1:
                 raise ValueError("packet-count prefix needs a count >= 1")
         elif self.mode == BY_DURATION:
-            if self.duration_secs is None or self.duration_secs < 0:
+            if self.duration_secs is None or not self.duration_secs >= 0:
                 raise ValueError("duration prefix needs a non-negative duration")
         else:
             raise ValueError(f"unknown prefix mode {self.mode!r}")

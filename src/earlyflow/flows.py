@@ -102,7 +102,7 @@ class FlowTable:
     """Single-writer flow assembly over one time-ordered packet stream."""
 
     def __init__(self, window_secs: float = 120.0):
-        if window_secs <= 0:
+        if not window_secs > 0:
             raise ValueError("window_secs must be positive")
         self.window_secs = float(window_secs)
         self._open: dict = {}

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -56,13 +57,16 @@ class MdtConfig:
     use_frequency_heads: bool = True
 
     def __post_init__(self):
+        for name in ("d_in", "n_classes", "d_model", "n_heads", "n_blocks", "d_ff", "max_len"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
-        if not 0.0 <= self.dropout < 1.0:
+        if not isinstance(self.dropout, numbers.Real) or not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        for name in ("d_in", "n_classes", "d_model", "n_heads", "n_blocks", "d_ff", "max_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.use_frequency_heads, bool):
+            raise ValueError("use_frequency_heads must be true or false")
 
 
 @dataclass

@@ -11,6 +11,8 @@ bit-identical.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -31,6 +33,15 @@ class Hyperparams:
     batch_size: int = 32
     max_epochs: int = 60
     patience: int = 10
+
+    def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        rate = self.learning_rate
+        if not isinstance(rate, numbers.Real) or not 0.0 <= rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {rate!r}")
 
 
 @dataclass

@@ -94,8 +94,9 @@ def test_add_shape_mismatch_rejected():
 
 
 def test_softmax_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        softmax(const([1.0, np.inf]))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            softmax(const([1.0, bad]))
 
 
 def test_no_grad_records_nothing_and_restores_on_exit():

@@ -195,6 +195,50 @@ def test_invalid_config_key_exit_2(tmp_path, toy_dataset):
                    "--config", config, "--out", tmp_path / "x.ckpt") == 2
 
 
+@pytest.mark.parametrize("body", [
+    {"model": 5},
+    [1],
+    {"training": []},
+    {"model": {"n_heads": 0}},
+    {"model": {"d_model": "x"}},
+    {"model": {"dropout": "x"}},
+    {"model": {"use_frequency_heads": "no"}},
+    {"training": {"max_epochs": "z"}},
+    {"training": {"batch_size": 0}},
+    {"training": {"patience": 2.5}},
+    {"training": {"learning_rate": float("nan")}},
+    {"training": {"learning_rate": float("inf")}},
+    {"training": {"learning_rate": -1e-3}},
+], ids=repr)
+def test_bad_config_value_exit_2_one_line(tmp_path, toy_dataset, capsys, body):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body), encoding="utf-8")
+    assert run_cli("train", "--data", toy_dataset, "--prefix-packets", 4,
+                   "--config", config, "--out", tmp_path / "x.ckpt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["train", "extract", "sweep", "sweep-late-nan"])
+def test_nan_range_flag_exit_2_one_line(tmp_path, toy_dataset, two_flow_capture, capsys,
+                                        command):
+    argv = {
+        "train": ["train", "--data", toy_dataset, "--prefix-duration", "nan",
+                  "--out", tmp_path / "x.ckpt"],
+        "extract": ["extract", "--pcap", two_flow_capture, "--window-secs", "nan",
+                    "--out", tmp_path / "ds"],
+        "sweep": ["sweep", "--data", toy_dataset, "--mode", "duration", "--grid", "nan,1",
+                  "--out", tmp_path / "s.csv"],
+        "sweep-late-nan": ["sweep", "--data", toy_dataset, "--mode", "duration",
+                           "--grid", "1,nan", "--out", tmp_path / "s.csv"],
+    }[command]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert not any(tmp_path.glob("x.ckpt*")) and not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "ds").exists()
+
+
 def test_missing_data_dir_exit_2(tmp_path):
     assert run_cli("train", "--data", tmp_path / "absent", "--prefix-packets", 4,
                    "--out", tmp_path / "x.ckpt") == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from earlyflow.fourier import fft_1d, fft_2d, fft_along, real_dft_kernel
+from earlyflow.fourier import _dft_matrix, fft_1d, fft_2d, fft_along, real_dft_kernel
 
 from naive import naive_dft, naive_dft_2d
 
@@ -27,15 +27,38 @@ def test_fft_then_ifft_is_identity():
 
 
 @pytest.mark.parametrize(
-    "n",
-    # small sizes take the direct kernel path; 128/256 the radix-2 path;
-    # 96/127/250 the Bluestein path
-    [1, 2, 4, 16, 64] + PRIMES + [6, 12, 20, 48, 96, 127, 128, 250, 256])
+    "n", [1, 2, 4, 16, 64] + PRIMES + [6, 12, 20, 48, 96, 127, 128, 250, 256])
 def test_matches_naive_dft(n):
     rng = np.random.default_rng(n)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     assert rel_err(fft_1d(x), naive_dft(x)) < 1e-9
     assert rel_err(fft_1d(x, inverse=True), naive_dft(x, inverse=True)) < 1e-9
+
+
+# naive_dft is the same kernel-times-vector formula the transforms use, so long
+# lengths are also checked against numpy's own FFT
+LONG = [65, 96, 127, 128, 232, 250, 256, 512, 513]
+
+
+@pytest.mark.parametrize("n", LONG)
+def test_long_lengths_match_numpy_fft(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    assert rel_err(fft_1d(x[0]), np.fft.fft(x[0])) < 1e-12
+    assert rel_err(fft_1d(x[0], inverse=True), np.fft.ifft(x[0])) < 1e-12
+    assert rel_err(fft_along(x, axis=1), np.fft.fft(x, axis=1)) < 1e-12
+    assert rel_err(fft_along(x.T, axis=0, inverse=True), np.fft.ifft(x.T, axis=0)) < 1e-12
+    assert rel_err(fft_2d(x), np.fft.fft2(x)) < 1e-12
+    assert rel_err(fft_2d(x, inverse=True), np.fft.ifft2(x)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 250])
+def test_dft_kernels_are_read_only(n):
+    for sign in (-1, +1):
+        kernel = _dft_matrix(n, sign)
+        assert kernel.shape == (n, n) and not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64, 67, 257, 513])

@@ -231,8 +231,8 @@ RAGGED_LENGTHS = [1, 2, 17, 64, 65, 100, 257]
 
 
 def test_md_mha_matches_fft_pair_path_ragged(softmax_outputs):
-    # lengths on both sides of fourier.DIRECT_LEN, so the reference runs both
-    # the direct and the Bluestein transforms
+    # lengths past 64 as well as short ones; the reference transforms q, k
+    # and v through fft_pair instead of the shared real DFT kernel
     rng = np.random.default_rng(30)
     for length in RAGGED_LENGTHS:
         z = const(rng.normal(size=(2, length, 8)))
