@@ -300,12 +300,38 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.where(keep, a.data, 0.0), (a,), bw)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    if not np.isfinite(x).all():
+# exp(x) is exactly 0.0 for every x below this (the cutoff is -745.13)
+EXP_ZERO_BELOW = -746.0
+
+
+def softmax_inplace(x: np.ndarray, axis: int = -1, scale: float | None = None) -> np.ndarray:
+    """Overwrite x with softmax(scale * x) along axis and return it.
+
+    Raises ValueError if a scaled value is NaN or infinite. The row max that
+    shifts the exponent catches NaN and +inf, one min over x catches -inf,
+    so the check allocates nothing the size of x."""
+    if scale is not None:
+        x *= scale
+    low = x.min()
+    peak = np.max(x, axis=axis, keepdims=True)
+    if not (np.isfinite(low) and np.isfinite(peak).all()):
         raise ValueError("softmax over non-finite input")
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
+    x -= peak
+    if low - peak.max() < EXP_ZERO_BELOW:
+        # np.exp runs about 15x slower on inputs whose result underflows;
+        # send those through as -0.0 and zero their results, same bits
+        keep = x >= EXP_ZERO_BELOW
+        x *= keep
+        np.exp(x, out=x)
+        x *= keep
+    else:
+        np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    out = softmax_inplace(a.data.copy(), axis=axis)
 
     def bw(g):
         inner = (g * out).sum(axis=axis, keepdims=True)

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .earliness import PrefixSpec, take_prefix
+from .earliness import PrefixSpec, prefix_length
 from .features import DatasetFormatError, extract_mts, write_dataset
 from .flows import (
     FlowKeyError, FlowTable, LabelRuleError, OrderingError, flow_order, join_labels,
@@ -64,7 +64,7 @@ def _prefix_spec(args) -> PrefixSpec:
 
 
 def _auto_max_len(samples, spec):
-    return max(take_prefix(s, spec)[0].length for s in samples)
+    return max(prefix_length(s, spec) for s in samples)
 
 
 def _write_rows(rows, path):

@@ -63,17 +63,22 @@ class EarlinessReport:
         return (self.earliness, self.duration_earliness)
 
 
-def take_prefix(sample: MtsSample, spec: PrefixSpec):
-    """Return (prefix sample, earliness report). Count prefixes clamp to the
+def prefix_length(sample: MtsSample, spec: PrefixSpec) -> int:
+    """Rows of sample that take_prefix keeps: count prefixes clamp to the
     sample length; duration prefixes keep rows with rel_ts <= t and always at
     least the first row."""
+    if spec.mode == BY_COUNT:
+        return min(spec.packet_count, sample.length)
+    rel = sample.timestamps - sample.timestamps[0]
+    return max(int(np.searchsorted(rel, spec.duration_secs, side="right")), 1)
+
+
+def take_prefix(sample: MtsSample, spec: PrefixSpec):
+    """Return (prefix sample, earliness report) for the first
+    prefix_length(sample, spec) rows."""
     total = sample.length
     rel = sample.timestamps - sample.timestamps[0]
-    if spec.mode == BY_COUNT:
-        used = min(spec.packet_count, total)
-    else:
-        used = int(np.searchsorted(rel, spec.duration_secs, side="right"))
-        used = max(used, 1)
+    used = prefix_length(sample, spec)
     prefix = MtsSample(
         flow_id=sample.flow_id,
         values=sample.values[:used],

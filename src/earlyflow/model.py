@@ -13,6 +13,12 @@ shrinks the output projection. The frequency heads project one shared
 sequence-axis DFT of the block input, a real matmul by a cached [cos; -sin]
 kernel, instead of transforming q, k and v apiece.
 
+md_mha is one autodiff node with a hand-written backward: the block input
+and its transform are projected by one matmul, both head families score
+into one buffer under one in-place softmax, and the backward adds its
+products in the order the op-by-op composition would, so it gives the same
+bits as that composition.
+
 predict and forward_prefixes run without an autodiff graph.
 
 use_frequency_heads=False disables both the input widening and the frequency
@@ -30,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, const, param
+from .autodiff import Tensor, _accum, _node, const, param
 from .earliness import PrefixSpec, take_prefix
 from .fourier import fft_2d, real_dft_kernel
 
@@ -171,53 +177,97 @@ def ifft_augment(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, spectrum.real, spectrum.imag], axis=-1)
 
 
-def _split_heads(t: Tensor, batch: int, length: int, n_heads: int, dv: int) -> Tensor:
-    return ad.transpose(ad.reshape(t, (batch, length, n_heads, dv)), (0, 2, 1, 3))
-
-
-def _merge_heads(t: Tensor, batch: int, length: int, width: int) -> Tensor:
-    return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (batch, length, width))
-
-
 def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = True) -> Tensor:
     """Multi-domain multi-head attention over a (batch, length, d_model) stack
     of equal-length sequences; each sequence attends only to itself. Scores
     are scaled by 1/sqrt(d_model).
 
-    The frequency heads see q, k and v transformed along the sequence axis.
-    That transform commutes with the shared projections, DFT(z W) = DFT(z) W,
-    so z is transformed once, by one real matmul with the [C; -S] kernel, and
-    its real and imaginary halves are projected like z itself."""
+    One autodiff node with a hand-written backward. The frequency heads see
+    q, k and v transformed along the sequence axis; that transform commutes
+    with the shared projections, DFT(z W) = DFT(z) W, so z, C z and -S z
+    (the [C; -S] kernel applied once) are stacked and projected by one
+    matmul with [w_q | w_k | w_v]. The time scores q k^T and the frequency
+    scores q_re k_re^T + q_im k_im^T fill one (batch, 2 * n_heads, length,
+    length) buffer that one in-place softmax normalizes; the time heads mix
+    v and the frequency heads the real part of the transformed values.
+
+    Every product and sum is the one the op-by-op composition makes (see
+    naive_md_mha in the tests), in the same order, so outputs and grads
+    match it bit for bit and training reruns do not drift."""
     batch, length, d_model = z.shape
     dv = d_model // n_heads
+    families = 2 if use_frequency else 1     # score families: time, frequency
+    domains = 3 if use_frequency else 1      # stacked inputs: z, C z, -S z
     scaling = 1.0 / math.sqrt(d_model)
-    q = _split_heads(ad.matmul(z, params.w_q), batch, length, n_heads, dv)
-    k = _split_heads(ad.matmul(z, params.w_k), batch, length, n_heads, dv)
-    v = _split_heads(ad.matmul(z, params.w_v), batch, length, n_heads, dv)
+    weights = (params.w_q, params.w_k, params.w_v)
+    w_data = [w.data for w in weights]
 
-    time_scores = ad.softmax(
-        ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scaling), axis=-1)
-    time_heads = _merge_heads(ad.matmul(time_scores, v), batch, length, n_heads * dv)
-
+    stacked = np.empty((domains, batch, length, d_model))
+    stacked[0] = z.data
     if use_frequency:
-        spectrum = ad.matmul(const(real_dft_kernel(length)), z)
-        spec_re, spec_im = (ad.slice_axis(spectrum, 1, start, length) for start in (0, length))
-        q_re = _split_heads(ad.matmul(spec_re, params.w_q), batch, length, n_heads, dv)
-        q_im = _split_heads(ad.matmul(spec_im, params.w_q), batch, length, n_heads, dv)
-        k_re = _split_heads(ad.matmul(spec_re, params.w_k), batch, length, n_heads, dv)
-        k_im = _split_heads(ad.matmul(spec_im, params.w_k), batch, length, n_heads, dv)
-        # the heads mix only the real part of the transformed values
-        v_re = _split_heads(ad.matmul(spec_re, params.w_v), batch, length, n_heads, dv)
-        # real part of the cross spectrum as similarity
-        cross = ad.add(ad.matmul(q_re, ad.transpose(k_re, (0, 1, 3, 2))),
-                       ad.matmul(q_im, ad.transpose(k_im, (0, 1, 3, 2))))
-        freq_scores = ad.softmax(ad.scale(cross, scaling), axis=-1)
-        freq_heads = _merge_heads(ad.matmul(freq_scores, v_re), batch, length, n_heads * dv)
-        merged = ad.concat([time_heads, freq_heads], axis=2)
-    else:
-        merged = time_heads
+        kernel = real_dft_kernel(length)
+        np.matmul(kernel.reshape(2, 1, length, length), z.data, out=stacked[1:])
+    proj = stacked @ np.concatenate(w_data, axis=1)
 
-    return ad.matmul(merged, params.w_o)
+    def head_rows(rows):
+        """(batch, domain, head, position, dv) view of (domain, batch,
+        length, d_model) rows."""
+        return rows.reshape(len(rows), batch, length, n_heads, dv).transpose(1, 0, 3, 2, 4)
+
+    q, k, v = (head_rows(proj[..., j * d_model:(j + 1) * d_model]) for j in range(3))
+    scores = np.empty((batch, families * n_heads, length, length))
+    by_family = scores.reshape(batch, families, n_heads, length, length)
+    np.matmul(q[:, :families], k[:, :families].swapaxes(-1, -2), out=by_family)
+    if use_frequency:
+        by_family[:, 1] += q[:, 2] @ k[:, 2].swapaxes(-1, -2)
+    ad.softmax_inplace(scores, scale=scaling)
+    mixed = by_family @ v[:, :families]
+    merged = mixed.transpose(0, 3, 1, 2, 4).reshape(batch, length, families * d_model)
+    w_o = params.w_o.data
+
+    def bw(g):
+        _accum(params.w_o, merged.reshape(-1, families * d_model).T @ g.reshape(-1, d_model))
+        g_mixed = (g @ w_o.T).reshape(batch, length, families, n_heads, dv).transpose(0, 2, 3, 1, 4)
+        g_scores = g_mixed @ v[:, :families].swapaxes(-1, -2)
+        # grads of q and v as (domain, batch, length, d_model) rows; v_im is unused
+        g_queries = np.empty((domains, batch, length, d_model))
+        g_values = np.empty((families, batch, length, d_model))
+        np.matmul(by_family.swapaxes(-1, -2), g_mixed, out=head_rows(g_values))
+        # softmax Jacobian, then the scaling
+        g_scores -= (g_scores * by_family).sum(axis=-1, keepdims=True)
+        g_scores *= by_family
+        g_scores *= scaling
+        np.matmul(g_scores, k[:, :families], out=head_rows(g_queries)[:, :families])
+        # key grads come out as (dv, length) matrices, as the op graph makes
+        # them; BLAS rounds a product with a transposed operand differently,
+        # so the products below take them in that layout
+        g_keys = np.empty((batch, domains, n_heads, dv, length))
+        np.matmul(q[:, :families].swapaxes(-1, -2), g_scores, out=g_keys[:, :families])
+        if use_frequency:
+            np.matmul(g_scores[:, 1], k[:, 2], out=head_rows(g_queries)[:, 2])
+            np.matmul(q[:, 2].swapaxes(-1, -2), g_scores[:, 1], out=g_keys[:, 2])
+        g_rows = (g_queries,
+                  g_keys.transpose(1, 0, 4, 2, 3).reshape(domains, batch, length, d_model),
+                  g_values)
+
+        # one product per weight and domain, summed in domain order
+        rows = stacked.reshape(domains, batch * length, d_model)
+        for j, w in enumerate(weights):
+            for domain in range(len(g_rows[j])):
+                _accum(w, rows[domain].T @ g_rows[j][domain].reshape(-1, d_model))
+        if not z.requires_grad:
+            return
+        for j in range(3):
+            _accum(z, g_rows[j][0] @ w_data[j].T)
+        if use_frequency:
+            g_spectrum = np.empty((batch, 2 * length, d_model))
+            for domain in (1, 2):
+                parts = [g_rows[j][domain] @ w_data[j].T
+                         for j in range(3) if domain < len(g_rows[j])]
+                g_spectrum[:, (domain - 1) * length:domain * length] = sum(parts[1:], parts[0])
+            _accum(z, kernel.T @ g_spectrum)
+
+    return _node(merged @ w_o, (z, *weights, params.w_o), bw)
 
 
 def _dropout(t: Tensor, p: float, training: bool, rng) -> Tensor:

@@ -6,13 +6,16 @@ stays independent of the fast paths it checks.
 """
 
 import csv
+import math
 import os
 import struct
 
 import numpy as np
 
+from earlyflow import autodiff as ad
 from earlyflow import pcap
 from earlyflow.features import FEATURE_NAMES, FLOWS_HEADER
+from earlyflow.fourier import real_dft_kernel
 
 
 def naive_dft(x, inverse=False):
@@ -45,6 +48,43 @@ def naive_matmul(a, b):
                 s += a[i, k] * b[k, j]
             out[i, j] = s
     return out
+
+
+# ---------------------------------------------------------------------------
+# multi-domain attention as a graph of autodiff ops
+
+def naive_md_mha(z, params, n_heads, use_frequency=True):
+    """model.md_mha composed from about 50 autodiff ops, so autodiff derives
+    its backward: nine projections (z, C z and -S z by w_q and w_k, z and
+    C z by w_v), one ad.softmax per head family, and a concat of the merged
+    heads before w_o."""
+    batch, length, d_model = z.shape
+    dv = d_model // n_heads
+    scaling = 1.0 / math.sqrt(d_model)
+
+    def split(t):
+        return ad.transpose(ad.reshape(t, (batch, length, n_heads, dv)), (0, 2, 1, 3))
+
+    def merge(t):
+        return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (batch, length, d_model))
+
+    def keys(t):
+        return ad.transpose(t, (0, 1, 3, 2))
+
+    q, k, v = (split(ad.matmul(z, w)) for w in (params.w_q, params.w_k, params.w_v))
+    time_scores = ad.softmax(ad.scale(ad.matmul(q, keys(k)), scaling), axis=-1)
+    heads = [merge(ad.matmul(time_scores, v))]
+    if use_frequency:
+        spectrum = ad.matmul(ad.const(real_dft_kernel(length)), z)
+        spec_re, spec_im = (ad.slice_axis(spectrum, 1, start, length) for start in (0, length))
+        q_re, q_im = split(ad.matmul(spec_re, params.w_q)), split(ad.matmul(spec_im, params.w_q))
+        k_re, k_im = split(ad.matmul(spec_re, params.w_k)), split(ad.matmul(spec_im, params.w_k))
+        v_re = split(ad.matmul(spec_re, params.w_v))
+        cross = ad.add(ad.matmul(q_re, keys(k_re)), ad.matmul(q_im, keys(k_im)))
+        freq_scores = ad.softmax(ad.scale(cross, scaling), axis=-1)
+        heads.append(merge(ad.matmul(freq_scores, v_re)))
+    merged = ad.concat(heads, axis=2) if use_frequency else heads[0]
+    return ad.matmul(merged, params.w_o)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,22 @@ def test_softmax_uniform_on_zeros():
     assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3])
 
 
+@pytest.mark.parametrize("spread", [1.0, 300.0, 3000.0])
+def test_softmax_inplace_same_bits_as_formula(spread):
+    # wide rows put many shifted values where exp underflows to 0 or to a
+    # subnormal, the cases the in-place kernel routes around np.exp
+    rng = np.random.default_rng(int(spread))
+    x = rng.normal(size=(3, 4, 9, 9)) * spread
+    # one row straddles the last subnormal result of exp once scaled by 0.25
+    x[0, 0, 0] = np.r_[0.0, 4 * np.linspace(-746.0, -744.5, 8)]
+    scaled = x * 0.25
+    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    got = ad.softmax_inplace(x.copy(), scale=0.25)
+    assert got.tobytes() == want.tobytes()
+    assert ad.softmax_inplace(x.copy(), axis=1).tobytes() == softmax(const(x), axis=1).data.tobytes()
+
+
 def test_layer_norm_two_dim_pathology():
     # rows [a, a] normalize to [0, 0]; [a, b] with a > b to [1, -1]
     g = const(np.ones(2))

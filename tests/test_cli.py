@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from earlyflow.cli import main
+from earlyflow import earliness, training
+from earlyflow.cli import MODEL_KEYS, TRAINING_KEYS, main
 from earlyflow.features import write_dataset
 
 from gen_mts import separable_suite
@@ -130,6 +136,27 @@ def test_train_eval_latents_pipeline(tmp_path, toy_dataset, capsys):
     lines = latents.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 61
     assert len(lines[1].split(",")) == 2 + 8
+
+
+def test_train_takes_each_prefix_once(tmp_path, toy_dataset, monkeypatch):
+    # sizing max_len reads prefix lengths; only training builds the prefixes
+    calls = []
+    take_prefix = earliness.take_prefix
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].flow_id)
+        return take_prefix(*args, **kwargs)
+
+    for module in (earliness, training):
+        monkeypatch.setattr(module, "take_prefix", counting)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"d_model": 8, "n_heads": 2, "n_blocks": 1, "d_ff": 16},
+        "training": {"max_epochs": 1, "patience": 1},
+    }), encoding="utf-8")
+    assert run_cli("train", "--data", toy_dataset, "--prefix-duration", 4.5,
+                   "--config", config, "--out", tmp_path / "x.ckpt") == 0
+    assert len(calls) == 60 and len(set(calls)) == 60
 
 
 def test_train_rerun_byte_identical(tmp_path, toy_dataset):
@@ -270,3 +297,71 @@ def test_default_seed_is_42():
     args = build_parser().parse_args(
         ["train", "--data", "d", "--prefix-packets", "4", "--out", "c"])
     assert args.seed == 42
+
+
+# ---------------------------------------------------------------------------
+# property: any configuration ends in exit 0, 1 or 2 with at most one line
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    data_dir = tmp_path_factory.mktemp("tiny")
+    write_dataset(separable_suite(1, n=12, length=6, d=3), data_dir)
+    return data_dir
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12) | st.text(max_size=3)
+                | st.floats(allow_nan=True, allow_infinity=True))
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2) \
+    | st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2)
+
+
+def mostly(usual, odd=JSON_VALUES):
+    """usual three times in four, else odd."""
+    return st.integers(0, 3).flatmap(lambda i: odd if i == 0 else usual)
+
+
+# sizes and epochs stay small so every example trains in milliseconds
+MODEL_VALUES = {
+    "d_model": mostly(st.integers(1, 8)),
+    "n_heads": mostly(st.integers(1, 4)),
+    "n_blocks": mostly(st.integers(1, 2)),
+    "d_ff": mostly(st.integers(1, 8)),
+    "max_len": mostly(st.integers(1, 8)),
+    "dropout": mostly(st.floats(0.0, 1.0)),
+    "use_frequency_heads": mostly(st.booleans()),
+}
+TRAINING_VALUES = {
+    "learning_rate": mostly(st.floats(0.0, 1e6)),
+    "batch_size": mostly(st.integers(1, 40)),
+    "max_epochs": st.integers(-1, 2) | st.floats() | st.text(max_size=2),
+    "patience": mostly(st.integers(1, 3)),
+}
+assert set(MODEL_VALUES) == MODEL_KEYS and set(TRAINING_VALUES) == TRAINING_KEYS
+configs = mostly(st.fixed_dictionaries({}, optional={
+    "model": mostly(st.fixed_dictionaries({}, optional=MODEL_VALUES)),
+    "training": mostly(st.fixed_dictionaries({}, optional=TRAINING_VALUES)),
+}))
+prefix_flags = st.one_of(
+    st.tuples(st.just("--prefix-packets"), mostly(st.integers(1, 8), st.integers(-2, 10 ** 12))),
+    st.tuples(st.just("--prefix-duration"),
+              mostly(st.floats(0.0, 8.0), st.floats(allow_nan=True, allow_infinity=True))))
+seeds = mostly(st.integers(0, 2 ** 32), st.integers(-2, 2 ** 70))
+
+
+@settings(max_examples=60)
+@given(configs, prefix_flags, seeds)
+def test_train_any_config_exits_cleanly(tiny_dataset, config, prefix, seed):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = f"{tmp}/config.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        # flag=value, so argparse takes a value such as -1e-05 as the value
+        code = main(["train", f"--data={tiny_dataset}", f"{prefix[0]}={prefix[1]}",
+                     f"--config={path}", f"--out={tmp}/x.ckpt", f"--seed={seed}"])
+    assert code in (0, 1, 2)
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) <= (code != 0) and not caught, (lines, [str(w.message) for w in caught])

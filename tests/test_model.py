@@ -17,7 +17,7 @@ from earlyflow.model import (
 from earlyflow.training import minibatch_gradients
 
 from gradcheck import assert_grads_match
-from naive import naive_dft, naive_dft_2d
+from naive import naive_dft, naive_dft_2d, naive_md_mha
 
 
 def toy_config(**overrides):
@@ -159,18 +159,26 @@ def test_md_mha_length_one_passes_values_through():
 
 @pytest.fixture
 def softmax_outputs(monkeypatch):
-    """Data of every ad.softmax result, in call order: each md_mha call adds
-    its time scores, then its frequency scores."""
+    """A copy of every buffer ad.softmax_inplace normalizes, in call order.
+    A fused md_mha call writes one (batch, 2 * n_heads, T, T) buffer: time
+    heads, then frequency heads (split them with time_and_freq). Each
+    ad.softmax call, as in the fft_pair reference, adds one buffer of its own."""
     recorded = []
-    softmax = ad.softmax
+    softmax_inplace = ad.softmax_inplace
 
     def recording(*args, **kwargs):
-        out = softmax(*args, **kwargs)
-        recorded.append(out.data)
+        out = softmax_inplace(*args, **kwargs)
+        recorded.append(out.copy())
         return out
 
-    monkeypatch.setattr(ad, "softmax", recording)
+    monkeypatch.setattr(ad, "softmax_inplace", recording)
     return recorded
+
+
+def time_and_freq(scores, n_heads):
+    """Time-head and frequency-head halves of a fused md_mha score buffer."""
+    assert scores.shape[1] == 2 * n_heads
+    return scores[:, :n_heads], scores[:, n_heads:]
 
 
 def test_md_mha_identical_rows_give_uniform_scores(softmax_outputs):
@@ -179,7 +187,8 @@ def test_md_mha_identical_rows_give_uniform_scores(softmax_outputs):
     z = np.tile(row, (1, 6, 1))
     p = make_attn_params(rng, 8, 2)
     md_mha(const(z), p, n_heads=2)
-    assert np.abs(softmax_outputs[0] - 1.0 / 6).max() < 1e-12
+    time_scores, _ = time_and_freq(softmax_outputs[0], 2)
+    assert np.abs(time_scores - 1.0 / 6).max() < 1e-12
     # time-head output rows are identical (frequency heads see the DC bin
     # concentration instead, so they are exempt)
     time_only = MdMhaParams(p.w_q, p.w_k, p.w_v, param(p.w_o.data[:8]))
@@ -192,7 +201,8 @@ def test_md_mha_score_rows_sum_to_one(softmax_outputs):
     z = rng.normal(size=(1, 5, 8))
     p = make_attn_params(rng, 8, 2)
     md_mha(const(z), p, n_heads=2)
-    time_scores, freq_scores = softmax_outputs
+    (scores,) = softmax_outputs
+    time_scores, freq_scores = time_and_freq(scores, 2)
     assert np.allclose(time_scores.sum(axis=-1), 1.0)
     assert np.allclose(freq_scores.sum(axis=-1), 1.0)
 
@@ -241,7 +251,8 @@ def test_md_mha_matches_fft_pair_path_ragged(softmax_outputs):
         got = md_mha(z, p, n_heads=2).data
         want = fft_pair_md_mha(z, p, n_heads=2).data
         assert np.abs(got - want).max() < 1e-9
-        got_time, got_freq, want_time, want_freq = softmax_outputs
+        scores, want_time, want_freq = softmax_outputs
+        got_time, got_freq = time_and_freq(scores, 2)
         assert np.abs(got_time - want_time).max() < 1e-9, length
         assert np.abs(got_freq - want_freq).max() < 1e-9, length
 
@@ -257,9 +268,59 @@ def test_forward_matches_fft_pair_path_ragged(monkeypatch):
     assert np.abs(latents - want_latents).max() < 1e-9
 
 
+def attention_and_grads(attention, z, p, use_freq, weights, n_heads=2):
+    """Output of attention(z, p) and the grads of sum(output * weights) with
+    respect to z, w_q, w_k, w_v and w_o."""
+    tensors = [z, p.w_q, p.w_k, p.w_v, p.w_o]
+    zero_grad(tensors)
+    out = attention(z, p, n_heads, use_freq)
+    backward(sum_all(ad.mul(out, weights)))
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("use_freq", [True, False])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_md_mha_matches_graph_oracle_with_grads(batch, use_freq):
+    rng = np.random.default_rng(40 + batch)
+    for length in RAGGED_LENGTHS:
+        z = param(rng.normal(size=(batch, length, 8)))
+        p = make_attn_params(rng, 8, 2, use_freq)
+        weights = const(rng.normal(size=(batch, length, 8)))
+        got = attention_and_grads(md_mha, z, p, use_freq, weights)
+        want = attention_and_grads(naive_md_mha, z, p, use_freq, weights)
+        for name, a, b in zip(("out", "z", "w_q", "w_k", "w_v", "w_o"), got, want):
+            assert np.abs(a - b).max() < 1e-9, (length, name)
+
+
+@pytest.mark.parametrize("batch,length", [(1, 17), (32, 17), (4, 65), (1, 234)])
+def test_md_mha_equals_graph_oracle_bit_for_bit(batch, length):
+    # the fused node makes the graph's products and sums in the graph's
+    # order, so training on it gives the same parameters
+    rng = np.random.default_rng(43)
+    z = param(rng.normal(size=(batch, length, 64)))
+    p = make_attn_params(rng, 64, 4)
+    weights = const(rng.normal(size=(batch, length, 64)))
+    got = attention_and_grads(md_mha, z, p, True, weights, n_heads=4)
+    want = attention_and_grads(naive_md_mha, z, p, True, weights, n_heads=4)
+    for name, a, b in zip(("out", "z", "w_q", "w_k", "w_v", "w_o"), got, want):
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_md_mha_rejects_nonfinite_input(bad):
+    rng = np.random.default_rng(42)
+    p = make_attn_params(rng, 8, 2)
+    z = rng.normal(size=(2, 5, 8))
+    z[1, 3, 2] = bad
+    for use_freq in (True, False):
+        params = p if use_freq else make_attn_params(rng, 8, 2, use_freq=False)
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+            md_mha(const(z), params, n_heads=2, use_frequency=use_freq)
+
+
 def test_md_mha_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
-    for length in (4, 67):
+    for length in (4, 17, 67):
         z = param(rng.normal(size=(2, length, 8)) * 0.5)
         p = make_attn_params(rng, 8, 2)
         c = const(rng.normal(size=(2, length, 8)))
