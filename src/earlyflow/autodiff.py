@@ -215,16 +215,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def grad_b(g):
             return ad.reshape(-1, ad.shape[2]).T @ g.reshape(-1, g.shape[2])
 
-    elif ad.ndim == 2 and bd.ndim == 3:
-        if ad.shape[1] != bd.shape[1]:
-            raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-
-        def grad_a(g):
-            return (g @ np.swapaxes(bd, 1, 2)).sum(axis=0)
-
-        def grad_b(g):
-            return ad.T @ g
-
     else:
         raise ValueError(f"unsupported matmul ranks: {ad.ndim} @ {bd.ndim}")
 
@@ -317,15 +307,12 @@ def softmax_inplace(x: np.ndarray, axis: int = -1, scale: float | None = None) -
     if not (np.isfinite(low) and np.isfinite(peak).all()):
         raise ValueError("softmax over non-finite input")
     x -= peak
-    if low - peak.max() < EXP_ZERO_BELOW:
-        # np.exp runs about 15x slower on inputs whose result underflows;
-        # send those through as -0.0 and zero their results, same bits
-        keep = x >= EXP_ZERO_BELOW
-        x *= keep
-        np.exp(x, out=x)
-        x *= keep
-    else:
-        np.exp(x, out=x)
+    # np.exp runs about 15x slower on inputs whose result underflows; send
+    # those through as -0.0 and zero their results, same bits
+    keep = x >= EXP_ZERO_BELOW
+    x *= keep
+    np.exp(x, out=x)
+    x *= keep
     x /= x.sum(axis=axis, keepdims=True)
     return x
 

@@ -14,7 +14,7 @@ sequence-axis DFT of the block input, a real matmul by a cached [cos; -sin]
 kernel, instead of transforming q, k and v apiece.
 
 md_mha is one autodiff node with a hand-written backward: the block input
-and its transform are projected by one matmul, both head families score
+and its transform are projected by two matmuls, both head families score
 into one buffer under one in-place softmax, and the backward adds its
 products in the order the op-by-op composition would, so it gives the same
 bits as that composition.
@@ -185,8 +185,9 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
     One autodiff node with a hand-written backward. The frequency heads see
     q, k and v transformed along the sequence axis; that transform commutes
     with the shared projections, DFT(z W) = DFT(z) W, so z, C z and -S z
-    (the [C; -S] kernel applied once) are stacked and projected by one
-    matmul with [w_q | w_k | w_v]. The time scores q k^T and the frequency
+    (the [C; -S] kernel applied once) are stacked; z and C z are projected
+    by one matmul with [w_q | w_k | w_v], and -S z by [w_q | w_k] alone,
+    since no head uses its values. The time scores q k^T and the frequency
     scores q_re k_re^T + q_im k_im^T fill one (batch, 2 * n_heads, length,
     length) buffer that one in-place softmax normalizes; the time heads mix
     v and the frequency heads the real part of the transformed values.
@@ -207,29 +208,35 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
     if use_frequency:
         kernel = real_dft_kernel(length)
         np.matmul(kernel.reshape(2, 1, length, length), z.data, out=stacked[1:])
-    proj = stacked @ np.concatenate(w_data, axis=1)
+    w_qkv = np.concatenate(w_data, axis=1)
 
     def head_rows(rows):
         """(batch, domain, head, position, dv) view of (domain, batch,
         length, d_model) rows."""
         return rows.reshape(len(rows), batch, length, n_heads, dv).transpose(1, 0, 3, 2, 4)
 
-    q, k, v = (head_rows(proj[..., j * d_model:(j + 1) * d_model]) for j in range(3))
+    def columns(proj, j):
+        return head_rows(proj[..., j * d_model:(j + 1) * d_model])
+
+    proj = stacked[:families] @ w_qkv
+    q, k, v = (columns(proj, j) for j in range(3))
     scores = np.empty((batch, families * n_heads, length, length))
     by_family = scores.reshape(batch, families, n_heads, length, length)
-    np.matmul(q[:, :families], k[:, :families].swapaxes(-1, -2), out=by_family)
+    np.matmul(q, k.swapaxes(-1, -2), out=by_family)
     if use_frequency:
-        by_family[:, 1] += q[:, 2] @ k[:, 2].swapaxes(-1, -2)
+        proj_im = stacked[2:] @ w_qkv[:, :2 * d_model]
+        q_im, k_im = (columns(proj_im, j)[:, 0] for j in range(2))
+        by_family[:, 1] += q_im @ k_im.swapaxes(-1, -2)
     ad.softmax_inplace(scores, scale=scaling)
-    mixed = by_family @ v[:, :families]
+    mixed = by_family @ v
     merged = mixed.transpose(0, 3, 1, 2, 4).reshape(batch, length, families * d_model)
     w_o = params.w_o.data
 
     def bw(g):
         _accum(params.w_o, merged.reshape(-1, families * d_model).T @ g.reshape(-1, d_model))
         g_mixed = (g @ w_o.T).reshape(batch, length, families, n_heads, dv).transpose(0, 2, 3, 1, 4)
-        g_scores = g_mixed @ v[:, :families].swapaxes(-1, -2)
-        # grads of q and v as (domain, batch, length, d_model) rows; v_im is unused
+        g_scores = g_mixed @ v.swapaxes(-1, -2)
+        # grads of q and v as (domain, batch, length, d_model) rows
         g_queries = np.empty((domains, batch, length, d_model))
         g_values = np.empty((families, batch, length, d_model))
         np.matmul(by_family.swapaxes(-1, -2), g_mixed, out=head_rows(g_values))
@@ -237,15 +244,15 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
         g_scores -= (g_scores * by_family).sum(axis=-1, keepdims=True)
         g_scores *= by_family
         g_scores *= scaling
-        np.matmul(g_scores, k[:, :families], out=head_rows(g_queries)[:, :families])
+        np.matmul(g_scores, k, out=head_rows(g_queries)[:, :families])
         # key grads come out as (dv, length) matrices, as the op graph makes
         # them; BLAS rounds a product with a transposed operand differently,
         # so the products below take them in that layout
         g_keys = np.empty((batch, domains, n_heads, dv, length))
-        np.matmul(q[:, :families].swapaxes(-1, -2), g_scores, out=g_keys[:, :families])
+        np.matmul(q.swapaxes(-1, -2), g_scores, out=g_keys[:, :families])
         if use_frequency:
-            np.matmul(g_scores[:, 1], k[:, 2], out=head_rows(g_queries)[:, 2])
-            np.matmul(q[:, 2].swapaxes(-1, -2), g_scores[:, 1], out=g_keys[:, 2])
+            np.matmul(g_scores[:, 1], k_im, out=head_rows(g_queries)[:, 2])
+            np.matmul(q_im.swapaxes(-1, -2), g_scores[:, 1], out=g_keys[:, 2])
         g_rows = (g_queries,
                   g_keys.transpose(1, 0, 4, 2, 3).reshape(domains, batch, length, d_model),
                   g_values)

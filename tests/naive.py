@@ -75,7 +75,8 @@ def naive_md_mha(z, params, n_heads, use_frequency=True):
     time_scores = ad.softmax(ad.scale(ad.matmul(q, keys(k)), scaling), axis=-1)
     heads = [merge(ad.matmul(time_scores, v))]
     if use_frequency:
-        spectrum = ad.matmul(ad.const(real_dft_kernel(length)), z)
+        kernel = np.broadcast_to(real_dft_kernel(length), (batch, 2 * length, length))
+        spectrum = ad.matmul(ad.const(kernel), z)
         spec_re, spec_im = (ad.slice_axis(spectrum, 1, start, length) for start in (0, length))
         q_re, q_im = split(ad.matmul(spec_re, params.w_q)), split(ad.matmul(spec_im, params.w_q))
         k_re, k_im = split(ad.matmul(spec_re, params.w_k)), split(ad.matmul(spec_im, params.w_k))

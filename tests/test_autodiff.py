@@ -200,9 +200,6 @@ def test_batched_matmul_matches_finite_differences():
     a4, b4 = rand(rng, 2, 3, 4, 5), rand(rng, 2, 3, 5, 2)
     f4 = functional(rng, (2, 3, 4, 2))
     assert_grads_match(lambda: f4(matmul(a4, b4)), [a4, b4])
-    shared_left = rand(rng, 6, 4)
-    f_left = functional(rng, (3, 6, 5))
-    assert_grads_match(lambda: f_left(matmul(shared_left, a)), [shared_left, a])
 
 
 def test_fft_pair_gradients_match_finite_differences():
