@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .earliness import PrefixSpec, prefix_length
@@ -81,20 +82,22 @@ def cmd_extract(args) -> int:
     all_flows = []
     packets = 0
     skipped = 0
+    other = Transport.OTHER
     for path in args.pcap:
         table = FlowTable(window_secs=args.window_secs)
+        assign = table.assign_packet
         with open_capture(path) as reader:
             for record in reader:
-                if record.transport is Transport.OTHER:
+                if record.transport is other:
                     skipped += 1
                     continue
-                table.assign_packet(record)
+                assign(record)
             skipped += reader.frames_skipped
         packets += table.packets_accepted
         all_flows.extend(table.flush())
     all_flows.sort(key=flow_order)
     join_labels(all_flows, rules)
-    samples = [extract_mts(f) for f in all_flows]
+    samples = extract_mts(all_flows)
     write_dataset(samples, args.out)
     print(f"flows={len(samples)} packets={packets} skipped={skipped}")
     return 0
@@ -188,15 +191,34 @@ def _add_prefix_options(parser):
                        help="classify on packets within the first T seconds")
 
 
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose rejections raise CliError (one `error:` line,
+    exit 2) and that reads any negative decimal, such as -1e-05 or -inf,
+    as an option's value rather than as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only -N and -N.N for numbers
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="earlyflow",
         description="Flow time-series extraction and early classification")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="parse pcap files into a flow dataset")
     p.add_argument("--pcap", action="append", required=True, metavar="PATH",
-                   help="capture file (repeatable)")
+                   help="capture file (repeatable); each file gets its own flow table, "
+                        "so a flow never spans two files")
     p.add_argument("--labels", metavar="PATH",
                    help="label rules CSV; omitted = everything BENIGN")
     p.add_argument("--window-secs", type=float, default=120.0,
@@ -257,9 +279,8 @@ INVALID_INPUT_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except INVALID_INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

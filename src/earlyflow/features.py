@@ -8,11 +8,13 @@ metadata, series.csv holds the long-format feature rows with 9 fractional
 digits. The series columns are named after the sample width: FEATURE_NAMES
 at the extractor's 13, feature_0 ... feature_{d-1} at any other width d.
 
-write_dataset formats each flow's rows as one block. One long-format reader,
-read_long_format, serves both the extractor layout (read_dataset) and
-external series (training.load_external_mts): it takes d from the series
-header, parses every numeric cell with one np.loadtxt call and groups rows
-by id in one pass.
+extract_mts turns a list of flows into samples in one pass: it builds the
+(N, 13) feature array of all N packets at once and gives each sample its
+slice. write_dataset formats each flow's rows as one block. One long-format
+reader, read_long_format, serves both the extractor layout (read_dataset)
+and external series (training.load_external_mts): it takes d from the
+series header, parses every numeric cell with one np.loadtxt call and
+groups rows by id in one pass.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby, repeat
+from operator import attrgetter, eq
 
 import numpy as np
 
-from .flows import Flow
 from .pcap import ip_to_str
 
 FEATURE_NAMES = [
@@ -34,6 +36,12 @@ FEATURE_NAMES = [
     "flag_psh", "flag_rst", "flag_syn", "flag_fin", "flag_reserved",
 ]
 NUM_FEATURES = len(FEATURE_NAMES)
+
+# Every 10-bit TCP flag vector and the number its bits spell, first flag
+# highest: extract_mts maps flag tuples to these numbers and back to bits.
+_FLAG_SHIFTS = np.arange(NUM_FEATURES - 4, -1, -1)
+_FLAG_CODE = {tuple(bits): code for code, bits in enumerate(
+    (np.arange(1 << len(_FLAG_SHIFTS))[:, None] >> _FLAG_SHIFTS & 1).tolist())}
 
 FLOWS_HEADER = ["flow_id", "src_ip", "src_port", "dst_ip", "dst_port",
                 "transport", "start_ts", "end_ts", "num_packets", "label"]
@@ -78,23 +86,56 @@ class MtsSample:
         return float(self.timestamps[-1] - self.timestamps[0])
 
 
-def extract_mts(flow: Flow) -> MtsSample:
-    """Row i holds the feature vector of packet i; the first IAT entry is 0.
-    The flow id is initiator-responder-transport@start."""
-    timestamps = np.array([p.timestamp for p in flow.packets])
-    values = np.array([(direction, 0.0, p.total_bytes, *p.tcp_flags)
-                       for p, direction in zip(flow.packets, flow.directions)],
-                      dtype=np.float64)
-    values[1:, 1] = np.diff(timestamps)
-    (src_ip, src_port), (dst_ip, dst_port) = flow.initiator, flow.responder
-    src, dst, transport = ip_to_str(src_ip), ip_to_str(dst_ip), flow.key.transport.value
-    return MtsSample(
-        flow_id=f"{src}:{src_port}-{dst}:{dst_port}-{transport}@{flow.start_ts:.6f}",
-        values=values,
-        timestamps=timestamps,
-        label=flow.label if flow.label is not None else "BENIGN",
-        endpoints=(src, src_port, dst, dst_port, transport),
-    )
+def extract_mts(flows) -> list:
+    """One MtsSample per flow, in the given order. Row i of a sample holds
+    the feature vector of packet i; the first IAT entry is 0. The flow id is
+    initiator-responder-transport@start.
+
+    The (N, 13) feature array of all N packets is built in one pass and each
+    sample takes its slice: every column is read from the packets by one
+    C-level map, the IAT column is one difference over the concatenated
+    timestamps (set to 0 where each flow starts), flag vectors are looked up
+    as ten 0/1 bits (as pcap decodes them), and each endpoint address is
+    formatted once."""
+    flows = list(flows)
+    if not flows:
+        return []
+    lengths = [len(flow.packets) for flow in flows]
+    packets = list(chain.from_iterable(flow.packets for flow in flows))
+    n = len(packets)
+
+    def column(field, dtype=np.float64):
+        return np.fromiter(map(attrgetter(field), packets), dtype, n)
+
+    timestamps = column("timestamp")
+    starts = np.cumsum(lengths) - lengths
+    values = np.empty((n, NUM_FEATURES))
+    # +1 where the packet was sent by its flow's initiator
+    initiator_ips = chain.from_iterable(map(repeat, [f.initiator[0] for f in flows], lengths))
+    from_ip = np.fromiter(map(eq, map(attrgetter("src_ip"), packets), initiator_ips), bool, n)
+    from_port = column("src_port", np.int64) == np.repeat([f.initiator[1] for f in flows], lengths)
+    values[:, 0] = np.where(from_ip & from_port, 1.0, -1.0)
+    values[1:, 1] = timestamps[1:] - timestamps[:-1]
+    values[starts, 1] = 0.0
+    values[:, 2] = column("total_bytes")
+    flag_codes = np.fromiter(map(_FLAG_CODE.__getitem__, map(attrgetter("tcp_flags"), packets)),
+                             np.int64, n)
+    values[:, 3:] = flag_codes[:, None] >> _FLAG_SHIFTS & 1
+    names = {ip: ip_to_str(ip) for ip in {ip for flow in flows
+                                          for ip, _ in (flow.key.endpoint_a, flow.key.endpoint_b)}}
+    samples = []
+    for flow, start, length in zip(flows, starts.tolist(), lengths):
+        rows = slice(start, start + length)
+        (src_ip, src_port), (dst_ip, dst_port) = flow.initiator, flow.responder
+        src, dst, transport = names[src_ip], names[dst_ip], flow.key.transport.value
+        samples.append(MtsSample(
+            flow_id=f"{src}:{src_port}-{dst}:{dst_port}-{transport}@{flow.start_ts:.6f}",
+            values=values[rows],
+            timestamps=timestamps[rows],
+            label=flow.label if flow.label is not None else "BENIGN",
+            endpoints=(src, src_port, dst, dst_port, transport),
+        ))
+    return samples
 
 
 def write_dataset(samples, out_dir) -> dict:

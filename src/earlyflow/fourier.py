@@ -14,19 +14,24 @@ from functools import lru_cache
 import numpy as np
 
 
+def _angle_table(n: int):
+    """cos and sin of 2*pi*m/n for m = 0..n-1, and the (n, n) index j*k mod
+    n into them, so kernel angles stay exact for large n."""
+    angle = 2 * np.pi * np.arange(n) / n
+    jk = np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n
+    return np.cos(angle), np.sin(angle), jk
+
+
 @lru_cache(maxsize=8)
 def _dft_matrix(n: int, sign: int) -> np.ndarray:
-    """Read-only (n, n) kernel exp(sign*2*pi*i*j*k/n).
-
-    Angles come from an n-entry table indexed by j*k mod n, so they stay
-    exact for large n. The cache is small on purpose: a kernel for n = 512 is
+    """Read-only (n, n) kernel exp(sign*2*pi*i*j*k/n), gathered from an
+    n-entry table. The cache is small on purpose: a kernel for n = 512 is
     4 MB, and callers that see many lengths only reuse the recent ones.
     """
-    angle = 2 * np.pi * np.arange(n) / n
+    cos, sin, jk = _angle_table(n)
     table = np.empty(n, dtype=np.complex128)
-    table.real = np.cos(angle)
-    table.imag = sign * np.sin(angle)
-    jk = np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n
+    table.real = cos
+    table.imag = sign * sin
     kernel = table[jk]
     kernel.flags.writeable = False
     return kernel
@@ -36,9 +41,11 @@ def _dft_matrix(n: int, sign: int) -> np.ndarray:
 def real_dft_kernel(n: int) -> np.ndarray:
     """Read-only (2n, n) matrix [C; -S], C[j, k] = cos(2*pi*j*k/n) and S the
     matching sines: kernel @ x stacks the real part of the forward transform
-    of a real x (along its first axis) on top of the imaginary part."""
-    k = _dft_matrix(n, -1)
-    kernel = np.concatenate([k.real, k.imag])
+    of a real x (along its first axis) on top of the imaginary part. It is
+    gathered straight from the cos/sin table, with the same values as the
+    real and imaginary parts of the complex forward kernel."""
+    cos, sin, jk = _angle_table(n)
+    kernel = np.stack([cos, -sin]).take(jk, axis=1).reshape(2 * n, n)
     kernel.flags.writeable = False
     return kernel
 

@@ -6,9 +6,11 @@ link-layer captures. Frames that are not parseable IP packets are skipped
 and counted, never fatal; a truncated record header ends the stream with a
 distinct error.
 
-Each frame is decoded by one flat function: precompiled struct.Struct
-unpack_from calls at layer offsets into the frame (no slicing), and a
-4096-entry table for the TCP flag vector. Timestamps are float seconds.
+The reader decodes frames in blocks of about BLOCK_BYTES of the file: it
+walks the block's record headers with one unpack_from each, then decodes the
+Ethernet, VLAN, IPv4, IPv6, TCP and UDP fields of every frame in the block
+at once with numpy gathers and masks, and builds the block's PacketRecords
+from the resulting columns. Timestamps are float seconds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from __future__ import annotations
 import enum
 import ipaddress
 import struct
-from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
+
+import numpy as np
 
 MAGIC_LE_MICROS = 0xA1B2C3D4
 MAGIC_BE_MICROS = 0xD4C3B2A1
@@ -36,7 +41,10 @@ V4_MAPPED_PREFIX = 0xFFFF << 32
 
 # Flag order is normative for feature extraction; see features.FEATURE_NAMES.
 TCP_FLAG_NAMES = ("ns", "cwr", "ece", "urg", "ack", "psh", "rst", "syn", "fin", "reserved")
-NO_FLAGS = (0,) * 10
+
+# Bytes of the file read per block; a block always holds at least one whole
+# frame, so a larger frame makes a larger block.
+BLOCK_BYTES = 1 << 18
 
 
 class CaptureError(Exception):
@@ -65,10 +73,9 @@ class Transport(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """One parsed packet. Addresses are 128-bit integers (IPv4 mapped into
-    ::ffff:0:0/96) so ordering and equality work uniformly."""
+class PacketRecord(NamedTuple):
+    """One parsed packet, immutable. Addresses are 128-bit integers (IPv4
+    mapped into ::ffff:0:0/96) so ordering and equality work uniformly."""
 
     timestamp: float
     src_ip: int
@@ -101,77 +108,91 @@ _FLAG_BYTE_BITS = [tuple(f >> bit & 1 for bit in range(7, -1, -1)) for f in rang
 TCP_FLAGS = tuple((offset & 1, *_FLAG_BYTE_BITS[f], 1 if offset & 0x0E else 0)
                   for offset in range(16) for f in range(256))
 
-_U16 = struct.Struct(">H").unpack_from
-_PORTS = struct.Struct(">HH").unpack_from
-# version/IHL, total length, fragment field, protocol, source, destination
-_IPV4 = struct.Struct(">BxHxxHxBxxII").unpack_from
-# from byte 4: payload length, next header, source and destination as 64-bit halves
-_IPV6 = struct.Struct(">HBxQQQQ").unpack_from
+# transport code of a decoded frame: 0 other, 1 TCP, 2 UDP
+_TRANSPORTS = (Transport.OTHER, Transport.TCP, Transport.UDP)
 
 
-def _decode_frame(data: bytes, ts: float, index: int):
-    """One Ethernet frame -> PacketRecord, or None for a frame that is not a
-    parseable IP packet. Fields are unpacked at offsets into `data`."""
-    n = len(data)
-    if n < 14:
-        return None
-    ethertype = _U16(data, 12)[0]
-    offset = 14
-    if ethertype == ETHERTYPE_VLAN:
-        # unwrap a single 802.1Q tag; nested tags are skipped
-        if n < 18:
-            return None
-        ethertype = _U16(data, 16)[0]
-        offset = 18
-        if ethertype == ETHERTYPE_VLAN:
-            return None
-    if ethertype == ETHERTYPE_IPV4:
-        if n - offset < 20:
-            return None
-        ver_ihl, total_bytes, frag, proto, src, dst = _IPV4(data, offset)
-        ihl = (ver_ihl & 0x0F) * 4
-        if ver_ihl >> 4 != 4 or ihl < 20 or n - offset < ihl or total_bytes < ihl:
-            return None
-        if frag & 0x1FFF:
-            return None  # non-first fragment: header-level features only
-        src |= V4_MAPPED_PREFIX
-        dst |= V4_MAPPED_PREFIX
-        l4 = offset + ihl
-        # Ethernet padding can extend past the IP datagram; clip to its length
-        end = min(n, offset + total_bytes)
-    elif ethertype == ETHERTYPE_IPV6:
-        if n - offset < 40 or data[offset] >> 4 != 6:
-            return None
-        payload_len, proto, src_hi, src_lo, dst_hi, dst_lo = _IPV6(data, offset + 4)
-        src = src_hi << 64 | src_lo
-        dst = dst_hi << 64 | dst_lo
-        l4 = offset + 40
-        end = min(n, l4 + payload_len)
-        total_bytes = payload_len + 40
-    else:
-        return None
-    if proto == IPPROTO_TCP:
-        if end - l4 < 14:
-            return None  # need ports through the flags byte
-        sport, dport = _PORTS(data, l4)
-        flags = TCP_FLAGS[(data[l4 + 12] & 0x0F) << 8 | data[l4 + 13]]
-        transport = Transport.TCP
-    elif proto == IPPROTO_UDP:
-        if end - l4 < 8:
-            return None
-        sport, dport = _PORTS(data, l4)
-        flags = NO_FLAGS
-        transport = Transport.UDP
-    else:
-        sport = dport = 0
-        flags = NO_FLAGS
-        transport = Transport.OTHER
-    return PacketRecord(ts, src, dst, sport, dport, transport, total_bytes, flags, index)
+def _decode_block(buf, start, length, timestamps, first_index) -> list:
+    """PacketRecords of the frames buf[start[i]:start[i] + length[i]] that
+    are parseable IP packets, in frame order; the frame at position i gets
+    capture_index first_index + i.
+
+    Every header field of every frame is gathered at once. A gather past the
+    end of its frame reads a clipped position, and the masks below drop such
+    frames, so the rules are those of a per-frame decoder: Ethernet with at
+    most one 802.1Q tag, IPv4 (version, header length, total length >= header
+    length, first fragments only) or IPv6, and TCP through the flags byte or
+    UDP through its header, measured within the IP datagram (Ethernet padding
+    is clipped off)."""
+    data = np.frombuffer(buf, dtype=np.uint8)
+    last = len(data) - 1
+
+    def u8(offset):
+        return data[np.minimum(start + offset, last)].astype(np.int64)
+
+    def u16(offset):
+        return u8(offset) << 8 | u8(offset + 1)
+
+    def u64(rows, offset):
+        """Big-endian 64-bit words at offset into the frames `rows`."""
+        at = (start[rows] + offset[rows])[:, None] + np.arange(8)
+        return data[np.minimum(at, last)].view(">u8").ravel().astype(np.uint64)
+
+    ethertype = u16(12)
+    vlan = ethertype == ETHERTYPE_VLAN
+    ethertype = np.where(vlan, u16(16), ethertype)   # a nested tag is skipped below
+    l3 = np.where(vlan, 18, 14)
+    room = length - l3          # negative when the Ethernet header itself is cut
+    version_ihl = u8(l3)
+    version = version_ihl >> 4
+    ihl = (version_ihl & 0x0F) * 4
+    ip_total = u16(l3 + 2)
+    v4 = (ethertype == ETHERTYPE_IPV4) & (version == 4) & (ihl >= 20) & (room >= ihl) \
+        & (ip_total >= ihl)
+    v4 &= (u16(l3 + 6) & 0x1FFF) == 0           # non-first fragments carry no L4 header
+    v6 = (ethertype == ETHERTYPE_IPV6) & (room >= 40) & (version == 6)
+    ok = v4 | v6
+    payload = u16(l3 + 4)
+    proto = np.where(v4, u8(l3 + 9), u8(l3 + 6))
+    l4 = l3 + np.where(v4, ihl, 40)
+    # Ethernet padding can extend past the IP datagram; clip to its length
+    l4_room = np.minimum(length, np.where(v4, l3 + ip_total, l4 + payload)) - l4
+    tcp = proto == IPPROTO_TCP
+    udp = proto == IPPROTO_UDP
+    ok &= (~tcp | (l4_room >= 14)) & (~udp | (l4_room >= 8))
+
+    keep = np.flatnonzero(ok)
+    v4, v6, tcp, udp, l3, l4 = v4[keep], v6[keep], tcp[keep], udp[keep], l3[keep], l4[keep]
+    start = start[keep]         # the gathers below read the kept frames only
+    ports = tcp | udp
+    src_port = np.where(ports, u16(l4), 0)
+    dst_port = np.where(ports, u16(l4 + 2), 0)
+    flag_key = np.where(tcp, (u8(l4 + 12) & 0x0F) << 8 | u8(l4 + 13), 0)
+    total_bytes = np.where(v4, ip_total[keep], payload[keep] + 40)
+    # IPv4 addresses: the mapped prefix fits the low 64-bit word
+    src = (V4_MAPPED_PREFIX | (u16(l3 + 12) << 16 | u16(l3 + 14))).tolist()
+    dst = (V4_MAPPED_PREFIX | (u16(l3 + 16) << 16 | u16(l3 + 18))).tolist()
+    rows = np.flatnonzero(v6)
+    words = [u64(rows, l3 + offset).tolist() for offset in (8, 16, 24, 32)]
+    for i, src_hi, src_lo, dst_hi, dst_lo in zip(rows.tolist(), *words):
+        src[i] = src_hi << 64 | src_lo
+        dst[i] = dst_hi << 64 | dst_lo
+    columns = (
+        timestamps[keep].tolist(), src, dst, src_port.tolist(), dst_port.tolist(),
+        map(_TRANSPORTS.__getitem__, (tcp + 2 * udp).tolist()),
+        total_bytes.tolist(), map(TCP_FLAGS.__getitem__, flag_key.tolist()),
+        (keep + first_index).tolist(),
+    )
+    return list(map(tuple.__new__, repeat(PacketRecord), zip(*columns)))
 
 
 class CaptureReader:
     """Iterator over PacketRecords from one pcap file. Single consumer;
-    open one reader per file for concurrent work."""
+    open one reader per file for concurrent work.
+
+    frames_total, frames_skipped and records_emitted count the frames of
+    every block decoded so far, so they can run one block ahead of the
+    records yielded; they are exact once the iteration ends."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -182,23 +203,26 @@ class CaptureReader:
                 raise TruncatedHeaderError(f"{self.path}: no pcap magic")
             magic = struct.unpack("<I", header[:4])[0]
             if magic in (MAGIC_LE_MICROS, MAGIC_LE_NANOS):
-                self._endian = "<"
+                endian = "<"
             elif magic in (MAGIC_BE_MICROS, MAGIC_BE_NANOS):
-                self._endian = ">"
+                endian = ">"
             else:
                 raise UnknownMagicError(f"{self.path}: unknown magic 0x{magic:08X}")
             if len(header) < 24:
                 raise TruncatedHeaderError(f"{self.path}: global header truncated")
-            native_magic = struct.unpack(self._endian + "I", header[:4])[0]
+            native_magic = struct.unpack(endian + "I", header[:4])[0]
             self._tick = 1e-9 if native_magic == MAGIC_LE_NANOS else 1e-6
-            self._record_header = struct.Struct(self._endian + "IIII").unpack
-            link_type = struct.unpack(self._endian + "I", header[20:24])[0]
+            self._endian = endian
+            self._incl_len = struct.Struct(endian + "8xI").unpack_from
+            link_type = struct.unpack(endian + "I", header[20:24])[0]
             if link_type != LINKTYPE_ETHERNET:
                 raise UnsupportedLinkTypeError(
                     f"{self.path}: link type {link_type} not supported (Ethernet only)")
         except Exception:
             self._fh.close()
             raise
+        self._rest = b""            # bytes after the last whole frame read
+        self._block = iter(())      # records of the current block not yet yielded
         self.frames_total = 0
         self.frames_skipped = 0
         self.records_emitted = 0
@@ -217,25 +241,45 @@ class CaptureReader:
         return self
 
     def __next__(self) -> PacketRecord:
-        read = self._fh.read
-        while True:
-            header = read(16)
-            if len(header) == 0:
-                raise StopIteration
-            if len(header) < 16:
-                raise TruncatedRecordError(f"{self.path}: record header truncated")
-            ts_sec, ts_frac, incl_len, _orig_len = self._record_header(header)
-            data = read(incl_len)
-            if len(data) < incl_len:
-                raise TruncatedRecordError(f"{self.path}: packet data truncated")
-            index = self.frames_total
-            self.frames_total = index + 1
-            record = _decode_frame(data, ts_sec + ts_frac * self._tick, index)
-            if record is None:
-                self.frames_skipped += 1
-                continue
-            self.records_emitted += 1
-            return record
+        record = next(self._block, None)
+        while record is None:
+            self._block = iter(self._read_block())
+            record = next(self._block, None)
+        return record
+
+    def _read_block(self) -> list:
+        """Records of the next run of whole frames. Raises StopIteration at a
+        clean end of file and TruncatedRecordError once only a partial
+        record is left."""
+        incl_len = self._incl_len
+        at = []
+        missing = 0
+        while not at:
+            # a frame longer than a block is completed by one read
+            chunk = self._fh.read(max(BLOCK_BYTES, missing))
+            buf = self._rest + chunk
+            pos, end = 0, len(buf)
+            while end - pos >= 16:
+                after = pos + 16 + incl_len(buf, pos)[0]
+                if after > end:
+                    missing = after - end
+                    break
+                at.append(pos)
+                pos = after
+            self._rest = buf[pos:]
+            if not chunk:             # no whole frame is left
+                if not self._rest:
+                    raise StopIteration
+                what = "record header" if len(self._rest) < 16 else "packet data"
+                raise TruncatedRecordError(f"{self.path}: {what} truncated")
+        at = np.array(at, dtype=np.int64)
+        headers = np.frombuffer(buf, dtype=np.uint8)[at[:, None] + np.arange(16)]
+        sec, frac, length, _orig_len = headers.view(self._endian + "u4").astype(np.int64).T
+        records = _decode_block(buf, at + 16, length, sec + frac * self._tick, self.frames_total)
+        self.frames_total += len(at)
+        self.records_emitted += len(records)
+        self.frames_skipped = self.frames_total - self.records_emitted
+        return records
 
 
 def open_capture(path) -> CaptureReader:

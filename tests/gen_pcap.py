@@ -52,9 +52,9 @@ def udp_frame(src, sport, dst, dport, payload=b""):
     return MAC_B + MAC_A + struct.pack(">H", 0x0800) + ip
 
 
-def icmp_frame(src, dst):
+def icmp_frame(src, dst, ihl_words=5):
     icmp = struct.pack(">BBHI", 8, 0, 0, 0)
-    ip = _ipv4_header(src, dst, 1, len(icmp)) + icmp
+    ip = _ipv4_header(src, dst, 1, len(icmp), ihl_words) + icmp
     return MAC_B + MAC_A + struct.pack(">H", 0x0800) + ip
 
 

@@ -2,7 +2,6 @@
 conftest hook. Empirical criteria use fixed seeds and report medians."""
 
 import json
-import math
 import os
 import time
 
@@ -169,7 +168,7 @@ def test_criterion_3_flow_assembly_oracle(tmp_path):
         table = FlowTable(window_secs=window)
         for record in parsed:
             table.assign_packet(record)
-        got = table_flows_as_tuples(table.flush(math.inf))
+        got = table_flows_as_tuples(table.flush())
         want = brute_force_flows(parsed, window)
         assert got == want, f"case {case}: assembly disagrees with oracle"
         assert sum(len(f[4]) for f in got) == len(parsed)

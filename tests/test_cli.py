@@ -100,6 +100,33 @@ def test_extract_same_capture_twice_is_input_error(tmp_path, two_flow_capture, c
     assert not out_dir.exists()
 
 
+def test_flows_never_span_capture_files(tmp_path, capsys):
+    """Each --pcap file gets its own flow table: a conversation split over two
+    captures becomes two flows, and two captures that open the same
+    conversation at the same instant collide on the flow id."""
+    frames = []
+    for i in range(4):
+        ends = [("10.0.0.1", 5000), ("10.0.0.2", 80)]
+        (src, sport), (dst, dport) = ends[::-1] if i % 2 else ends
+        frames.append((100.0 + 0.01 * i, tcp_frame(src, sport, dst, dport, flags=("ack",))))
+    paths = [tmp_path / name for name in ("first.pcap", "second.pcap", "again.pcap")]
+    for path, part in zip(paths, (frames[:2], frames[2:], frames[:1])):
+        write_pcap(path, part)
+
+    out_dir = tmp_path / "split"
+    assert run_cli("extract", "--pcap", paths[0], "--pcap", paths[1], "--out", out_dir) == 0
+    assert "flows=2 packets=4" in capsys.readouterr().out
+    rows = (out_dir / "flows.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "10.0.0.1:5000-10.0.0.2:80-tcp@100.000000", "10.0.0.1:5000-10.0.0.2:80-tcp@100.020000"]
+    assert [row.split(",")[8] for row in rows] == ["2", "2"]
+
+    assert run_cli("extract", "--pcap", paths[0], "--pcap", paths[2],
+                   "--out", tmp_path / "clash") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duplicate flow_id ") and err.count("\n") == 1
+
+
 @pytest.fixture
 def toy_dataset(tmp_path):
     samples = separable_suite(0, n=60, length=10, d=4)
@@ -286,6 +313,41 @@ def test_bad_grid_exit_2(tmp_path, toy_dataset):
                    "--grid", "2,banana", "--out", tmp_path / "s.csv") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["train", "--prefix-packets", "4"],
+    ["train", "--data", "{data}", "--prefix-packets", "x", "--out", "{tmp}/x.ckpt"],
+    ["train", "--data", "{data}", "--prefix-packets", "4", "--prefix-duration", "1",
+     "--out", "{tmp}/x.ckpt"],
+    ["train", "--data", "{data}", "--prefix-packets", "4", "--out", "{tmp}/x.ckpt", "--bogus"],
+    ["train", "--data", "{data}", "--prefix-duration", "-1e5x", "--out", "{tmp}/x.ckpt"],
+    ["eval", "--data", "{data}", "--ckpt", "{tmp}/x.ckpt", "--prefix-packets", "4",
+     "--split", "nope"],
+    ["extract", "--pcap", "{tmp}/a.pcap", "--window-secs", "soon", "--out", "{tmp}/ds"],
+], ids=["no-command", "unknown-command", "missing-required", "bad-int", "exclusive-pair",
+        "unknown-option", "bad-negative-float", "bad-choice", "bad-float"])
+def test_argparse_rejection_exit_2_one_line(tmp_path, toy_dataset, capsys, argv):
+    argv = [a.format(data=toy_dataset, tmp=tmp_path) for a in argv]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "usage:" not in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [toy_dataset]
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-1E+3", "-.5", "-2.", "-inf", "-nan"])
+def test_negative_flag_value_read_as_value(tmp_path, toy_dataset, capsys, value):
+    """A negative value given as its own argument reaches PrefixSpec exactly
+    as --flag=value does."""
+    common = ["train", "--data", toy_dataset, "--out", tmp_path / "x.ckpt"]
+    assert run_cli(*common, "--prefix-duration", value) == 2
+    separate = capsys.readouterr().err
+    assert run_cli(*common, f"--prefix-duration={value}") == 2
+    assert separate == capsys.readouterr().err
+    assert separate.startswith("error: duration prefix") and separate.count("\n") == 1
+
+
 def test_default_window_is_two_minutes():
     from earlyflow.cli import build_parser
     args = build_parser().parse_args(["extract", "--pcap", "x.pcap", "--out", "d"])
@@ -359,9 +421,8 @@ def test_train_any_config_exits_cleanly(tiny_dataset, config, prefix, seed):
         path = f"{tmp}/config.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        # flag=value, so argparse takes a value such as -1e-05 as the value
-        code = main(["train", f"--data={tiny_dataset}", f"{prefix[0]}={prefix[1]}",
-                     f"--config={path}", f"--out={tmp}/x.ckpt", f"--seed={seed}"])
+        code = main(["train", "--data", str(tiny_dataset), prefix[0], str(prefix[1]),
+                     "--config", path, "--out", f"{tmp}/x.ckpt", "--seed", str(seed)])
     assert code in (0, 1, 2)
     lines = stderr.getvalue().splitlines()
     assert len(lines) <= (code != 0) and not caught, (lines, [str(w.message) for w in caught])

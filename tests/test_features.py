@@ -1,5 +1,4 @@
 import csv
-import math
 import re
 import tempfile
 from pathlib import Path
@@ -14,25 +13,25 @@ from earlyflow.features import (
     write_dataset,
 )
 from earlyflow.flows import FlowTable
-from earlyflow.pcap import Transport
+from earlyflow.pcap import PacketRecord, Transport, ip_to_int, ip_to_str
 from earlyflow.training import ExternalFormatError, load_external_mts
 
-from flow_oracle import random_capture_records
 from gen_mts import separable_suite
 from naive import naive_extract_values, naive_read_long_format, naive_write_dataset
 from test_flows import rec
 
 
-def build_flow(packets):
+def one_sample(packets):
+    """The MtsSample of the one flow the packets form."""
     table = FlowTable(window_secs=120.0)
     for p in packets:
         table.assign_packet(p)
-    return table.flush(math.inf)[0]
+    (sample,) = extract_mts(table.flush())
+    return sample
 
 
 def test_single_packet_flow():
-    flow = build_flow([rec(3.0, flags=(0, 0, 0, 0, 0, 0, 0, 1, 0, 0))])
-    sample = extract_mts(flow)
+    sample = one_sample([rec(3.0, flags=(0, 0, 0, 0, 0, 0, 0, 1, 0, 0))])
     assert sample.length == 1
     assert sample.values[0, 0] == 1          # initiator direction
     assert sample.values[0, 1] == 0.0        # first IAT is zero
@@ -43,7 +42,7 @@ def test_single_packet_flow():
 
 def test_burst_flow_iat_sums_to_duration():
     packets = [rec(i * 0.10 / 9, idx=i) for i in range(10)]
-    sample = extract_mts(build_flow(packets))
+    sample = one_sample(packets)
     assert sample.length == 10
     assert abs(sample.values[:, 1].sum() - 0.10) < 1e-9
     assert abs(sample.duration - 0.10) < 1e-9
@@ -58,7 +57,7 @@ def test_three_packet_flow_matches_hand_decode():
         rec(1.002000, src="10.0.0.1", sport=5000, dst="10.0.0.2", dport=80,
             flags=(0, 0, 0, 0, 1, 0, 0, 0, 0, 0), idx=2),
     ]
-    sample = extract_mts(build_flow(packets))
+    sample = one_sample(packets)
     want = np.array([
         [1, 0.0,      40, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
         [-1, 0.0005,  40, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0],
@@ -70,19 +69,57 @@ def test_three_packet_flow_matches_hand_decode():
 
 
 def test_udp_flow_has_zero_flags():
-    sample = extract_mts(build_flow([rec(0.0, transport=Transport.UDP)]))
+    sample = one_sample([rec(0.0, transport=Transport.UDP)])
     assert np.all(sample.values[0, 3:13] == 0)
 
 
-@settings(max_examples=20)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_extract_mts_equals_per_packet_loop(seed):
+def pooled_capture(rng, n_packets, n_hosts, n_ports, straggle):
+    """Time-ordered records whose endpoints come from small pools of
+    addresses and ports, so conversations share an address or a port, and
+    some talk to themselves. Gaps sometimes pass the 120 s window (1-packet
+    flows), and packets moved up to 0.9 ms earlier, inside the ordering
+    tolerance, arrive as stragglers."""
+    hosts = [ip_to_int(f"10.0.0.{i + 1}") for i in range(n_hosts - 1)] + [ip_to_int("2001:db8::1")]
+    ports = [53, 80, 5353][:n_ports]
+    records, t = [], 1.7e9
+    for i in range(n_packets):
+        t += float(rng.choice([0.0, 0.01, 1.0, 121.0]))
+        early = float(rng.uniform(0.0, 0.9e-3)) if rng.random() < straggle else 0.0
+        transport = Transport.TCP if rng.random() < 0.7 else Transport.UDP
+        flags = tuple(int(b) for b in rng.random(10) < 0.3) if transport is Transport.TCP \
+            else (0,) * 10
+        records.append(PacketRecord(
+            timestamp=round(t, 6) - early, src_ip=hosts[rng.integers(n_hosts)],
+            dst_ip=hosts[rng.integers(n_hosts)], src_port=ports[rng.integers(n_ports)],
+            dst_port=ports[rng.integers(n_ports)], transport=transport,
+            total_bytes=int(rng.integers(40, 1500)), tcp_flags=flags, capture_index=i))
+    return records
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150), st.integers(1, 3), st.integers(1, 3),
+       st.floats(0.0, 0.5))
+def test_extract_mts_equals_per_packet_loop(seed, n_packets, n_hosts, n_ports, straggle):
+    """One pass over every flow of a random capture gives each flow the rows,
+    timestamps, endpoints and id of a per-flow oracle."""
     table = FlowTable(window_secs=120.0)
-    for record in random_capture_records(np.random.default_rng(seed), 200):
+    for record in pooled_capture(np.random.default_rng(seed), n_packets, n_hosts, n_ports,
+                                 straggle):
         table.assign_packet(record)
-    for flow in table.flush(math.inf):
-        values = extract_mts(flow).values
-        assert values.tobytes() == naive_extract_values(flow).tobytes()
+    flows = table.flush()
+    samples = extract_mts(flows)
+    assert len(samples) == len(flows)
+    for flow, sample in zip(flows, samples):
+        assert sample.values.tobytes() == naive_extract_values(flow).tobytes()
+        assert sample.timestamps.tolist() == [p.timestamp for p in flow.packets]
+        (src_ip, src_port), (dst_ip, dst_port) = flow.initiator, flow.responder
+        src, dst, transport = ip_to_str(src_ip), ip_to_str(dst_ip), flow.key.transport.value
+        assert sample.endpoints == (src, src_port, dst, dst_port, transport)
+        assert sample.flow_id == f"{src}:{src_port}-{dst}:{dst_port}-{transport}@{flow.start_ts:.6f}"
+
+
+def test_extract_mts_of_no_flows_is_empty():
+    assert extract_mts([]) == []
 
 
 def make_samples(rng, count, max_len=12):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -37,7 +35,7 @@ def test_same_tuple_far_apart_gets_new_window_index():
     table = FlowTable(window_secs=120.0)
     table.assign_packet(rec(0.0, idx=0))
     table.assign_packet(rec(200.0, idx=1))
-    flows = table.flush(math.inf)
+    flows = table.flush()
     assert len(flows) == 2
     assert [f.key.window_index for f in flows] == [0, 1]
 
@@ -47,7 +45,7 @@ def test_ten_packets_in_tenth_of_second_form_one_flow():
     table = FlowTable(window_secs=120.0)
     for i in range(10):
         table.assign_packet(rec(i * 0.10 / 9, idx=i))
-    flows = table.flush(math.inf)
+    flows = table.flush()
     assert len(flows) == 1
     assert len(flows[0].packets) == 10
     assert abs((flows[0].end_ts - flows[0].start_ts) - 0.10) < 1e-9
@@ -57,41 +55,32 @@ def test_window_boundary_inclusive():
     table = FlowTable(window_secs=120.0)
     table.assign_packet(rec(0.0, idx=0))
     table.assign_packet(rec(120.0, idx=1))
-    assert len(table.flush(math.inf)) == 1
+    assert len(table.flush()) == 1
 
 
 def test_window_boundary_plus_one_splits():
     table = FlowTable(window_secs=120.0)
     table.assign_packet(rec(0.0, idx=0))
     table.assign_packet(rec(121.0, idx=1))
-    assert len(table.flush(math.inf)) == 2
+    assert len(table.flush()) == 2
 
 
 def test_flush_empty_table():
-    assert FlowTable().flush(math.inf) == []
+    assert FlowTable().flush() == []
 
 
 def test_flush_open_flow_on_infinite_horizon():
     table = FlowTable(window_secs=120.0)
     table.assign_packet(rec(0.0))
-    flows = table.flush(math.inf)
+    flows = table.flush()
     assert len(flows) == 1
-
-
-def test_flush_respects_horizon():
-    table = FlowTable(window_secs=120.0)
-    table.assign_packet(rec(0.0, idx=0))
-    table.assign_packet(rec(300.0, sport=6000, idx=1))
-    assert len(table.flush(50.0)) == 0       # window still open at horizon
-    assert len(table.flush(200.0)) == 1      # first flow's window closed
-    assert len(table.flush(math.inf)) == 1
 
 
 def test_direction_relative_to_initiator():
     table = FlowTable(window_secs=120.0)
     table.assign_packet(rec(0.0, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=5000, idx=0))
     table.assign_packet(rec(0.1, src="10.0.0.1", sport=5000, dst="10.0.0.2", dport=80, idx=1))
-    flow = table.flush(math.inf)[0]
+    flow = table.flush()[0]
     assert flow.directions == [1, -1]
     assert flow.initiator == (ip_to_int("10.0.0.2"), 80)
 
@@ -103,11 +92,19 @@ def test_out_of_order_beyond_tolerance_rejected():
         table.assign_packet(rec(9.99, idx=1))
 
 
+def test_ordering_checked_against_latest_packet():
+    table = FlowTable(window_secs=120.0)
+    table.assign_packet(rec(10.0, idx=0))
+    table.assign_packet(rec(10.5, sport=6000, idx=1))
+    with pytest.raises(OrderingError):
+        table.assign_packet(rec(10.4, idx=2))
+
+
 def test_small_jitter_tolerated_and_sorted():
     table = FlowTable(window_secs=120.0)
     table.assign_packet(rec(10.0, idx=0))
     table.assign_packet(rec(10.0 - 0.0005, idx=1))
-    flow = table.flush(math.inf)[0]
+    flow = table.flush()[0]
     assert [p.capture_index for p in flow.packets] == [1, 0]
     assert flow.directions[0] == 1  # first packet is always the initiator
 
@@ -123,7 +120,7 @@ def test_responder_straggler_becomes_initiator():
     table.assign_packet(rec(10.0002, idx=3, **a))
     table.assign_packet(rec(10.0003, idx=4, **b))
     table.assign_packet(rec(10.0001, idx=5, **b))   # straggler after the flip
-    flow = table.flush(math.inf)[0]
+    flow = table.flush()[0]
     assert [p.capture_index for p in flow.packets] == [2, 0, 1, 5, 3, 4]
     assert flow.initiator == (ip_to_int("10.0.0.2"), 80)
     assert flow.responder == (ip_to_int("10.0.0.1"), 5000)
@@ -136,7 +133,7 @@ def test_interleaved_conversations_match_oracle():
     table = FlowTable(window_secs=120.0)
     for r in records:
         table.assign_packet(r)
-    got = table_flows_as_tuples(table.flush(math.inf))
+    got = table_flows_as_tuples(table.flush())
     want = brute_force_flows(records, 120.0)
     assert got == want
 
@@ -147,7 +144,7 @@ def test_partition_property():
     table = FlowTable(window_secs=120.0)
     for r in records:
         table.assign_packet(r)
-    flows = table.flush(math.inf)
+    flows = table.flush()
     assert table.packets_accepted == len(records)
     assert sum(len(f.packets) for f in flows) == len(records)
     seen = sorted(p.capture_index for f in flows for p in f.packets)
@@ -158,7 +155,7 @@ def make_flow(table_args=(120.0,), packets=()):
     table = FlowTable(*table_args)
     for p in packets:
         table.assign_packet(p)
-    return table.flush(math.inf)
+    return table.flush()
 
 
 def test_join_labels_no_rules_all_benign():

@@ -72,6 +72,16 @@ def test_real_dft_kernel_matches_naive_dft(n):
     assert rel_err(kernel @ x, np.concatenate([want.real, want.imag])) < 1e-9
 
 
+def test_real_dft_kernel_bit_identical_to_complex_kernel():
+    """The real kernel, gathered from the cos/sin table, holds the very bits
+    of [K.real; K.imag] for the complex forward kernel K."""
+    for n in range(1, 301):
+        k = _dft_matrix(n, -1)
+        kernel = real_dft_kernel(n)
+        assert kernel.flags.c_contiguous
+        assert kernel.tobytes() == np.concatenate([k.real, k.imag]).tobytes(), n
+
+
 def test_empty_vector_rejected():
     with pytest.raises(ValueError):
         fft_1d(np.zeros(0))

@@ -1,4 +1,3 @@
-import math
 import struct
 import tempfile
 from pathlib import Path
@@ -7,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from earlyflow.features import extract_mts
+from earlyflow import pcap
 from earlyflow.flows import FlowTable
 from earlyflow.pcap import (
-    TCP_FLAGS, CaptureError, CaptureReader, TCP_FLAG_NAMES, Transport, TruncatedHeaderError,
-    TruncatedRecordError, UnknownMagicError, UnsupportedLinkTypeError, ip_to_int,
-    ip_to_str, open_capture,
+    TCP_FLAGS, CaptureError, CaptureReader, PacketRecord, TCP_FLAG_NAMES, Transport,
+    TruncatedHeaderError, TruncatedRecordError, UnknownMagicError, UnsupportedLinkTypeError,
+    ip_to_int, ip_to_str, open_capture,
 )
 
 from gen_pcap import (
@@ -221,6 +221,7 @@ def mixed_frames():
         vlan_wrap(ipv6_tcp_frame("::1", 1, "::2", 2, flags=("fin",))),
         arp_frame(),
         icmp_frame("10.0.0.1", "10.0.0.2"),
+        icmp_frame("10.0.0.1", "10.0.0.2", ihl_words=15),   # 40 bytes of IP options
         fragment_frame("10.0.0.1", "10.0.0.2"),
         tcp + b"\x00" * 6,          # Ethernet padding past the IP datagram
         tcp[:14 + 20 + 13],         # TCP header cut before the flags byte
@@ -254,9 +255,9 @@ def test_flat_decoder_matches_slicing_decoder(tmp_path, endian, nanos):
     fast, slow = parse_both(path)
     assert fast == slow
     records, total, skipped = fast
-    assert (total, len(records)) == (len(frames), 9)
+    assert (total, len(records)) == (len(frames), 10)
     transports = [r.transport for r in records]
-    assert transports.count(Transport.OTHER) == 1 and transports.count(Transport.UDP) == 2
+    assert transports.count(Transport.OTHER) == 2 and transports.count(Transport.UDP) == 2
 
 
 def test_flag_table_matches_bitwise_decode():
@@ -311,5 +312,80 @@ def test_mutated_frames_match_oracle_and_raise_only_capture_errors(specs, cut):
             for record in fast[0]:
                 if record.transport is not Transport.OTHER:
                     table.assign_packet(record)
-            for flow in table.flush(math.inf):
-                extract_mts(flow)
+            extract_mts(table.flush())
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, len(mixed_frames()) - 1), max_size=12),
+       st.integers(1, 300), st.integers(0, 40), st.booleans())
+def test_block_decoder_matches_oracle_across_block_boundaries(which, block_bytes, cut, nanos):
+    """Blocks far smaller than a frame, and frames straddling every block
+    boundary, decode to the oracle's records, counts and errors."""
+    base = mixed_frames()
+    frames = [(1.7e9 + 0.01 * i, base[w]) for i, w in enumerate(which)]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pcap, "BLOCK_BYTES", block_bytes)
+        path = Path(tmp, "blocks.pcap")
+        write_pcap(path, frames, nanos=nanos)
+        if cut:
+            path.write_bytes(path.read_bytes()[:-cut])
+        fast, slow = parse_both(path)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("cut,what", [(3, "packet data"), (42 + 1, "record header")])
+def test_records_yielded_before_a_truncation(tmp_path, monkeypatch, cut, what):
+    """Whole frames ahead of a cut record are yielded before the error, which
+    names the part that was cut."""
+    monkeypatch.setattr(pcap, "BLOCK_BYTES", 64)
+    frame = udp_frame("10.0.0.3", 53, "10.0.0.4", 5353)
+    assert len(frame) == 42
+    path = tmp_path / "cut.pcap"
+    write_pcap(path, [(1.0 + i, frame) for i in range(5)])
+    path.write_bytes(path.read_bytes()[:-cut])   # 43 bytes leave 15 of the last header
+    with open_capture(path) as reader:
+        got = []
+        with pytest.raises(TruncatedRecordError, match=f"{what} truncated"):
+            for record in reader:
+                got.append(record.capture_index)
+    assert got == [0, 1, 2, 3]
+
+
+class CountingFile:
+    """Binary file whose read calls are recorded."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+        self.reads = []
+
+    def read(self, size):
+        self.reads.append(size)
+        return self.fh.read(size)
+
+    def close(self):
+        self.fh.close()
+
+
+def test_frame_longer_than_a_block_takes_one_more_read(tmp_path, monkeypatch):
+    files = []
+    monkeypatch.setattr(pcap, "open", lambda *a: files.append(CountingFile(*a)) or files[-1],
+                        raising=False)
+    monkeypatch.setattr(pcap, "BLOCK_BYTES", 16)
+    big = tcp_frame("10.0.0.1", 1234, "10.0.0.2", 80, payload=b"x" * 20000)
+    path = tmp_path / "big.pcap"
+    write_pcap(path, [(1.0, big), (2.0, udp_frame("10.0.0.3", 53, "10.0.0.4", 5353))])
+    records, _ = read_all(path)
+    assert [r.total_bytes for r in records] == [len(big) - 14, 28]
+    assert len(files[0].reads) <= 6, files[0].reads
+
+
+@given(st.sampled_from(PacketRecord._fields + ("extra",)),
+       st.one_of(st.integers(), st.floats(), st.none()))
+def test_packet_record_is_immutable(field, value):
+    record = PacketRecord(timestamp=1.0, src_ip=1, dst_ip=2, src_port=3, dst_port=4,
+                          transport=Transport.UDP, total_bytes=28, tcp_flags=(0,) * 10,
+                          capture_index=0)
+    before = tuple(record)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    assert tuple(record) == before
