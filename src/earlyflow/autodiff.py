@@ -297,23 +297,24 @@ EXP_ZERO_BELOW = -746.0
 def softmax_inplace(x: np.ndarray, axis: int = -1, scale: float | None = None) -> np.ndarray:
     """Overwrite x with softmax(scale * x) along axis and return it.
 
-    Raises ValueError if a scaled value is NaN or infinite. The row max that
-    shifts the exponent catches NaN and +inf, one min over x catches -inf,
-    so the check allocates nothing the size of x."""
+    Raises ValueError if a scaled value is NaN or infinite, leaving x
+    overwritten. Such a value turns its row sum into NaN (NaN and +inf
+    through the shift, -inf through the masking below), and a finite row
+    sums to at least 1, so the row sums are the only check."""
     if scale is not None:
         x *= scale
-    low = x.min()
-    peak = np.max(x, axis=axis, keepdims=True)
-    if not (np.isfinite(low) and np.isfinite(peak).all()):
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows raise below
+        x -= np.max(x, axis=axis, keepdims=True)
+        # np.exp runs about 15x slower on inputs whose result underflows;
+        # send those through as -0.0 and zero their results, same bits
+        keep = x >= EXP_ZERO_BELOW
+        x *= keep
+        np.exp(x, out=x)
+        x *= keep
+        total = x.sum(axis=axis, keepdims=True)
+    if not np.isfinite(total).all():
         raise ValueError("softmax over non-finite input")
-    x -= peak
-    # np.exp runs about 15x slower on inputs whose result underflows; send
-    # those through as -0.0 and zero their results, same bits
-    keep = x >= EXP_ZERO_BELOW
-    x *= keep
-    np.exp(x, out=x)
-    x *= keep
-    x /= x.sum(axis=axis, keepdims=True)
+    x /= total
     return x
 
 
@@ -335,11 +336,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if not np.isfinite(x.data).all():
         raise ValueError("layer_norm over non-finite input")
 
-    xv = x.data
-    mean = xv.mean(axis=-1, keepdims=True)
-    var = xv.var(axis=-1, keepdims=True)
+    # np.var's own ops on the centred values, so the same bits as np.var
+    centred = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(centred).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mean) * inv
+    xhat = centred * inv
     out = gain.data * xhat + bias.data
 
     def bw(g):

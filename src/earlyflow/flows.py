@@ -14,6 +14,8 @@ import csv
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .pcap import PacketRecord, Transport, ip_to_int
 
 # Capture files are near-sorted; reordering beyond this is an input error
@@ -198,24 +200,43 @@ def load_label_rules(path) -> list:
     return rules
 
 
-def _endpoint_matches(rule_ip, rule_port, endpoint) -> bool:
-    ip, port = endpoint
-    return (rule_ip is None or rule_ip == ip) and (rule_port is None or rule_port == port)
-
-
-def _rule_matches(rule: LabelRule, start_ts, end_ts, initiator, responder) -> bool:
-    if rule.start_ts > end_ts or start_ts > rule.end_ts:
-        return False
-    return ((_endpoint_matches(rule.src_ip, rule.src_port, initiator)
-             and _endpoint_matches(rule.dst_ip, rule.dst_port, responder))
-            or (_endpoint_matches(rule.src_ip, rule.src_port, responder)
-                and _endpoint_matches(rule.dst_ip, rule.dst_port, initiator)))
-
-
 def join_labels(flows, rules) -> list:
     """Label each flow with the first matching rule (file order); flows no
-    rule matches become BENIGN. Rules match in either endpoint orientation."""
-    for flow in flows:
-        span = (flow.start_ts, flow.end_ts, flow.initiator, flow.responder)
-        flow.label = next((rule.label for rule in rules if _rule_matches(rule, *span)), "BENIGN")
+    rule matches become BENIGN. A rule matches a flow whose [start, end]
+    overlaps its own (bounds inclusive) and whose endpoints fit its source
+    and destination in either orientation; None fields are wildcards.
+
+    One numpy mask per rule over all flows. Addresses are 128-bit, so they
+    are compared through small integer codes, not as int64."""
+    codes = {}
+
+    def columns(endpoints):
+        ips = np.array([codes.setdefault(ip, len(codes)) for ip, _ in endpoints], dtype=np.int64)
+        ports = np.array([port for _, port in endpoints], dtype=np.int64)
+        return ips, ports
+
+    initiator = columns([flow.initiator for flow in flows])
+    responder = columns([flow.responder for flow in flows])
+    start = np.array([flow.start_ts for flow in flows], dtype=np.float64)
+    end = np.array([flow.end_ts for flow in flows], dtype=np.float64)
+
+    def fits(rule_ip, rule_port, endpoint):
+        ips, ports = endpoint
+        mask = np.ones(len(ips), dtype=bool)
+        if rule_ip is not None:
+            mask &= ips == codes.get(rule_ip, -1)
+        if rule_port is not None:
+            mask &= ports == rule_port
+        return mask
+
+    matched = np.full(len(start), -1)
+    for i, rule in enumerate(rules):
+        hit = ~((rule.start_ts > end) | (start > rule.end_ts)) & (matched < 0)
+        hit &= ((fits(rule.src_ip, rule.src_port, initiator)
+                 & fits(rule.dst_ip, rule.dst_port, responder))
+                | (fits(rule.src_ip, rule.src_port, responder)
+                   & fits(rule.dst_ip, rule.dst_port, initiator)))
+        matched[hit] = i
+    for flow, i in zip(flows, matched.tolist()):
+        flow.label = rules[i].label if i >= 0 else "BENIGN"
     return flows

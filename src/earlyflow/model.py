@@ -19,6 +19,15 @@ into one buffer under one in-place softmax, and the backward adds its
 products in the order the op-by-op composition would, so it gives the same
 bits as that composition.
 
+The head reads only the classification token of the last block, so that
+block attends from its first HEAD_QUERIES = 2 positions (the token and the
+first packet) and its score, softmax and mixing work shrinks from T x T to
+2 x T. Two rows rather than one: a one-row product takes BLAS's
+matrix-vector path, which rounds differently from the same row of a wider
+product. Everything else in the block keeps its full shape (and its dropout
+draws), so training gives the same bits as full attention; eval logits can
+move by a few ulps at attention lengths past about 190.
+
 predict and forward_prefixes run without an autodiff graph.
 
 use_frequency_heads=False disables both the input widening and the frequency
@@ -48,6 +57,8 @@ CHECKPOINT_FORMAT = "earlyflow-checkpoint-v1"
 # or bigger score tensors than that group does.
 MAX_GROUP = 32
 MAX_GROUP_CELLS = MAX_GROUP * 65 ** 2
+# Query rows the last encoder block attends from (see the module docstring).
+HEAD_QUERIES = 2
 
 
 @dataclass
@@ -177,7 +188,8 @@ def ifft_augment(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, spectrum.real, spectrum.imag], axis=-1)
 
 
-def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = True) -> Tensor:
+def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = True,
+           queries: int | None = None) -> Tensor:
     """Multi-domain multi-head attention over a (batch, length, d_model) stack
     of equal-length sequences; each sequence attends only to itself. Scores
     are scaled by 1/sqrt(d_model).
@@ -188,14 +200,21 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
     (the [C; -S] kernel applied once) are stacked; z and C z are projected
     by one matmul with [w_q | w_k | w_v], and -S z by [w_q | w_k] alone,
     since no head uses its values. The time scores q k^T and the frequency
-    scores q_re k_re^T + q_im k_im^T fill one (batch, 2 * n_heads, length,
+    scores q_re k_re^T + q_im k_im^T fill one (batch, 2 * n_heads, queries,
     length) buffer that one in-place softmax normalizes; the time heads mix
     v and the frequency heads the real part of the transformed values.
+
+    queries: attend from the first `queries` positions only (None: every
+    position); the other output rows are zeros. Only the per-query work
+    shrinks: the projections, keys, values, output projection and every
+    weight-grad product keep their full shapes, so the rows computed, and
+    all grads, match those of full attention.
 
     Every product and sum is the one the op-by-op composition makes (see
     naive_md_mha in the tests), in the same order, so outputs and grads
     match it bit for bit and training reruns do not drift."""
     batch, length, d_model = z.shape
+    n_queries = length if queries is None else min(queries, length)
     dv = d_model // n_heads
     families = 2 if use_frequency else 1     # score families: time, frequency
     domains = 3 if use_frequency else 1      # stacked inputs: z, C z, -S z
@@ -220,38 +239,43 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
 
     proj = stacked[:families] @ w_qkv
     q, k, v = (columns(proj, j) for j in range(3))
-    scores = np.empty((batch, families * n_heads, length, length))
-    by_family = scores.reshape(batch, families, n_heads, length, length)
+    q = q[..., :n_queries, :]
+    scores = np.empty((batch, families * n_heads, n_queries, length))
+    by_family = scores.reshape(batch, families, n_heads, n_queries, length)
     np.matmul(q, k.swapaxes(-1, -2), out=by_family)
     if use_frequency:
         proj_im = stacked[2:] @ w_qkv[:, :2 * d_model]
         q_im, k_im = (columns(proj_im, j)[:, 0] for j in range(2))
+        q_im = q_im[..., :n_queries, :]
         by_family[:, 1] += q_im @ k_im.swapaxes(-1, -2)
     ad.softmax_inplace(scores, scale=scaling)
-    mixed = by_family @ v
-    merged = mixed.transpose(0, 3, 1, 2, 4).reshape(batch, length, families * d_model)
+    merged = np.zeros((batch, length, families * d_model))
+    merged[:, :n_queries] = (by_family @ v).transpose(0, 3, 1, 2, 4).reshape(batch, n_queries, -1)
     w_o = params.w_o.data
 
     def bw(g):
         _accum(params.w_o, merged.reshape(-1, families * d_model).T @ g.reshape(-1, d_model))
-        g_mixed = (g @ w_o.T).reshape(batch, length, families, n_heads, dv).transpose(0, 2, 3, 1, 4)
+        g_mixed = (g @ w_o.T)[:, :n_queries].reshape(batch, n_queries, families, n_heads, dv) \
+            .transpose(0, 2, 3, 1, 4)
         g_scores = g_mixed @ v.swapaxes(-1, -2)
-        # grads of q and v as (domain, batch, length, d_model) rows
-        g_queries = np.empty((domains, batch, length, d_model))
+        # grads of q and v as (domain, batch, length, d_model) rows; query
+        # rows past n_queries get no grad
+        g_queries = np.zeros((domains, batch, length, d_model))
         g_values = np.empty((families, batch, length, d_model))
         np.matmul(by_family.swapaxes(-1, -2), g_mixed, out=head_rows(g_values))
         # softmax Jacobian, then the scaling
         g_scores -= (g_scores * by_family).sum(axis=-1, keepdims=True)
         g_scores *= by_family
         g_scores *= scaling
-        np.matmul(g_scores, k, out=head_rows(g_queries)[:, :families])
+        g_q = head_rows(g_queries)[..., :n_queries, :]
+        np.matmul(g_scores, k, out=g_q[:, :families])
         # key grads come out as (dv, length) matrices, as the op graph makes
         # them; BLAS rounds a product with a transposed operand differently,
         # so the products below take them in that layout
         g_keys = np.empty((batch, domains, n_heads, dv, length))
         np.matmul(q.swapaxes(-1, -2), g_scores, out=g_keys[:, :families])
         if use_frequency:
-            np.matmul(g_scores[:, 1], k_im, out=head_rows(g_queries)[:, 2])
+            np.matmul(g_scores[:, 1], k_im, out=g_q[:, 2])
             np.matmul(q_im.swapaxes(-1, -2), g_scores[:, 1], out=g_keys[:, 2])
         g_rows = (g_queries,
                   g_keys.transpose(1, 0, 4, 2, 3).reshape(domains, batch, length, d_model),
@@ -287,11 +311,12 @@ def _dropout(t: Tensor, p: float, training: bool, rng) -> Tensor:
 
 
 def encoder_block(z: Tensor, block: BlockParams, config: MdtConfig,
-                  training: bool = False, rng=None) -> Tensor:
+                  training: bool = False, rng=None, queries: int | None = None) -> Tensor:
     """Post-norm block over a (batch, length, d_model) stack: attention,
     residual + layer norm, feed-forward, residual + layer norm. Shape
-    preserving."""
-    attended = md_mha(z, block.attn, config.n_heads, config.use_frequency_heads)
+    preserving. queries: attend from the first `queries` positions only
+    (see md_mha); later rows then skip attention, and callers drop them."""
+    attended = md_mha(z, block.attn, config.n_heads, config.use_frequency_heads, queries)
     z = ad.layer_norm(ad.add(z, _dropout(attended, config.dropout, training, rng)),
                       block.ln1_gain, block.ln1_bias, eps=LN_EPS)
     hidden = ad.relu(ad.linear(z, block.ff_w1, block.ff_b1))
@@ -327,8 +352,9 @@ def forward(model: MdtModel, x, training: bool = False, rng=None):
     z = ad.add(z, const(np.broadcast_to(model.positional[:length], z.shape)))
     cls = ad.matmul(const(np.ones((batch, 1, 1))), model.cls_token)
     z = ad.concat([cls, z], axis=1)
-    for block in model.blocks:
-        z = encoder_block(z, block, c, training, rng)
+    for i, block in enumerate(model.blocks):
+        last = i == len(model.blocks) - 1
+        z = encoder_block(z, block, c, training, rng, HEAD_QUERIES if last else None)
     latent = ad.reshape(ad.slice_axis(z, 1, 0, 1), (batch, c.d_model))
     logits = ad.add_bias(ad.matmul(latent, model.head_w), model.head_b)
     if single:
@@ -399,41 +425,52 @@ def save_checkpoint(model: MdtModel, path):
 
 
 def load_checkpoint(path) -> MdtModel:
-    """Model from a manifest and its blob. A manifest that does not fit its
-    config (unknown or missing keys, parameter names or shapes the config
-    does not produce) raises ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """Model from a manifest and its blob. A manifest that is not valid JSON
+    or does not fit its config (unknown or missing keys, a seed that is not
+    an integer >= 0, classes that are not one string per class, parameter
+    names or shapes the config does not produce, a blob of another size)
+    raises ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ValueError(f"{path}: not a checkpoint manifest: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint manifest")
     try:
         config = MdtConfig(**manifest["config"])
         seed = manifest["seed"]
-        entries = [(entry["name"], tuple(entry["shape"])) for entry in manifest["parameters"]]
+        entries = [(entry["name"], entry["shape"]) for entry in manifest["parameters"]]
     except KeyError as exc:
         raise ValueError(f"{path}: manifest lacks {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest: {exc}") from None
+    if type(seed) is not int or seed < 0:  # bool is an int subclass
+        raise ValueError(f"{path}: seed must be an integer >= 0, got {seed!r}")
+    classes = manifest.get("classes")
+    if classes is not None and not (isinstance(classes, list) and len(classes) == config.n_classes
+                                    and all(isinstance(c, str) for c in classes)):
+        raise ValueError(f"{path}: classes must be null or {config.n_classes} strings")
     model = MdtModel(config, seed=seed)
-    if manifest.get("classes"):
-        model.classes = tuple(manifest["classes"])
+    if classes:
+        model.classes = tuple(classes)
+    names = [name for name, _ in entries]
+    if not all(isinstance(name, str) for name in names) or sorted(names) != sorted(model.params):
+        raise ValueError(f"{path}: parameter names do not match the config")
+    for name, shape in entries:
+        want = list(model.params[name].data.shape)
+        if shape != want or any(type(n) is not int for n in shape):  # 64.0 and True pass ==
+            raise ValueError(f"{path}: parameter {name} has shape {shape!r}, the config needs {want}")
     with open(_blob_path(path), "rb") as fh:
         blob = fh.read()
+    if len(blob) != 8 * sum(t.data.size for t in model.params.values()):
+        raise ValueError(f"{path}: parameter blob size mismatch")
     offset = 0
     arrays = {}
-    for name, shape in entries:
-        count = int(np.prod(shape)) if shape else 1
-        chunk = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[name] = chunk.reshape(shape)
-        offset += count * 8
-    if offset != len(blob):
-        raise ValueError(f"{path}: parameter blob size mismatch")
-    if set(arrays) != set(model.params):
-        raise ValueError(f"{path}: parameter names do not match the config")
-    for name, t in model.params.items():
-        if arrays[name].shape != t.data.shape:
-            raise ValueError(f"{path}: parameter {name} has shape {list(arrays[name].shape)}, "
-                             f"the config needs {list(t.data.shape)}")
+    for name, _ in entries:
+        t = model.params[name].data
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=t.size, offset=offset).reshape(t.shape)
+        offset += 8 * t.size
     model.load_state(arrays)
     return model
 

@@ -72,6 +72,10 @@ class Transport(enum.Enum):
     UDP = "udp"
     OTHER = "other"
 
+    # Members are singletons that compare by identity; Enum.__hash__ hashes
+    # the name in Python, a call paid by every flow-key dict lookup.
+    __hash__ = object.__hash__
+
 
 class PacketRecord(NamedTuple):
     """One parsed packet, immutable. Addresses are 128-bit integers (IPv4

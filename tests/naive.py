@@ -50,6 +50,13 @@ def naive_matmul(a, b):
     return out
 
 
+def naive_layer_norm(x, gain, bias, eps):
+    """Layer norm forward from np.mean and np.var along the last axis."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return gain * ((x - mean) * (1.0 / np.sqrt(var + eps))) + bias
+
+
 # ---------------------------------------------------------------------------
 # multi-domain attention as a graph of autodiff ops
 
@@ -90,6 +97,29 @@ def naive_md_mha(z, params, n_heads, use_frequency=True):
 
 # ---------------------------------------------------------------------------
 # features: one row per packet, one csv.writer row per packet, float() per cell
+
+def naive_join_labels(flows, rules):
+    """Label of each flow: the first rule, in file order, whose [start, end]
+    overlaps the flow's (bounds inclusive) and whose endpoints fit the flow
+    in either orientation; None rule fields match anything."""
+
+    def fits(ip, port, endpoint):
+        return (ip is None or ip == endpoint[0]) and (port is None or port == endpoint[1])
+
+    labels = []
+    for flow in flows:
+        a, b = flow.initiator, flow.responder
+        label = "BENIGN"
+        for rule in rules:
+            if rule.start_ts > flow.end_ts or flow.start_ts > rule.end_ts:
+                continue
+            if ((fits(rule.src_ip, rule.src_port, a) and fits(rule.dst_ip, rule.dst_port, b))
+                    or (fits(rule.src_ip, rule.src_port, b) and fits(rule.dst_ip, rule.dst_port, a))):
+                label = rule.label
+                break
+        labels.append(label)
+    return labels
+
 
 def naive_extract_values(flow):
     """(L, 13) feature rows of a flow, filled packet by packet."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earlyflow import autodiff as ad
 from earlyflow.autodiff import (
@@ -9,7 +10,7 @@ from earlyflow.autodiff import (
 )
 
 from gradcheck import assert_grads_match
-from naive import naive_matmul
+from naive import naive_layer_norm, naive_matmul
 
 
 def rand(rng, *shape):
@@ -63,6 +64,18 @@ def test_layer_norm_two_dim_pathology():
     assert np.allclose(out[0], [0.0, 0.0], atol=1e-6)
     assert np.allclose(out[1], [1.0, -1.0], atol=1e-6)
     assert np.allclose(out[2], [-1.0, 1.0], atol=1e-6)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 5), st.integers(1, 70), st.floats(1e-3, 1e6), st.floats(-1e6, 1e6))
+def test_layer_norm_same_bits_as_mean_var_formula(rows, width, spread, offset):
+    # layer_norm derives the variance from its own centred values; that is
+    # np.var's computation, so the output bits are np.var's
+    rng = np.random.default_rng([rows, width])
+    x = rng.normal(size=(rows, 3, width)) * spread + offset
+    gain, bias = rng.normal(size=width), rng.normal(size=width)
+    got = layer_norm(const(x), const(gain), const(bias), eps=1e-5).data
+    assert got.tobytes() == naive_layer_norm(x, gain, bias, 1e-5).tobytes()
 
 
 def test_layer_norm_scale_invariance():

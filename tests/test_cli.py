@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shutil
 import re
 import tempfile
 import warnings
@@ -426,3 +427,59 @@ def test_train_any_config_exits_cleanly(tiny_dataset, config, prefix, seed):
     assert code in (0, 1, 2)
     lines = stderr.getvalue().splitlines()
     assert len(lines) <= (code != 0) and not caught, (lines, [str(w.message) for w in caught])
+
+
+# ---------------------------------------------------------------------------
+# property: any edit of a checkpoint manifest ends eval and latents in exit
+# 0, or in exit 2 with one `error:` line
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tiny_dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    config = out.parent / "config.json"
+    config.write_text(json.dumps({
+        "model": {"d_model": 4, "n_heads": 2, "n_blocks": 1, "d_ff": 4},
+        "training": {"max_epochs": 1},
+    }), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--data", str(tiny_dataset), "--prefix-packets", "4",
+                     "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+def edited(data, value):
+    """value with one member, at any depth, replaced by a JSON value or removed."""
+    if isinstance(value, dict) and value:
+        key = data.draw(st.sampled_from(sorted(value)))
+    elif isinstance(value, list) and value:
+        key = data.draw(st.integers(0, len(value) - 1))
+    else:
+        return data.draw(JSON_VALUES)
+    value = value.copy()
+    how = data.draw(st.sampled_from(["inside", "replace", "remove"]))
+    if how == "remove":
+        del value[key]
+    else:
+        value[key] = edited(data, value[key]) if how == "inside" else data.draw(JSON_VALUES)
+    return value
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_eval_and_latents_any_manifest_exit_cleanly(tiny_dataset, tiny_checkpoint, data):
+    manifest = edited(data, json.loads(tiny_checkpoint.read_text(encoding="utf-8")))
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = f"{tmp}/model.ckpt"
+        with open(ckpt, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        shutil.copyfile(f"{tiny_checkpoint}.bin", f"{ckpt}.bin")
+        for command in (["eval", "--seed", "1"], ["latents"]):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(command + ["--data", str(tiny_dataset), "--ckpt", ckpt,
+                                       "--prefix-packets", "4", "--out", f"{tmp}/out.csv"])
+            lines = stderr.getvalue().splitlines()
+            assert code in (0, 2) and not caught, (code, lines, [str(w.message) for w in caught])
+            assert len(lines) == (code == 2) and all(line.startswith("error: ") for line in lines)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earlyflow.flows import (
     FlowKeyError, FlowTable, LabelRuleError, OrderingError, canonical_key,
@@ -8,6 +9,7 @@ from earlyflow.flows import (
 from earlyflow.pcap import PacketRecord, Transport, ip_to_int
 
 from flow_oracle import brute_force_flows, random_capture_records, table_flows_as_tuples
+from naive import naive_join_labels
 
 
 def rec(ts, src="10.0.0.1", sport=5000, dst="10.0.0.2", dport=80,
@@ -188,6 +190,35 @@ def test_join_labels_interval_must_overlap():
                      start_ts=100.0, end_ts=200.0, label="Late")
     join_labels(flows, [rule])
     assert flows[0].label == "BENIGN"
+
+
+# IPv6 addresses do not fit in int64; 10.9.9.9 and port 2**70 appear in no flow
+ADDRESSES = ["10.0.0.1", "10.0.0.2", "2001:db8::1"]
+PORTS = [80, 5000]
+endpoint_lists = st.lists(st.tuples(st.sampled_from(ADDRESSES), st.sampled_from(PORTS),
+                                    st.sampled_from(ADDRESSES), st.sampled_from(PORTS)),
+                          max_size=30)
+rule_ips = st.none() | st.sampled_from(ADDRESSES + ["10.9.9.9"]).map(ip_to_int)
+rule_ports = st.none() | st.sampled_from(PORTS + [2 ** 70])
+# a rule's end falls up to 16 s after its start, or up to 2 s before it
+rule_lists = st.lists(st.tuples(rule_ips, rule_ports, rule_ips, rule_ports,
+                                st.integers(0, 30), st.integers(-2, 16)), max_size=8)
+
+
+@settings(max_examples=80)
+@given(endpoint_lists, rule_lists)
+def test_join_labels_matches_rule_by_rule_oracle(endpoints, rule_fields):
+    # one packet a second, so flow bounds and rule bounds often coincide
+    table = FlowTable(window_secs=4.0)
+    for ts, (src, sport, dst, dport) in enumerate(endpoints):
+        table.assign_packet(rec(float(ts), src, sport, dst, dport))
+    flows = table.flush()
+    rules = [LabelRule(*fields[:4], start_ts=float(start), end_ts=float(start + span),
+                       label=f"rule{i}")
+             for i, (*fields, start, span) in enumerate(rule_fields)]
+    want = naive_join_labels(flows, rules)
+    assert join_labels(flows, rules) is flows
+    assert [flow.label for flow in flows] == want
 
 
 def test_load_label_rules(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earlyflow import autodiff as ad
 from earlyflow import model as model_module
@@ -14,8 +15,9 @@ from earlyflow.model import (
     export_latents, forward, forward_prefixes, ifft_augment, length_buckets,
     load_checkpoint, md_mha, predict, save_checkpoint,
 )
-from earlyflow.training import minibatch_gradients
+from earlyflow.training import Hyperparams, minibatch_gradients, train
 
+from gen_mts import frequency_suite
 from gradcheck import assert_grads_match
 from naive import naive_dft, naive_dft_2d, naive_md_mha
 
@@ -207,9 +209,11 @@ def test_md_mha_score_rows_sum_to_one(softmax_outputs):
     assert np.allclose(freq_scores.sum(axis=-1), 1.0)
 
 
-def fft_pair_md_mha(z, params, n_heads, use_frequency=True):
+def fft_pair_md_mha(z, params, n_heads, use_frequency=True, queries=None):
     """Reference for md_mha's frequency heads: q, k and v each transformed
-    per head along the sequence axis by ad.fft_pair."""
+    per head along the sequence axis by ad.fft_pair. It attends from every
+    position whatever queries says; forward reads only the rows md_mha
+    computes."""
     assert use_frequency
     batch, length, d_model = z.shape
     dv = d_model // n_heads
@@ -304,6 +308,75 @@ def test_md_mha_equals_graph_oracle_bit_for_bit(batch, length):
     want = attention_and_grads(naive_md_mha, z, p, True, weights, n_heads=4)
     for name, a, b in zip(("out", "z", "w_q", "w_k", "w_v", "w_o"), got, want):
         assert a.tobytes() == b.tobytes(), name
+
+
+def leading_rows_and_full(z, p, use_freq, n_heads, queries):
+    """md_mha attending from the first `queries` rows, and from every row,
+    each with its grads under an upstream grad that is nonzero only in row 0,
+    the one row the classification head reads."""
+    upstream = np.zeros(z.shape)
+    upstream[:, 0] = np.random.default_rng(44).normal(size=(z.shape[0], z.shape[2]))
+    weights = const(upstream)
+
+    def leading(z, p, n_heads, use_freq):
+        return md_mha(z, p, n_heads, use_freq, queries)
+
+    return (attention_and_grads(leading, z, p, use_freq, weights, n_heads),
+            attention_and_grads(md_mha, z, p, use_freq, weights, n_heads))
+
+
+@pytest.mark.parametrize("use_freq", [True, False])
+@pytest.mark.parametrize("batch", [1, 32])
+def test_md_mha_leading_rows_equal_full_rows_bit_for_bit(batch, use_freq):
+    # the criterion-6 shape: attending from two rows gives the full node's
+    # first two rows and its grads, so training bits do not move
+    rng = np.random.default_rng(45)
+    z = param(rng.normal(size=(batch, 17, 32)))
+    p = make_attn_params(rng, 32, 4, use_freq)
+    got, want = leading_rows_and_full(z, p, use_freq, 4, queries=2)
+    assert got[0][:, :2].tobytes() == want[0][:, :2].tobytes()
+    assert not got[0][:, 2:].any()
+    for name, a, b in zip(("z", "w_q", "w_k", "w_v", "w_o"), got[1:], want[1:]):
+        assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 32), st.integers(2, 257), st.booleans())
+def test_md_mha_leading_rows_match_full_rows(batch, length, use_freq):
+    # past about 190 positions BLAS rounds a two-row product differently
+    # from the same rows of the full one; forward groups hold at most
+    # MAX_GROUP_CELLS score cells, and so does this batch
+    batch = max(1, min(batch, model_module.MAX_GROUP_CELLS // length ** 2))
+    rng = np.random.default_rng([batch, length])
+    z = param(rng.normal(size=(batch, length, 32)))
+    p = make_attn_params(rng, 32, 4, use_freq)
+    got, want = leading_rows_and_full(z, p, use_freq, 4, queries=2)
+    assert np.abs(got[0][:, :2] - want[0][:, :2]).max() <= 1e-12
+    assert not got[0][:, 2:].any()
+    for name, a, b in zip(("z", "w_q", "w_k", "w_v", "w_o"), got[1:], want[1:]):
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
+
+
+def test_training_bits_match_full_attention(monkeypatch):
+    # forward attends from two rows in its last block; a short seeded train
+    # on the criterion-6 configuration ends with the same parameter bytes as
+    # one whose every block attends from every row
+    samples = frequency_suite(0, n=60, length=20, d=13)
+    config = MdtConfig(d_in=13, n_classes=3, d_model=32, n_heads=4, n_blocks=2,
+                       d_ff=64, max_len=16, dropout=0.1)
+    hp = Hyperparams(max_epochs=2, patience=5)
+
+    def trained_bytes():
+        model = MdtModel(config, seed=3)
+        train(model, samples, PrefixSpec.by_count(16), hp, seed=3)
+        return [t.data.tobytes() for t in model.parameters()]
+
+    pruned = trained_bytes()
+    full_rows = model_module.md_mha
+    monkeypatch.setattr(model_module, "md_mha",
+                        lambda z, p, n_heads, use_frequency=True, queries=None:
+                        full_rows(z, p, n_heads, use_frequency))
+    assert trained_bytes() == pruned
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -481,11 +554,32 @@ def _swap_w_o_shape(manifest):
     entry["shape"] = entry["shape"][::-1]
 
 
+def _set_w_o_shape_entry(value):
+    def edit(manifest):
+        next(e for e in manifest["parameters"] if e["name"] == "blocks.0.attn.w_o")["shape"][0] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: m["config"].update(bogus_knob=1),
+    lambda m: m["config"].update(d_model="x"),
     lambda m: m.pop("parameters"),
     _swap_w_o_shape,
-], ids=["unknown_config_key", "missing_parameters", "transposed_shape"])
+    _set_w_o_shape_entry("a"),
+    _set_w_o_shape_entry(1.5),
+    _set_w_o_shape_entry(-1),
+    lambda m: m["parameters"].append(m["parameters"][0]),
+    lambda m: m["parameters"][0].update(name=["input_proj.weight"]),
+    lambda m: m.update(seed="x"),
+    lambda m: m.update(seed=1.5),
+    lambda m: m.update(seed=-1),
+    lambda m: m.update(classes=3),
+    lambda m: m.update(classes=["a", "b"]),
+    lambda m: m.update(classes=["a", "b", 3]),
+], ids=["unknown_config_key", "bad_config_value", "missing_parameters", "transposed_shape",
+        "text_in_shape", "float_in_shape", "negative_shape", "duplicate_parameter", "list_name",
+        "text_seed", "float_seed", "negative_seed", "scalar_classes", "too_few_classes",
+        "non_string_class"])
 def test_checkpoint_manifest_mismatch_rejected(tmp_path, edit):
     path = tmp_path / "model.ckpt"
     save_checkpoint(MdtModel(toy_config(), seed=12), path)
