@@ -9,8 +9,8 @@ the same way they flow through a matmul.
 
 There is no implicit broadcasting: shapes must match exactly except for the
 documented bias add (a vector added along the last axis) and matmul, which
-multiplies two matrices, two equal-rank stacks of matrices, or a (batch, rows,
-cols) stack and one matrix shared by all its members, on either side.
+multiplies two equal-rank stacks of matrices, or a matrix or a (batch, rows,
+cols) stack by one matrix shared by all its members.
 
 Inside ``with no_grad():`` ops record nothing: every result is a plain value
 with no parents, so a forward pass frees each intermediate as soon as the
@@ -185,17 +185,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-
-        def grad_a(g):
-            return g @ bd.T
-
-        def grad_b(g):
-            return ad.T @ g
-
-    elif ad.ndim == bd.ndim >= 3:
+    if ad.ndim == bd.ndim >= 3:
         if ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
             raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
 
@@ -205,15 +195,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def grad_b(g):
             return np.swapaxes(ad, -1, -2) @ g
 
-    elif ad.ndim == 3 and bd.ndim == 2:
-        if ad.shape[2] != bd.shape[0]:
+    elif ad.ndim in (2, 3) and bd.ndim == 2:
+        if ad.shape[-1] != bd.shape[0]:
             raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
 
         def grad_a(g):
             return g @ bd.T
 
+        # a matrix reshapes to itself, so its grad is the plain ad.T @ g
         def grad_b(g):
-            return ad.reshape(-1, ad.shape[2]).T @ g.reshape(-1, g.shape[2])
+            return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
     else:
         raise ValueError(f"unsupported matmul ranks: {ad.ndim} @ {bd.ndim}")
@@ -398,12 +389,12 @@ def cross_entropy(logits: Tensor, targets, class_weights=None) -> Tensor:
     wsum = w.sum()
 
     m = x.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
+    probs = np.exp(x - m)
+    total = probs.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(total[:, 0])
     nll = lse - x[np.arange(n), targets]
     loss = float((w * nll).sum() / wsum)
-
-    probs = np.exp(x - m)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= total
 
     def bw(g):
         gx = probs.copy()

@@ -12,8 +12,9 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 
-from .earliness import PrefixSpec, prefix_length
+from .earliness import BY_COUNT, BY_DURATION, PrefixSpec, prefix_length
 from .features import DatasetFormatError, extract_mts, write_dataset
 from .flows import (
     FlowKeyError, FlowTable, LabelRuleError, OrderingError, flow_order, join_labels,
@@ -22,14 +23,14 @@ from .flows import (
 from .model import MdtConfig, MdtModel, export_latents, load_checkpoint, save_checkpoint
 from .pcap import CaptureError, Transport, open_capture
 from .training import (
-    Hyperparams, SweepPoint, dataset_classes, evaluate,
+    EXPECT_PROFILES, Hyperparams, SweepPoint, dataset_classes, evaluate,
     load_external_mts, stratified_split, sweep, sweep_rows, train,
     write_history_csv,
 )
 
-MODEL_KEYS = {"d_model", "n_heads", "n_blocks", "d_ff", "max_len", "dropout",
-              "use_frequency_heads"}
-TRAINING_KEYS = {"learning_rate", "batch_size", "max_epochs", "patience"}
+# d_in and n_classes come from the dataset, not from a config file
+MODEL_KEYS = {f.name for f in fields(MdtConfig)} - {"d_in", "n_classes"}
+TRAINING_KEYS = {f.name for f in fields(Hyperparams)}
 
 
 class CliError(Exception):
@@ -53,19 +54,14 @@ def _load_config_file(path):
 
 
 def _load_samples(args):
-    return load_external_mts(args.data, expect=getattr(args, "expect", None))
+    return load_external_mts(args.data, expect=args.expect)
 
 
 def _prefix_spec(args) -> PrefixSpec:
-    if getattr(args, "prefix_packets", None) is not None:
+    # the required mutually exclusive group sets exactly one of the two
+    if args.prefix_packets is not None:
         return PrefixSpec.by_count(args.prefix_packets)
-    if getattr(args, "prefix_duration", None) is not None:
-        return PrefixSpec.by_duration(args.prefix_duration)
-    raise CliError("one of --prefix-packets / --prefix-duration is required")
-
-
-def _auto_max_len(samples, spec):
-    return max(prefix_length(s, spec) for s in samples)
+    return PrefixSpec.by_duration(args.prefix_duration)
 
 
 def _write_rows(rows, path):
@@ -105,12 +101,11 @@ def cmd_extract(args) -> int:
 
 def _build_model_and_hp(args, samples, spec):
     model_kwargs, train_kwargs = _load_config_file(args.config) if args.config else ({}, {})
-    widths = {s.width for s in samples}
-    if len(widths) != 1:
-        raise CliError(f"dataset mixes feature widths: {sorted(widths)}")
-    classes = dataset_classes(samples)
-    model_kwargs.setdefault("max_len", _auto_max_len(samples, spec))
-    config = MdtConfig(d_in=widths.pop(), n_classes=len(classes), **model_kwargs)
+    if "max_len" not in model_kwargs:
+        model_kwargs["max_len"] = max(prefix_length(s, spec) for s in samples)
+    # one dataset has one width: the loader reads it from the series header
+    config = MdtConfig(d_in=samples[0].width, n_classes=len(dataset_classes(samples)),
+                       **model_kwargs)
     return config, Hyperparams(**train_kwargs)
 
 
@@ -158,18 +153,17 @@ def cmd_sweep(args) -> int:
     samples = _load_samples(args)
     if not samples:
         raise CliError("dataset is empty")
+    by_count = args.mode == BY_COUNT
     try:
-        values = [int(v) if args.mode == "packets" else float(v)
-                  for v in args.grid.split(",") if v.strip()]
+        values = [int(v) if by_count else float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError as exc:
         raise CliError(f"bad grid: {exc}") from exc
     if not values:
         raise CliError("empty sweep grid")
-    make_spec = PrefixSpec.by_count if args.mode == "packets" else PrefixSpec.by_duration
-    for value in values:
-        make_spec(value)  # reject every bad grid point before any training
+    make_spec = PrefixSpec.by_count if by_count else PrefixSpec.by_duration
+    specs = [make_spec(v) for v in values]  # every bad grid point fails before any training
     config, hp = _build_model_and_hp(args, samples, make_spec(max(values)))
-    points = sweep(config, samples, args.mode, values, hp, seed=args.seed, jobs=args.jobs)
+    points = sweep(config, samples, specs, hp, seed=args.seed, jobs=args.jobs)
     _write_rows(sweep_rows(points), args.out)
     return 0
 
@@ -232,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="JSON", help="model/training overrides")
     p.add_argument("--out", required=True, metavar="CKPT")
     p.add_argument("--history", metavar="CSV", help="write per-epoch history")
-    p.add_argument("--expect", choices=["ecg", "wafer"],
+    p.add_argument("--expect", choices=EXPECT_PROFILES,
                    help="validate external dataset shape")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--verbose", action="store_true")
@@ -243,18 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True, metavar="PATH")
     _add_prefix_options(p)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="test")
-    p.add_argument("--expect", choices=["ecg", "wafer"])
+    p.add_argument("--expect", choices=EXPECT_PROFILES)
     p.add_argument("--out", metavar="CSV")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train/evaluate across a prefix grid")
     p.add_argument("--data", required=True, metavar="DIR")
-    p.add_argument("--mode", choices=["packets", "duration"], required=True)
+    p.add_argument("--mode", choices=[BY_COUNT, BY_DURATION], required=True)
     p.add_argument("--grid", required=True, metavar="CSVLIST",
                    help="comma-separated prefix sizes, e.g. 2,4,8,16")
     p.add_argument("--config", metavar="JSON")
-    p.add_argument("--expect", choices=["ecg", "wafer"])
+    p.add_argument("--expect", choices=EXPECT_PROFILES)
     p.add_argument("--out", metavar="CSV")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=42)
@@ -264,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--ckpt", required=True, metavar="PATH")
     _add_prefix_options(p)
-    p.add_argument("--expect", choices=["ecg", "wafer"])
+    p.add_argument("--expect", choices=EXPECT_PROFILES)
     p.add_argument("--out", required=True, metavar="CSV")
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_latents)
 
     return parser
@@ -274,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 INVALID_INPUT_ERRORS = (
     CliError, CaptureError, FlowKeyError, LabelRuleError, OrderingError,
-    DatasetFormatError, ValueError, json.JSONDecodeError,
+    DatasetFormatError, ValueError,
 )
 
 

@@ -28,18 +28,14 @@ from operator import attrgetter, eq
 
 import numpy as np
 
-from .pcap import ip_to_str
+from .pcap import TCP_FLAG_NAMES, ip_to_str
 
-FEATURE_NAMES = [
-    "direction", "iat_seconds", "bytes",
-    "flag_ns", "flag_cwr", "flag_ece", "flag_urg", "flag_ack",
-    "flag_psh", "flag_rst", "flag_syn", "flag_fin", "flag_reserved",
-]
+FEATURE_NAMES = ["direction", "iat_seconds", "bytes", *(f"flag_{n}" for n in TCP_FLAG_NAMES)]
 NUM_FEATURES = len(FEATURE_NAMES)
 
 # Every 10-bit TCP flag vector and the number its bits spell, first flag
 # highest: extract_mts maps flag tuples to these numbers and back to bits.
-_FLAG_SHIFTS = np.arange(NUM_FEATURES - 4, -1, -1)
+_FLAG_SHIFTS = np.arange(len(TCP_FLAG_NAMES) - 1, -1, -1)
 _FLAG_CODE = {tuple(bits): code for code, bits in enumerate(
     (np.arange(1 << len(_FLAG_SHIFTS))[:, None] >> _FLAG_SHIFTS & 1).tolist())}
 

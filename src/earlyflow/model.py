@@ -41,6 +41,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -59,6 +60,14 @@ MAX_GROUP = 32
 MAX_GROUP_CELLS = MAX_GROUP * 65 ** 2
 # Query rows the last encoder block attends from (see the module docstring).
 HEAD_QUERIES = 2
+# Most float64 values (1 GiB) a config may make MdtModel allocate; see
+# config_values. Each parameter array is also charged ARRAY_OVERHEAD_VALUES
+# for its Python objects (tensor, array, grad, Adam moments), which bounds
+# the number of blocks of a narrow model too.
+MAX_CONFIG_VALUES = 2 ** 27
+ARRAY_OVERHEAD_VALUES = 128
+# init of a parameter_layout entry drawn uniformly in +-sqrt(6 / (rows + cols))
+GLOROT = "glorot"
 
 
 @dataclass
@@ -84,6 +93,44 @@ class MdtConfig:
             raise ValueError("dropout must be in [0, 1)")
         if not isinstance(self.use_frequency_heads, bool):
             raise ValueError("use_frequency_heads must be true or false")
+        values = config_values(self)
+        if values > MAX_CONFIG_VALUES:
+            raise ValueError(f"model too large: it needs {values} float64 values, "
+                             f"the limit is {MAX_CONFIG_VALUES}")
+
+
+def config_values(c: MdtConfig) -> int:
+    """Float64 values MdtModel(c) allocates, in closed form: every entry of
+    parameter_layout(c), ARRAY_OVERHEAD_VALUES per entry, and the
+    (max_len, d_model) positional table."""
+    d, d_ff = c.d_model, c.d_ff
+    d_feat = 3 * c.d_in if c.use_frequency_heads else c.d_in
+    families = 2 if c.use_frequency_heads else 1
+    block = (3 + families) * d * d + 2 * d * d_ff + d_ff + 5 * d + 12 * ARRAY_OVERHEAD_VALUES
+    outside = (d_feat + 2) * d + (d + 1) * c.n_classes + 5 * ARRAY_OVERHEAD_VALUES
+    return c.n_blocks * block + outside + c.max_len * d
+
+
+def parameter_layout(c: MdtConfig) -> list:
+    """(name, shape, init) of every parameter, in checkpoint and draw order;
+    init is GLOROT for a matrix and the fill value of a vector. Each block's
+    entries follow the field order of BlockParams."""
+    d = c.d_model
+    d_feat = 3 * c.d_in if c.use_frequency_heads else c.d_in
+    families = 2 if c.use_frequency_heads else 1   # time and frequency heads
+    layout = [("input_proj.weight", (d_feat, d), GLOROT), ("input_proj.bias", (d,), 0.0),
+              ("cls_token", (1, d), GLOROT)]
+    for b in range(c.n_blocks):
+        p = f"blocks.{b}"
+        layout += [
+            (f"{p}.attn.w_q", (d, d), GLOROT), (f"{p}.attn.w_k", (d, d), GLOROT),
+            (f"{p}.attn.w_v", (d, d), GLOROT), (f"{p}.attn.w_o", (families * d, d), GLOROT),
+            (f"{p}.ln1.gain", (d,), 1.0), (f"{p}.ln1.bias", (d,), 0.0),
+            (f"{p}.ff.w1", (d, c.d_ff), GLOROT), (f"{p}.ff.b1", (c.d_ff,), 0.0),
+            (f"{p}.ff.w2", (c.d_ff, d), GLOROT), (f"{p}.ff.b2", (d,), 0.0),
+            (f"{p}.ln2.gain", (d,), 1.0), (f"{p}.ln2.bias", (d,), 0.0),
+        ]
+    return layout + [("head.weight", (d, c.n_classes), GLOROT), ("head.bias", (c.n_classes,), 0.0)]
 
 
 @dataclass
@@ -113,49 +160,19 @@ class MdtModel:
         self.seed = seed
         self.classes: tuple | None = None  # label order backing the head, set by training
         self.params: dict = {}
-        self.blocks: list = []
         rng = np.random.default_rng(seed)
-
-        def glorot(name, fan_in, fan_out, shape=None):
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            t = param(rng.uniform(-limit, limit, size=shape or (fan_in, fan_out)))
-            self.params[name] = t
-            return t
-
-        def vector(name, size, fill):
-            t = param(np.full(size, fill, dtype=np.float64))
-            self.params[name] = t
-            return t
-
-        c = config
-        d_feat = 3 * c.d_in if c.use_frequency_heads else c.d_in
-        self.input_w = glorot("input_proj.weight", d_feat, c.d_model)
-        self.input_b = vector("input_proj.bias", c.d_model, 0.0)
-        self.cls_token = glorot("cls_token", 1, c.d_model, shape=(1, c.d_model))
-        dv = c.d_model // c.n_heads
-        concat_width = 2 * c.n_heads * dv if c.use_frequency_heads else c.n_heads * dv
-        for b in range(c.n_blocks):
-            prefix = f"blocks.{b}"
-            attn = MdMhaParams(
-                w_q=glorot(f"{prefix}.attn.w_q", c.d_model, c.d_model),
-                w_k=glorot(f"{prefix}.attn.w_k", c.d_model, c.d_model),
-                w_v=glorot(f"{prefix}.attn.w_v", c.d_model, c.d_model),
-                w_o=glorot(f"{prefix}.attn.w_o", concat_width, c.d_model),
-            )
-            self.blocks.append(BlockParams(
-                attn=attn,
-                ln1_gain=vector(f"{prefix}.ln1.gain", c.d_model, 1.0),
-                ln1_bias=vector(f"{prefix}.ln1.bias", c.d_model, 0.0),
-                ff_w1=glorot(f"{prefix}.ff.w1", c.d_model, c.d_ff),
-                ff_b1=vector(f"{prefix}.ff.b1", c.d_ff, 0.0),
-                ff_w2=glorot(f"{prefix}.ff.w2", c.d_ff, c.d_model),
-                ff_b2=vector(f"{prefix}.ff.b2", c.d_model, 0.0),
-                ln2_gain=vector(f"{prefix}.ln2.gain", c.d_model, 1.0),
-                ln2_bias=vector(f"{prefix}.ln2.bias", c.d_model, 0.0),
-            ))
-        self.head_w = glorot("head.weight", c.d_model, c.n_classes)
-        self.head_b = vector("head.bias", c.n_classes, 0.0)
-        self.positional = positional_encoding(c.max_len, c.d_model)
+        for name, shape, init in parameter_layout(config):
+            if init == GLOROT:
+                limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+                self.params[name] = param(rng.uniform(-limit, limit, size=shape))
+            else:
+                self.params[name] = param(np.full(shape, init, dtype=np.float64))
+        tensors = iter(self.params.values())
+        self.input_w, self.input_b, self.cls_token = islice(tensors, 3)
+        self.blocks = [BlockParams(MdMhaParams(*islice(tensors, 4)), *islice(tensors, 8))
+                       for _ in range(config.n_blocks)]
+        self.head_w, self.head_b = tensors
+        self.positional = positional_encoding(config.max_len, config.d_model)
 
     def parameters(self):
         return list(self.params.values())
@@ -286,8 +303,6 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
         for j, w in enumerate(weights):
             for domain in range(len(g_rows[j])):
                 _accum(w, rows[domain].T @ g_rows[j][domain].reshape(-1, d_model))
-        if not z.requires_grad:
-            return
         for j in range(3):
             _accum(z, g_rows[j][0] @ w_data[j].T)
         if use_frequency:
@@ -405,31 +420,31 @@ def _blob_path(path: str) -> str:
 
 def save_checkpoint(model: MdtModel, path):
     """JSON manifest at path, parameter blob (little-endian float64, manifest
-    order) at path + '.bin'."""
+    order) at path + '.bin'. Both list the parameters in parameter_layout
+    order."""
+    layout = parameter_layout(model.config)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "seed": model.seed,
         "config": asdict(model.config),
         "classes": list(model.classes) if model.classes else None,
-        "parameters": [
-            {"name": name, "shape": list(t.data.shape)}
-            for name, t in model.params.items()
-        ],
+        "parameters": [{"name": name, "shape": list(shape)} for name, shape, _ in layout],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     with open(_blob_path(path), "wb") as fh:
-        for t in model.params.values():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        for name, _, _ in layout:
+            fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> MdtModel:
     """Model from a manifest and its blob. A manifest that is not valid JSON
     or does not fit its config (unknown or missing keys, a seed that is not
-    an integer >= 0, classes that are not one string per class, parameter
-    names or shapes the config does not produce, a blob of another size)
-    raises ValueError naming the file."""
+    an integer >= 0, classes that are not one string per class, parameters
+    other than parameter_layout's names and shapes in its order, a blob of
+    another size) raises ValueError naming the file, before any parameter is
+    allocated."""
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -451,26 +466,27 @@ def load_checkpoint(path) -> MdtModel:
     if classes is not None and not (isinstance(classes, list) and len(classes) == config.n_classes
                                     and all(isinstance(c, str) for c in classes)):
         raise ValueError(f"{path}: classes must be null or {config.n_classes} strings")
+    layout = parameter_layout(config)
+    if [name for name, _ in entries] != [name for name, _, _ in layout]:
+        raise ValueError(f"{path}: parameter names do not match the config")
+    for (name, shape), (_, want, _) in zip(entries, layout):
+        if shape != list(want) or any(type(n) is not int for n in shape):  # 64.0 and True pass ==
+            raise ValueError(f"{path}: parameter {name} has shape {shape!r}, "
+                             f"the config needs {list(want)}")
+    size = sum(math.prod(shape) for _, shape, _ in layout)
+    with open(_blob_path(path), "rb") as fh:
+        blob = fh.read(8 * size + 1)
+    if len(blob) != 8 * size:
+        raise ValueError(f"{path}: parameter blob size mismatch")
     model = MdtModel(config, seed=seed)
     if classes:
         model.classes = tuple(classes)
-    names = [name for name, _ in entries]
-    if not all(isinstance(name, str) for name in names) or sorted(names) != sorted(model.params):
-        raise ValueError(f"{path}: parameter names do not match the config")
-    for name, shape in entries:
-        want = list(model.params[name].data.shape)
-        if shape != want or any(type(n) is not int for n in shape):  # 64.0 and True pass ==
-            raise ValueError(f"{path}: parameter {name} has shape {shape!r}, the config needs {want}")
-    with open(_blob_path(path), "rb") as fh:
-        blob = fh.read()
-    if len(blob) != 8 * sum(t.data.size for t in model.params.values()):
-        raise ValueError(f"{path}: parameter blob size mismatch")
     offset = 0
     arrays = {}
-    for name, _ in entries:
-        t = model.params[name].data
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=t.size, offset=offset).reshape(t.shape)
-        offset += 8 * t.size
+    for name, shape, _ in layout:
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
+        offset += 8 * count
     model.load_state(arrays)
     return model
 

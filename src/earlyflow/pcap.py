@@ -39,7 +39,8 @@ IPPROTO_UDP = 17
 
 V4_MAPPED_PREFIX = 0xFFFF << 32
 
-# Flag order is normative for feature extraction; see features.FEATURE_NAMES.
+# Flag order is normative: features.FEATURE_NAMES names its flag columns
+# flag_<name> in this order.
 TCP_FLAG_NAMES = ("ns", "cwr", "ece", "urg", "ack", "psh", "rst", "syn", "fin", "reserved")
 
 # Bytes of the file read per block; a block always holds at least one whole

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward, cross_entropy, scale, zero_grad
-from .earliness import BY_COUNT, BY_DURATION, PrefixSpec, aggregate_earliness, take_prefix
-from .features import DatasetFormatError, MtsSample, read_long_format
+from .earliness import BY_COUNT, PrefixSpec, aggregate_earliness, take_prefix
+from .features import DatasetFormatError, read_long_format
 from .metrics import Metrics, compute_metrics
 from .model import MdtConfig, MdtModel, forward, forward_prefixes, length_buckets
 
 SPLIT = (0.70, 0.15, 0.15)   # train, validation, test shares of each class
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -72,12 +73,9 @@ class SweepPoint:
 class Adam:
     """Standard first-moment/second-moment update with bias correction."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -88,11 +86,11 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1 - ADAM_BETA1 ** self.t)
+            v_hat = self.v[i] / (1 - ADAM_BETA2 ** self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def dataset_classes(samples) -> tuple:
@@ -236,17 +234,8 @@ def evaluate(model: MdtModel, samples, spec: PrefixSpec, classes):
     return metrics, mean_e, mean_de
 
 
-def _grid_spec(mode: str, value) -> PrefixSpec:
-    if mode == BY_COUNT:
-        return PrefixSpec.by_count(int(value))
-    if mode == BY_DURATION:
-        return PrefixSpec.by_duration(float(value))
-    raise ValueError(f"unknown sweep mode {mode!r}")
-
-
 def _run_sweep_point(args):
-    config, samples, mode, value, hp, seed = args
-    spec = _grid_spec(mode, value)
+    config, samples, spec, hp, seed = args
     model = MdtModel(config, seed=seed)
     result = train(model, samples, spec, hp, seed=seed)
     test_samples = [samples[i] for i in result.test_ids]
@@ -255,19 +244,19 @@ def _run_sweep_point(args):
                       mean_duration_earliness=mean_de, metrics=metrics)
 
 
-def sweep(config: MdtConfig, samples, mode: str, grid, hp: Hyperparams,
+def sweep(config: MdtConfig, samples, specs, hp: Hyperparams,
           seed: int = 42, jobs: int = 1) -> list:
-    """Train and evaluate one fresh model per grid point; rows come back
-    sorted by mean earliness."""
-    grid = list(grid)
-    if not grid:
+    """Train and evaluate one fresh model per PrefixSpec in specs; rows come
+    back sorted by mean earliness."""
+    specs = list(specs)
+    if not specs:
         raise ValueError("empty sweep grid")
-    if mode == BY_COUNT:
-        too_long = [v for v in grid if int(v) > config.max_len]
-        if too_long:
-            raise ValueError(f"grid points exceed max_len {config.max_len}: {too_long}")
+    too_long = [s.packet_count for s in specs
+                if s.mode == BY_COUNT and s.packet_count > config.max_len]
+    if too_long:
+        raise ValueError(f"grid points exceed max_len {config.max_len}: {too_long}")
     samples = list(samples)
-    tasks = [(config, samples, mode, value, hp, seed) for value in grid]
+    tasks = [(config, samples, spec, hp, seed) for spec in specs]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_run_sweep_point, tasks))

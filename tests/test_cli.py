@@ -4,6 +4,7 @@ import json
 import shutil
 import re
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -243,6 +244,24 @@ def test_sweep_rows_sorted_by_earliness(tmp_path, toy_dataset, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["2", "4", "8"]
 
 
+def test_sweep_jobs_2_writes_jobs_1_bytes(tmp_path, toy_dataset, capsys):
+    # the process pool gets every PrefixSpec pickled
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"d_model": 8, "n_heads": 2, "n_blocks": 1, "d_ff": 16},
+        "training": {"max_epochs": 1, "patience": 2},
+    }), encoding="utf-8")
+    outs = []
+    for jobs in (1, 2):
+        out_csv = tmp_path / f"sweep{jobs}.csv"
+        assert run_cli("sweep", "--data", toy_dataset, "--mode", "duration",
+                       "--grid", "4.5,0,1.5", "--config", config, "--out", out_csv,
+                       "--jobs", jobs, "--seed", 2) == 0
+        outs.append(out_csv.read_text(encoding="utf-8"))
+    assert outs[0] == outs[1]
+    assert [line.split(",")[0] for line in outs[0].splitlines()[1:]] == ["0", "1.5", "4.5"]
+
+
 def test_invalid_config_key_exit_2(tmp_path, toy_dataset):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model": {"bogus_knob": 1}}), encoding="utf-8")
@@ -264,12 +283,18 @@ def test_invalid_config_key_exit_2(tmp_path, toy_dataset):
     {"training": {"learning_rate": float("nan")}},
     {"training": {"learning_rate": float("inf")}},
     {"training": {"learning_rate": -1e-3}},
+    {"model": {"max_len": 10 ** 9}},
+    {"model": {"d_model": 10 ** 9}},
+    {"model": {"d_ff": 10 ** 9}},
+    {"model": {"n_blocks": 10 ** 9}},
 ], ids=repr)
 def test_bad_config_value_exit_2_one_line(tmp_path, toy_dataset, capsys, body):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(body), encoding="utf-8")
+    start = time.perf_counter()  # sizes are rejected before anything is allocated
     assert run_cli("train", "--data", toy_dataset, "--prefix-packets", 4,
                    "--config", config, "--out", tmp_path / "x.ckpt") == 2
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -326,8 +351,10 @@ def test_bad_grid_exit_2(tmp_path, toy_dataset):
     ["eval", "--data", "{data}", "--ckpt", "{tmp}/x.ckpt", "--prefix-packets", "4",
      "--split", "nope"],
     ["extract", "--pcap", "{tmp}/a.pcap", "--window-secs", "soon", "--out", "{tmp}/ds"],
+    ["latents", "--data", "{data}", "--ckpt", "{tmp}/x.ckpt", "--prefix-packets", "4",
+     "--out", "{tmp}/l.csv", "--seed", "1"],
 ], ids=["no-command", "unknown-command", "missing-required", "bad-int", "exclusive-pair",
-        "unknown-option", "bad-negative-float", "bad-choice", "bad-float"])
+        "unknown-option", "bad-negative-float", "bad-choice", "bad-float", "latents-seed"])
 def test_argparse_rejection_exit_2_one_line(tmp_path, toy_dataset, capsys, argv):
     argv = [a.format(data=toy_dataset, tmp=tmp_path) for a in argv]
     assert run_cli(*argv) == 2
@@ -462,6 +489,23 @@ def edited(data, value):
     else:
         value[key] = edited(data, value[key]) if how == "inside" else data.draw(JSON_VALUES)
     return value
+
+
+@pytest.mark.parametrize("key", ["max_len", "d_model", "d_ff", "n_blocks"])
+def test_oversized_manifest_config_exit_2_at_once(tmp_path, tiny_dataset, tiny_checkpoint,
+                                                   capsys, key):
+    manifest = json.loads(tiny_checkpoint.read_text(encoding="utf-8"))
+    manifest["config"][key] = 10 ** 9
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_text(json.dumps(manifest), encoding="utf-8")
+    shutil.copyfile(f"{tiny_checkpoint}.bin", f"{ckpt}.bin")
+    for command in ("eval", "latents"):
+        start = time.perf_counter()
+        assert run_cli(command, "--data", tiny_dataset, "--ckpt", ckpt, "--prefix-packets", 4,
+                       "--out", tmp_path / "out.csv") == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "model too large" in err and err.startswith("error: ") and err.count("\n") == 1
 
 
 @settings(max_examples=60)

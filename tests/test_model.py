@@ -11,9 +11,9 @@ from earlyflow.autodiff import backward, const, cross_entropy, param, sum_all, z
 from earlyflow.earliness import PrefixSpec
 from earlyflow.features import MtsSample
 from earlyflow.model import (
-    MdMhaParams, MdtConfig, MdtModel, encoder_block,
-    export_latents, forward, forward_prefixes, ifft_augment, length_buckets,
-    load_checkpoint, md_mha, predict, save_checkpoint,
+    ARRAY_OVERHEAD_VALUES, MAX_CONFIG_VALUES, MdMhaParams, MdtConfig, MdtModel, config_values,
+    encoder_block, export_latents, forward, forward_prefixes, ifft_augment, length_buckets,
+    load_checkpoint, md_mha, parameter_layout, predict, save_checkpoint,
 )
 from earlyflow.training import Hyperparams, minibatch_gradients, train
 
@@ -506,6 +506,39 @@ def test_vanilla_ablation_narrows_projection():
     assert slim.params["input_proj.weight"].data.shape == (13, 8)
 
 
+@settings(max_examples=40)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.booleans())
+def test_parameter_layout_is_the_model_and_config_values_counts_it(
+        d_in, n_classes, n_heads, head_width, n_blocks, d_ff, max_len, use_freq):
+    config = MdtConfig(d_in=d_in, n_classes=n_classes, d_model=n_heads * head_width,
+                       n_heads=n_heads, n_blocks=n_blocks, d_ff=d_ff, max_len=max_len,
+                       use_frequency_heads=use_freq)
+    layout = parameter_layout(config)
+    model = MdtModel(config, seed=0)
+    assert [(name, t.data.shape) for name, t in model.params.items()] == \
+        [(name, shape) for name, shape, _ in layout]
+    last = model.blocks[-1]
+    assert last.attn.w_o is model.params[f"blocks.{n_blocks - 1}.attn.w_o"]
+    assert last.ln2_bias is model.params[f"blocks.{n_blocks - 1}.ln2.bias"]
+    assert model.head_b is model.params["head.bias"]
+    assert config_values(config) == sum(math.prod(shape) for _, shape, _ in layout) + \
+        ARRAY_OVERHEAD_VALUES * len(layout) + max_len * config.d_model
+
+
+def test_config_beyond_value_budget_rejected():
+    for key in ("max_len", "d_model", "d_ff", "n_blocks"):
+        with pytest.raises(ValueError, match="model too large"):
+            MdtConfig(d_in=2, n_classes=2, **{key: 10 ** 9})
+    # the last max_len under the budget passes
+    base = MdtConfig(d_in=2, n_classes=2)
+    room = (MAX_CONFIG_VALUES - config_values(base)) // base.d_model
+    assert config_values(MdtConfig(d_in=2, n_classes=2, max_len=base.max_len + room)) \
+        <= MAX_CONFIG_VALUES
+    with pytest.raises(ValueError, match="model too large"):
+        MdtConfig(d_in=2, n_classes=2, max_len=base.max_len + room + 1)
+
+
 def test_dropout_only_in_training_mode():
     rng = np.random.default_rng(13)
     model = MdtModel(toy_config(dropout=0.5), seed=5)
@@ -570,6 +603,8 @@ def _set_w_o_shape_entry(value):
     _set_w_o_shape_entry(-1),
     lambda m: m["parameters"].append(m["parameters"][0]),
     lambda m: m["parameters"][0].update(name=["input_proj.weight"]),
+    lambda m: m["parameters"].reverse(),
+    lambda m: m["config"].update(max_len=10 ** 9),
     lambda m: m.update(seed="x"),
     lambda m: m.update(seed=1.5),
     lambda m: m.update(seed=-1),
@@ -578,6 +613,7 @@ def _set_w_o_shape_entry(value):
     lambda m: m.update(classes=["a", "b", 3]),
 ], ids=["unknown_config_key", "bad_config_value", "missing_parameters", "transposed_shape",
         "text_in_shape", "float_in_shape", "negative_shape", "duplicate_parameter", "list_name",
+        "reordered_parameters", "oversized_config",
         "text_seed", "float_seed", "negative_seed", "scalar_classes", "too_few_classes",
         "non_string_class"])
 def test_checkpoint_manifest_mismatch_rejected(tmp_path, edit):
