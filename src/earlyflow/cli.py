@@ -17,11 +17,10 @@ from dataclasses import fields
 from .earliness import BY_COUNT, BY_DURATION, PrefixSpec, prefix_length
 from .features import DatasetFormatError, extract_mts, write_dataset
 from .flows import (
-    FlowKeyError, FlowTable, LabelRuleError, OrderingError, flow_order, join_labels,
-    load_label_rules,
+    FlowTable, LabelRuleError, OrderingError, flow_order, join_labels, load_label_rules,
 )
 from .model import MdtConfig, MdtModel, export_latents, load_checkpoint, save_checkpoint
-from .pcap import CaptureError, Transport, open_capture
+from .pcap import CaptureError, open_capture
 from .training import (
     EXPECT_PROFILES, Hyperparams, SweepPoint, dataset_classes, evaluate,
     load_external_mts, stratified_split, sweep, sweep_rows, train,
@@ -78,18 +77,14 @@ def cmd_extract(args) -> int:
     all_flows = []
     packets = 0
     skipped = 0
-    other = Transport.OTHER
     for path in args.pcap:
         table = FlowTable(window_secs=args.window_secs)
         assign = table.assign_packet
         with open_capture(path) as reader:
             for record in reader:
-                if record.transport is other:
-                    skipped += 1
-                    continue
                 assign(record)
+            packets += reader.records_emitted
             skipped += reader.frames_skipped
-        packets += table.packets_accepted
         all_flows.extend(table.flush())
     all_flows.sort(key=flow_order)
     join_labels(all_flows, rules)
@@ -266,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 INVALID_INPUT_ERRORS = (
-    CliError, CaptureError, FlowKeyError, LabelRuleError, OrderingError,
-    DatasetFormatError, ValueError,
+    CliError, CaptureError, LabelRuleError, OrderingError, DatasetFormatError, ValueError,
 )
 
 

@@ -11,8 +11,8 @@ at the extractor's 13, feature_0 ... feature_{d-1} at any other width d.
 extract_mts turns a list of flows into samples in one pass: it builds the
 (N, 13) feature array of all N packets at once and gives each sample its
 slice. write_dataset formats each flow's rows as one block. One long-format
-reader, read_long_format, serves both the extractor layout (read_dataset)
-and external series (training.load_external_mts): it takes d from the
+reader, read_dataset, reads both the extractor layout and external series
+(training.load_external_mts adds a profile check): it takes d from the
 series header, parses every numeric cell with one np.loadtxt call and
 groups rows by id in one pass.
 """
@@ -184,14 +184,9 @@ def write_dataset(samples, out_dir) -> dict:
 
 
 def read_dataset(directory) -> list:
-    """Inverse of write_dataset: read_long_format restricted to the
-    extractor layout, raising DatasetFormatError."""
-    return read_long_format(directory, DatasetFormatError, extractor_only=True)
-
-
-def read_long_format(directory, error=DatasetFormatError, extractor_only=False) -> list:
     """Read flows.csv plus a long-format series.csv into MtsSamples, in
-    flows.csv order; every problem raises `error`.
+    flows.csv order; the inverse of write_dataset. Every problem raises
+    DatasetFormatError.
 
     The series header is an id column (flow_id or series_id), seq_index, the
     d feature columns and an optional trailing rel_ts. Each id's rows must
@@ -205,15 +200,15 @@ def read_long_format(directory, error=DatasetFormatError, extractor_only=False) 
     series_path = os.path.join(directory, "series.csv")
     for path in (flows_path, series_path):
         if not os.path.exists(path):
-            raise error(f"missing dataset file: {path}")
-    extractor, entries = _read_metadata(flows_path, error, extractor_only)
-    header, ids, table = _read_series(series_path, error)
+            raise DatasetFormatError(f"missing dataset file: {path}")
+    extractor, entries = _read_metadata(flows_path)
+    header, ids, table = _read_series(series_path)
     has_rel = header[-1] == "rel_ts"
     d = len(header) - 2 - has_rel
     if extractor and header != series_header(len(header) - 3):
-        raise error(f"{series_path}: unexpected header")
+        raise DatasetFormatError(f"{series_path}: unexpected header")
     if d < 1:
-        raise error(f"{series_path}: no feature columns")
+        raise DatasetFormatError(f"{series_path}: no feature columns")
 
     # one pass over the ids: each run of equal ids becomes a row range
     spans = {}
@@ -226,7 +221,7 @@ def read_long_format(directory, error=DatasetFormatError, extractor_only=False) 
         listed = {entry[0] for entry in entries}
         unknown = next((i for i in spans if i not in listed), None)
         if unknown is not None:
-            raise error(f"{series_path}: unknown flow_id {unknown}")
+            raise DatasetFormatError(f"{series_path}: unknown flow_id {unknown}")
 
     seq = table[:, 0]
     # when each id's rows form one run, one comparison checks every seq_index
@@ -241,15 +236,15 @@ def read_long_format(directory, error=DatasetFormatError, extractor_only=False) 
         ranges = spans.get(flow_id, [])
         n = sum(b - a for a, b in ranges)
         if extractor and n != num_packets:
-            raise error(f"{flow_id}: {n} series rows, metadata says {num_packets}")
+            raise DatasetFormatError(f"{flow_id}: {n} series rows, metadata says {num_packets}")
         if n == 0:
-            raise error(f"{series_path}: no rows for {flow_id!r}")
+            raise DatasetFormatError(f"{series_path}: no rows for {flow_id!r}")
         if len(ranges) == 1:
             rows = slice(*ranges[0])
         else:
             rows = np.concatenate([np.arange(a, b) for a, b in ranges])
         if not seq_ok and not np.array_equal(seq[rows], np.arange(n)):
-            raise error(f"{flow_id}: seq_index not contiguous from 0")
+            raise DatasetFormatError(f"{flow_id}: seq_index not contiguous from 0")
         if rel is None:
             timestamps = np.arange(n, dtype=np.float64)
         elif extractor:
@@ -262,27 +257,25 @@ def read_long_format(directory, error=DatasetFormatError, extractor_only=False) 
     return samples
 
 
-def _read_metadata(path, error, extractor_only):
+def _read_metadata(path):
     """flows.csv -> (is extractor layout, [(id, label, endpoints, start_ts,
     num_packets)]); the last three are None outside the extractor layout."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         extractor = header == FLOWS_HEADER
-        if extractor_only and not extractor:
-            raise error(f"{path}: unexpected header")
         if header is None:
-            raise error(f"{path}: empty metadata")
+            raise DatasetFormatError(f"{path}: empty metadata")
         cols = {name: i for i, name in enumerate(header)}
         id_col = cols.get("flow_id", cols.get("series_id"))
         label_col = cols.get("label")
         if id_col is None or label_col is None:
-            raise error(f"{path}: need flow_id/series_id and label columns")
+            raise DatasetFormatError(f"{path}: need flow_id/series_id and label columns")
         entries = []
         for row in reader:
             where = f"{path}: line {reader.line_num}"
             if len(row) != len(header):
-                raise error(f"{where}: {len(row)} fields, header has {len(header)}")
+                raise DatasetFormatError(f"{where}: {len(row)} fields, header has {len(header)}")
             endpoints = start_ts = num_packets = None
             if extractor:
                 try:
@@ -291,11 +284,11 @@ def _read_metadata(path, error, extractor_only):
                     start_ts = float(row[6])
                     num_packets = int(row[8])
                 except ValueError as exc:
-                    raise error(f"{where}: {exc}") from None
+                    raise DatasetFormatError(f"{where}: {exc}") from None
             entries.append((row[id_col], row[label_col], endpoints, start_ts, num_packets))
     duplicate = _first_duplicate(entry[0] for entry in entries)
     if duplicate is not None:
-        raise error(f"{path}: duplicate id {duplicate!r}")
+        raise DatasetFormatError(f"{path}: duplicate id {duplicate!r}")
     return extractor, entries
 
 
@@ -309,7 +302,7 @@ def _first_duplicate(ids):
     return None
 
 
-def _read_series(path, error):
+def _read_series(path):
     """series.csv -> (header, id of each row, float64 table of the columns
     after the id). Numbers are parsed by one np.loadtxt call, which gives
     the same doubles as float()."""
@@ -334,7 +327,7 @@ def _read_series(path, error):
         blank = "" in body
     if len(header) < 3 or header[0] not in ("flow_id", "series_id") \
             or header[1] != "seq_index":
-        raise error(f"{path}: header must start with flow_id/series_id,seq_index")
+        raise DatasetFormatError(f"{path}: header must start with flow_id/series_id,seq_index")
     width = len(header) - 1
     if not body:
         return header, ids, np.zeros((0, width))
@@ -345,11 +338,11 @@ def _read_series(path, error):
         except ValueError:
             pass
     if table is None or table.shape != (len(body), width):
-        _raise_bad_row(path, text, len(header), error)
+        _raise_bad_row(path, text, len(header))
     return header, ids, table
 
 
-def _raise_bad_row(path, text, n_fields, error):
+def _raise_bad_row(path, text, n_fields):
     """Name the first blank, ragged or non-numeric row of a series.csv that
     np.loadtxt rejected."""
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -357,12 +350,12 @@ def _raise_bad_row(path, text, n_fields, error):
     for row in reader:
         where = f"{path}: line {reader.line_num}"
         if not row:
-            raise error(f"{where}: blank row")
+            raise DatasetFormatError(f"{where}: blank row")
         if len(row) != n_fields:
-            raise error(f"{where}: {len(row)} fields, header has {n_fields}")
+            raise DatasetFormatError(f"{where}: {len(row)} fields, header has {n_fields}")
         for cell in row[1:]:
             try:
                 float(cell)
             except ValueError:
-                raise error(f"{where}: non-numeric cell {cell!r}") from None
-    raise error(f"{path}: unparseable numeric cells")
+                raise DatasetFormatError(f"{where}: non-numeric cell {cell!r}") from None
+    raise DatasetFormatError(f"{path}: unparseable numeric cells")

@@ -23,10 +23,6 @@ from .pcap import PacketRecord, Transport, ip_to_int
 ORDER_TOLERANCE_SECS = 1e-3
 
 
-class FlowKeyError(Exception):
-    """Packet has no session key (transport is not TCP/UDP)."""
-
-
 class OrderingError(Exception):
     """Timestamps went backwards beyond the allowed tolerance."""
 
@@ -35,18 +31,11 @@ class LabelRuleError(Exception):
     """Malformed label rule file."""
 
 
-# Reading a member off an Enum class costs about 0.1 us on Python 3.11, so
-# the per-packet check compares with this module constant.
-_OTHER = Transport.OTHER
-
-
 def canonical_key(record: PacketRecord):
     """Canonical (endpoint_a, endpoint_b, transport) with endpoints sorted so
     both directions of a conversation share the key. The window index that
     completes a FlowKey is assigned by the table when a flow is created, not
     derived from the packet."""
-    if record.transport is _OTHER:
-        raise FlowKeyError("no session key for transport OTHER")
     a = (record.src_ip, record.src_port)
     b = (record.dst_ip, record.dst_port)
     if b < a:
@@ -116,7 +105,6 @@ class FlowTable:
         self._finished: list = []
         self._window_counts: dict = {}
         self._high_water = -math.inf
-        self.packets_accepted = 0
 
     def assign_packet(self, record: PacketRecord) -> Flow:
         """Add one packet; returns the flow it joined (possibly new)."""
@@ -139,7 +127,6 @@ class FlowTable:
             flow._insert(record)
         else:
             flow.packets.append(record)
-        self.packets_accepted += 1
         return flow
 
     def flush(self) -> list:

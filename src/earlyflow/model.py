@@ -60,12 +60,22 @@ MAX_GROUP = 32
 MAX_GROUP_CELLS = MAX_GROUP * 65 ** 2
 # Query rows the last encoder block attends from (see the module docstring).
 HEAD_QUERIES = 2
-# Most float64 values (1 GiB) a config may make MdtModel allocate; see
-# config_values. Each parameter array is also charged ARRAY_OVERHEAD_VALUES
-# for its Python objects (tensor, array, grad, Adam moments), which bounds
-# the number of blocks of a narrow model too.
+# Most float64 values (1 GiB) a config may make MdtModel and one of its
+# forwards allocate; see config_values. Each parameter array is also charged
+# ARRAY_OVERHEAD_VALUES for its Python objects (tensor, array, grad, Adam
+# moments), which bounds the number of blocks of a narrow model too.
 MAX_CONFIG_VALUES = 2 ** 27
 ARRAY_OVERHEAD_VALUES = 128
+# Values per cell of one prefix's (max_len + 1)^2 attention: the backward of
+# md_mha holds three score-sized arrays of 2 * n_heads heads each, and the
+# base covers the DFT kernel and the per-row arrays. Fitted to tracemalloc
+# peaks of a training forward plus backward of one prefix at attention
+# lengths 250 to 1,000 (n_heads 1, 4, 8: at most 32, 49 and 73 per cell).
+ATTENTION_CELL_VALUES = 28
+ATTENTION_HEAD_CELL_VALUES = 6
+# Values per cell of the kernels fourier's two lru_caches (8 kernels of at most
+# 2 * T^2 values each) keep between forwards; the fit above had them empty.
+DFT_CACHE_CELL_VALUES = 2 * 8 * 2
 # init of a parameter_layout entry drawn uniformly in +-sqrt(6 / (rows + cols))
 GLOROT = "glorot"
 
@@ -95,42 +105,67 @@ class MdtConfig:
             raise ValueError("use_frequency_heads must be true or false")
         values = config_values(self)
         if values > MAX_CONFIG_VALUES:
+            # longest max_len the rest leaves room for; one cell costs _length_values(self, 0)
+            room = MAX_CONFIG_VALUES - values + _length_values(self, self.max_len)
+            top = math.isqrt(max(room, 0) // _length_values(self, 0))
+            longest = next((m for m in range(top, 0, -1) if _length_values(self, m) <= room), 0)
+            hint = f"; max_len {self.max_len} is too long, this config accepts at most {longest}" \
+                if longest else ""
             raise ValueError(f"model too large: it needs {values} float64 values, "
-                             f"the limit is {MAX_CONFIG_VALUES}")
+                             f"the limit is {MAX_CONFIG_VALUES}{hint}")
 
 
 def config_values(c: MdtConfig) -> int:
-    """Float64 values MdtModel(c) allocates, in closed form: every entry of
-    parameter_layout(c), ARRAY_OVERHEAD_VALUES per entry, and the
-    (max_len, d_model) positional table."""
-    d, d_ff = c.d_model, c.d_ff
+    """Float64 values MdtModel(c) and one of its forwards allocate: every
+    entry of parameter_layout(c) plus ARRAY_OVERHEAD_VALUES per entry, and
+    the _length_values of max_len."""
+    def values(entries):
+        return sum(math.prod(shape) + ARRAY_OVERHEAD_VALUES for _, shape, _ in entries)
+
+    before, after = _outer_layout(c)
+    return (c.n_blocks * values(_block_layout(c, "blocks.0")) + values(before + after)
+            + _length_values(c, c.max_len))
+
+
+def _length_values(c: MdtConfig, max_len: int) -> int:
+    """The values of config_values that grow with max_len: the (max_len,
+    d_model) positional table and the attention cells of one prefix of
+    max_len packets."""
+    per_cell = ATTENTION_CELL_VALUES + DFT_CACHE_CELL_VALUES + ATTENTION_HEAD_CELL_VALUES * c.n_heads
+    return max_len * c.d_model + (max_len + 1) ** 2 * per_cell
+
+
+def _outer_layout(c: MdtConfig):
+    """The parameter_layout entries before the encoder blocks and after them."""
+    d = c.d_model
     d_feat = 3 * c.d_in if c.use_frequency_heads else c.d_in
-    families = 2 if c.use_frequency_heads else 1
-    block = (3 + families) * d * d + 2 * d * d_ff + d_ff + 5 * d + 12 * ARRAY_OVERHEAD_VALUES
-    outside = (d_feat + 2) * d + (d + 1) * c.n_classes + 5 * ARRAY_OVERHEAD_VALUES
-    return c.n_blocks * block + outside + c.max_len * d
+    before = [("input_proj.weight", (d_feat, d), GLOROT), ("input_proj.bias", (d,), 0.0),
+              ("cls_token", (1, d), GLOROT)]
+    after = [("head.weight", (d, c.n_classes), GLOROT), ("head.bias", (c.n_classes,), 0.0)]
+    return before, after
+
+
+def _block_layout(c: MdtConfig, p: str) -> list:
+    """parameter_layout entries of the encoder block named p, in the field
+    order of BlockParams."""
+    d = c.d_model
+    families = 2 if c.use_frequency_heads else 1   # time and frequency heads
+    return [
+        (f"{p}.attn.w_q", (d, d), GLOROT), (f"{p}.attn.w_k", (d, d), GLOROT),
+        (f"{p}.attn.w_v", (d, d), GLOROT), (f"{p}.attn.w_o", (families * d, d), GLOROT),
+        (f"{p}.ln1.gain", (d,), 1.0), (f"{p}.ln1.bias", (d,), 0.0),
+        (f"{p}.ff.w1", (d, c.d_ff), GLOROT), (f"{p}.ff.b1", (c.d_ff,), 0.0),
+        (f"{p}.ff.w2", (c.d_ff, d), GLOROT), (f"{p}.ff.b2", (d,), 0.0),
+        (f"{p}.ln2.gain", (d,), 1.0), (f"{p}.ln2.bias", (d,), 0.0),
+    ]
 
 
 def parameter_layout(c: MdtConfig) -> list:
     """(name, shape, init) of every parameter, in checkpoint and draw order;
-    init is GLOROT for a matrix and the fill value of a vector. Each block's
-    entries follow the field order of BlockParams."""
-    d = c.d_model
-    d_feat = 3 * c.d_in if c.use_frequency_heads else c.d_in
-    families = 2 if c.use_frequency_heads else 1   # time and frequency heads
-    layout = [("input_proj.weight", (d_feat, d), GLOROT), ("input_proj.bias", (d,), 0.0),
-              ("cls_token", (1, d), GLOROT)]
-    for b in range(c.n_blocks):
-        p = f"blocks.{b}"
-        layout += [
-            (f"{p}.attn.w_q", (d, d), GLOROT), (f"{p}.attn.w_k", (d, d), GLOROT),
-            (f"{p}.attn.w_v", (d, d), GLOROT), (f"{p}.attn.w_o", (families * d, d), GLOROT),
-            (f"{p}.ln1.gain", (d,), 1.0), (f"{p}.ln1.bias", (d,), 0.0),
-            (f"{p}.ff.w1", (d, c.d_ff), GLOROT), (f"{p}.ff.b1", (c.d_ff,), 0.0),
-            (f"{p}.ff.w2", (c.d_ff, d), GLOROT), (f"{p}.ff.b2", (d,), 0.0),
-            (f"{p}.ln2.gain", (d,), 1.0), (f"{p}.ln2.bias", (d,), 0.0),
-        ]
-    return layout + [("head.weight", (d, c.n_classes), GLOROT), ("head.bias", (c.n_classes,), 0.0)]
+    init is GLOROT for a matrix and the fill value of a vector."""
+    before, after = _outer_layout(c)
+    blocks = [entry for b in range(c.n_blocks) for entry in _block_layout(c, f"blocks.{b}")]
+    return before + blocks + after
 
 
 @dataclass
@@ -378,9 +413,9 @@ def forward(model: MdtModel, x, training: bool = False, rng=None):
 
 
 def predict(model: MdtModel, x) -> int:
-    with ad.no_grad():
-        logits, _ = forward(model, x)
-    return int(np.argmax(logits.data))
+    """Class index of one (l, d_in) prefix, through forward_prefixes."""
+    logits, _ = forward_prefixes(model, [x])
+    return int(np.argmax(logits[0]))
 
 
 def length_buckets(lengths) -> list:

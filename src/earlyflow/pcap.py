@@ -2,9 +2,10 @@
 
 Only the classic pcap container is handled (pcapng is out of scope), with
 either byte order and micro- or nanosecond timestamps, and only Ethernet
-link-layer captures. Frames that are not parseable IP packets are skipped
-and counted, never fatal; a truncated record header ends the stream with a
-distinct error.
+link-layer captures. Frames that are not parseable TCP or UDP packets
+(non-IP ethertypes, nested VLAN tags, non-first fragments, other IP
+protocols, truncated L4 headers) are skipped and counted, never fatal; a
+truncated record header ends the stream with a distinct error.
 
 The reader decodes frames in blocks of about BLOCK_BYTES of the file: it
 walks the block's record headers with one unpack_from each, then decodes the
@@ -71,7 +72,6 @@ class UnsupportedLinkTypeError(CaptureError):
 class Transport(enum.Enum):
     TCP = "tcp"
     UDP = "udp"
-    OTHER = "other"
 
     # Members are singletons that compare by identity; Enum.__hash__ hashes
     # the name in Python, a call paid by every flow-key dict lookup.
@@ -113,14 +113,14 @@ _FLAG_BYTE_BITS = [tuple(f >> bit & 1 for bit in range(7, -1, -1)) for f in rang
 TCP_FLAGS = tuple((offset & 1, *_FLAG_BYTE_BITS[f], 1 if offset & 0x0E else 0)
                   for offset in range(16) for f in range(256))
 
-# transport code of a decoded frame: 0 other, 1 TCP, 2 UDP
-_TRANSPORTS = (Transport.OTHER, Transport.TCP, Transport.UDP)
+# transport of a kept frame, indexed by its TCP mask
+_TRANSPORTS = (Transport.UDP, Transport.TCP)
 
 
 def _decode_block(buf, start, length, timestamps, first_index) -> list:
     """PacketRecords of the frames buf[start[i]:start[i] + length[i]] that
-    are parseable IP packets, in frame order; the frame at position i gets
-    capture_index first_index + i.
+    are parseable TCP or UDP packets, in frame order; the frame at position
+    i gets capture_index first_index + i.
 
     Every header field of every frame is gathered at once. A gather past the
     end of its frame reads a clipped position, and the masks below drop such
@@ -164,14 +164,11 @@ def _decode_block(buf, start, length, timestamps, first_index) -> list:
     l4_room = np.minimum(length, np.where(v4, l3 + ip_total, l4 + payload)) - l4
     tcp = proto == IPPROTO_TCP
     udp = proto == IPPROTO_UDP
-    ok &= (~tcp | (l4_room >= 14)) & (~udp | (l4_room >= 8))
+    ok &= (tcp & (l4_room >= 14)) | (udp & (l4_room >= 8))
 
     keep = np.flatnonzero(ok)
-    v4, v6, tcp, udp, l3, l4 = v4[keep], v6[keep], tcp[keep], udp[keep], l3[keep], l4[keep]
+    v4, v6, tcp, l3, l4 = v4[keep], v6[keep], tcp[keep], l3[keep], l4[keep]
     start = start[keep]         # the gathers below read the kept frames only
-    ports = tcp | udp
-    src_port = np.where(ports, u16(l4), 0)
-    dst_port = np.where(ports, u16(l4 + 2), 0)
     flag_key = np.where(tcp, (u8(l4 + 12) & 0x0F) << 8 | u8(l4 + 13), 0)
     total_bytes = np.where(v4, ip_total[keep], payload[keep] + 40)
     # IPv4 addresses: the mapped prefix fits the low 64-bit word
@@ -183,8 +180,8 @@ def _decode_block(buf, start, length, timestamps, first_index) -> list:
         src[i] = src_hi << 64 | src_lo
         dst[i] = dst_hi << 64 | dst_lo
     columns = (
-        timestamps[keep].tolist(), src, dst, src_port.tolist(), dst_port.tolist(),
-        map(_TRANSPORTS.__getitem__, (tcp + 2 * udp).tolist()),
+        timestamps[keep].tolist(), src, dst, u16(l4).tolist(), u16(l4 + 2).tolist(),
+        map(_TRANSPORTS.__getitem__, tcp.tolist()),
         total_bytes.tolist(), map(TCP_FLAGS.__getitem__, flag_key.tolist()),
         (keep + first_index).tolist(),
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import backward, cross_entropy, scale, zero_grad
 from .earliness import BY_COUNT, PrefixSpec, aggregate_earliness, take_prefix
-from .features import DatasetFormatError, read_long_format
+from .features import DatasetFormatError, read_dataset
 from .metrics import Metrics, compute_metrics
 from .model import MdtConfig, MdtModel, forward, forward_prefixes, length_buckets
 
@@ -300,26 +300,19 @@ EXPECT_PROFILES = {
 }
 
 
-class ExternalFormatError(DatasetFormatError):
-    pass
-
-
 def load_external_mts(directory, expect: str | None = None) -> list:
-    """Load a long-format series.csv plus flows.csv-style metadata carrying at
-    least (series id, label) with features.read_long_format, raising
-    ExternalFormatError. Timestamps come from a rel_ts column when present,
-    otherwise unit spacing; an extractor-layout dataset loads as read_dataset
-    loads it. d is inferred from the columns; `expect` names a profile in
-    EXPECT_PROFILES that d and the maximum length must fit."""
-    samples = read_long_format(directory, ExternalFormatError)
+    """features.read_dataset, plus a shape check: `expect` names a profile
+    in EXPECT_PROFILES that the width d and the maximum length must fit.
+    Every problem raises DatasetFormatError."""
+    samples = read_dataset(directory)
     if expect is not None:
         profile = EXPECT_PROFILES.get(expect)
         if profile is None:
-            raise ExternalFormatError(f"unknown expectation profile {expect!r}")
+            raise DatasetFormatError(f"unknown expectation profile {expect!r}")
         d = samples[0].width if samples else 0
         max_len = max((s.length for s in samples), default=0)
         if d != profile["d"] or max_len > profile["max_len"]:
-            raise ExternalFormatError(
+            raise DatasetFormatError(
                 f"profile {expect}: expected d={profile['d']}, "
                 f"max length <= {profile['max_len']}; got d={d}, max length {max_len}")
     return samples

@@ -20,9 +20,8 @@ def brute_force_flows(records, window_secs):
     """Returns a list of flow descriptions sorted by start time:
     (endpoint_a, endpoint_b, transport_name, window_index,
      packet capture_index list, direction list)."""
-    usable = [r for r in records if r.transport is not Transport.OTHER]
     decorated = sorted(
-        ((_ckey(r), i, r) for i, r in enumerate(usable)),
+        ((_ckey(r), i, r) for i, r in enumerate(records)),
         key=lambda t: (t[0], t[2].timestamp, t[1]),
     )
     flows = []

@@ -232,9 +232,7 @@ def _naive_finish(ts, src, dst, proto, l4, total_bytes, index):
         flags = (0,) * 10
         transport = pcap.Transport.UDP
     else:
-        sport = dport = 0
-        flags = (0,) * 10
-        transport = pcap.Transport.OTHER
+        return None
     return pcap.PacketRecord(
         timestamp=ts, src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
         transport=transport, total_bytes=total_bytes, tcp_flags=flags,

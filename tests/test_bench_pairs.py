@@ -1,0 +1,58 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_iqr_is_numpy_linear_quartile_distance():
+    # quartiles of 1..8 with linear interpolation: 2.75 and 6.25
+    assert bench_pairs.iqr([8, 1, 7, 2, 6, 3, 5, 4]) == pytest.approx(3.5)
+    assert bench_pairs.iqr([10, 20]) == pytest.approx(5.0)
+    assert bench_pairs.iqr([3.0]) == 0.0
+
+
+def test_wins_count_strictly_better_pairs_and_ties_for_neither():
+    parent = [10, 10, 10, 10]
+    change = [11, 10, 9, 12]
+    assert bench_pairs.wins(parent, change, "higher") == 2
+    assert bench_pairs.wins(parent, change, "lower") == 1
+
+
+def test_worse_by_is_relative_and_signed_by_direction():
+    assert bench_pairs.worse_by(100.0, 80.0, "higher") == pytest.approx(0.2)
+    assert bench_pairs.worse_by(100.0, 80.0, "lower") == pytest.approx(-0.2)
+    assert bench_pairs.worse_by(2.0, 2.5, "lower") == pytest.approx(0.25)
+    assert bench_pairs.worse_by(0.0, 1.0, "lower") == 0.0
+
+
+def test_sides_alternate_which_runs_first():
+    assert [bench_pairs.side_order(i)[0] for i in range(4)] == \
+        ["parent", "change", "parent", "change"]
+    assert set(bench_pairs.side_order(1)) == {"parent", "change"}
+
+
+def test_summarize_fixed_numbers():
+    end_to_end = [{"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+                  {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    parent = [{"work_per_s": w, "setup_s": s} for w, s in [(100, 1.0), (110, 1.2), (90, 0.8),
+                                                          (105, 1.1)]]
+    change = [{"work_per_s": w, "setup_s": s} for w, s in [(120, 1.0), (100, 1.0), (95, 0.9),
+                                                          (130, 1.3)]]
+    rows = bench_pairs.summarize({"ingest": {"parent": parent, "change": change}}, end_to_end)
+    assert [row[:2] for row in rows] == [("ingest", "work_per_s"), ("ingest", "setup_s")]
+    _, _, unit, p_med, c_med, spread, won, pairs, worse, bound = rows[0]
+    assert (unit, p_med, c_med, won, pairs, bound) == ("1/s", 102.5, 110.0, 3, 4, 0.25)
+    assert spread == pytest.approx(106.25 - 97.5)
+    assert worse == pytest.approx((102.5 - 110.0) / 102.5)
+    _, _, _, p_med, c_med, spread, won, pairs, worse, _ = rows[1]
+    assert (c_med, won, pairs) == (1.0, 1, 4)   # the tie at 1.0 counts for neither
+    assert p_med == pytest.approx(1.05)
+    assert spread == pytest.approx(1.125 - 0.95)
+    assert worse == pytest.approx((1.0 - 1.05) / 1.05)
+    assert "3/4" in bench_pairs.format_rows(rows)
+    assert bench_pairs.summarize({"ingest": {"parent": [], "change": []}}, end_to_end) == []

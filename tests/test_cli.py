@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from earlyflow import earliness, training
 from earlyflow.cli import MODEL_KEYS, TRAINING_KEYS, main
-from earlyflow.features import write_dataset
+from earlyflow.features import MtsSample, write_dataset
 
 from gen_mts import separable_suite
-from gen_pcap import tcp_frame, udp_frame, arp_frame, write_pcap
+from gen_pcap import tcp_frame, udp_frame, arp_frame, icmp_frame, write_pcap
 from test_features import MALFORMED, break_dataset
 
 
@@ -33,8 +33,10 @@ def two_flow_capture(tmp_path):
     # conversation 2: udp pair
     frames.append((100.5, udp_frame("10.0.0.3", 5353, "10.0.0.4", 53)))
     frames.append((100.6, udp_frame("10.0.0.4", 53, "10.0.0.3", 5353)))
-    # one non-IP frame to exercise the skip counter
+    # one non-IP frame and one IP frame that is neither TCP nor UDP, both
+    # skipped and counted
     frames.append((101.0, arp_frame()))
+    frames.append((101.5, icmp_frame("10.0.0.1", "10.0.0.2")))
     path = tmp_path / "two_flows.pcap"
     write_pcap(path, frames)
     return path
@@ -51,7 +53,7 @@ def test_extract_two_flows(tmp_path, two_flow_capture, capsys):
     printed = capsys.readouterr().out
     assert "flows=2" in printed
     assert "packets=6" in printed
-    assert "skipped=1" in printed
+    assert "skipped=2" in printed
     flows_lines = (out_dir / "flows.csv").read_text(encoding="utf-8").strip().splitlines()
     assert len(flows_lines) == 3  # header + 2 flows
     assert flows_lines[1].endswith("BENIGN")
@@ -317,6 +319,21 @@ def test_nan_range_flag_exit_2_one_line(tmp_path, toy_dataset, two_flow_capture,
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert not any(tmp_path.glob("x.ckpt*")) and not (tmp_path / "s.csv").exists()
     assert not (tmp_path / "ds").exists()
+
+
+def test_prefix_beyond_memory_budget_exit_2_one_line(tmp_path, capsys):
+    # one prefix of 20,000 packets would need about 20,001^2 attention cells
+    rows = 20_000
+    write_dataset([MtsSample(flow_id="long", values=np.zeros((rows, 2)),
+                             timestamps=np.arange(rows, dtype=np.float64), label="a")],
+                  tmp_path / "ds")
+    start = time.perf_counter()
+    assert run_cli("train", "--data", tmp_path / "ds", "--prefix-packets", rows,
+                   "--out", tmp_path / "x.ckpt") == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: .*model too large.*\n", err), err
+    assert not any(tmp_path.glob("x.ckpt*"))
 
 
 def test_missing_data_dir_exit_2(tmp_path):

@@ -14,7 +14,7 @@ from earlyflow.features import (
 )
 from earlyflow.flows import FlowTable
 from earlyflow.pcap import PacketRecord, Transport, ip_to_int, ip_to_str
-from earlyflow.training import ExternalFormatError, load_external_mts
+from earlyflow.training import load_external_mts
 
 from gen_mts import separable_suite
 from naive import naive_extract_values, naive_read_long_format, naive_write_dataset
@@ -252,7 +252,7 @@ def test_read_rejects_duplicate_id(tmp_path):
     Path(tmp_path, "series.csv").write_text("series_id,seq_index,ch0\na,0,1.0\na,1,2.0\n",
                                             encoding="utf-8")
     Path(tmp_path, "flows.csv").write_text("series_id,label\na,x\na,x\n", encoding="utf-8")
-    with pytest.raises(ExternalFormatError,
+    with pytest.raises(DatasetFormatError,
                        match=re.escape(f"{tmp_path / 'flows.csv'}: duplicate id 'a'")):
         load_external_mts(tmp_path)
 
@@ -352,7 +352,9 @@ def test_external_reader_bit_equal_to_float_per_cell(d, lengths, rel_ts, data):
     with tempfile.TemporaryDirectory() as tmp:
         write_external(tmp, series, rel_ts)
         interleave(Path(tmp, "series.csv"))
-        assert_bit_equal(load_external_mts(tmp), naive_read_long_format(tmp))
+        ref = naive_read_long_format(tmp)
+        assert_bit_equal(read_dataset(tmp), ref)
+        assert_bit_equal(load_external_mts(tmp), ref)
 
 
 def _blank_series_row(lines):
@@ -394,7 +396,7 @@ def test_malformed_rows_name_file_and_line(tmp_path, name, mutate, message):
     path = break_dataset(tmp_path, name, mutate)
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: ") + message):
         read_dataset(tmp_path)
-    with pytest.raises(ExternalFormatError, match=re.escape(f"{path}: ") + message):
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: ") + message):
         load_external_mts(tmp_path)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from earlyflow.flows import (
-    FlowKeyError, FlowTable, LabelRuleError, OrderingError, canonical_key,
+    FlowTable, LabelRuleError, OrderingError, canonical_key,
     join_labels, load_label_rules, LabelRule,
 )
 from earlyflow.pcap import PacketRecord, Transport, ip_to_int
@@ -26,11 +26,6 @@ def test_canonical_key_symmetric():
     fwd = rec(1.0, src="10.0.0.1", sport=5000, dst="10.0.0.2", dport=80)
     back = rec(1.1, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=5000)
     assert canonical_key(fwd) == canonical_key(back)
-
-
-def test_canonical_key_rejects_other():
-    with pytest.raises(FlowKeyError):
-        canonical_key(rec(1.0, transport=Transport.OTHER))
 
 
 def test_same_tuple_far_apart_gets_new_window_index():
@@ -147,7 +142,6 @@ def test_partition_property():
     for r in records:
         table.assign_packet(r)
     flows = table.flush()
-    assert table.packets_accepted == len(records)
     assert sum(len(f.packets) for f in flows) == len(records)
     seen = sorted(p.capture_index for f in flows for p in f.packets)
     assert seen == sorted(r.capture_index for r in records)

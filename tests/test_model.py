@@ -1,19 +1,23 @@
 import json
 import math
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earlyflow import autodiff as ad
+from earlyflow import autodiff as ad, fourier
 from earlyflow import model as model_module
 from earlyflow.autodiff import backward, const, cross_entropy, param, sum_all, zero_grad
 from earlyflow.earliness import PrefixSpec
 from earlyflow.features import MtsSample
 from earlyflow.model import (
-    ARRAY_OVERHEAD_VALUES, MAX_CONFIG_VALUES, MdMhaParams, MdtConfig, MdtModel, config_values,
-    encoder_block, export_latents, forward, forward_prefixes, ifft_augment, length_buckets,
-    load_checkpoint, md_mha, parameter_layout, predict, save_checkpoint,
+    ARRAY_OVERHEAD_VALUES, ATTENTION_CELL_VALUES, ATTENTION_HEAD_CELL_VALUES, DFT_CACHE_CELL_VALUES,
+    MAX_CONFIG_VALUES,
+    MdMhaParams, MdtConfig, MdtModel, config_values, encoder_block, export_latents, forward,
+    forward_prefixes, ifft_augment, length_buckets, load_checkpoint, md_mha, parameter_layout,
+    predict, save_checkpoint,
 )
 from earlyflow.training import Hyperparams, minibatch_gradients, train
 
@@ -522,21 +526,46 @@ def test_parameter_layout_is_the_model_and_config_values_counts_it(
     assert last.attn.w_o is model.params[f"blocks.{n_blocks - 1}.attn.w_o"]
     assert last.ln2_bias is model.params[f"blocks.{n_blocks - 1}.ln2.bias"]
     assert model.head_b is model.params["head.bias"]
+    cells = (max_len + 1) ** 2
     assert config_values(config) == sum(math.prod(shape) for _, shape, _ in layout) + \
-        ARRAY_OVERHEAD_VALUES * len(layout) + max_len * config.d_model
+        ARRAY_OVERHEAD_VALUES * len(layout) + max_len * config.d_model + \
+        cells * (ATTENTION_CELL_VALUES + DFT_CACHE_CELL_VALUES + ATTENTION_HEAD_CELL_VALUES * n_heads)
+
+
+def test_dft_cache_charge_covers_every_cached_kernel():
+    # each cached kernel holds at most 2 * T^2 float64 values (complex n x n or real 2n x n)
+    caches = (fourier._dft_matrix, fourier.real_dft_kernel)
+    assert DFT_CACHE_CELL_VALUES == sum(2 * cache.cache_info().maxsize for cache in caches)
 
 
 def test_config_beyond_value_budget_rejected():
     for key in ("max_len", "d_model", "d_ff", "n_blocks"):
         with pytest.raises(ValueError, match="model too large"):
             MdtConfig(d_in=2, n_classes=2, **{key: 10 ** 9})
-    # the last max_len under the budget passes
-    base = MdtConfig(d_in=2, n_classes=2)
-    room = (MAX_CONFIG_VALUES - config_values(base)) // base.d_model
-    assert config_values(MdtConfig(d_in=2, n_classes=2, max_len=base.max_len + room)) \
-        <= MAX_CONFIG_VALUES
+    # one prefix of 20,000 packets is rejected by its attention cells alone
     with pytest.raises(ValueError, match="model too large"):
-        MdtConfig(d_in=2, n_classes=2, max_len=base.max_len + room + 1)
+        MdtConfig(d_in=13, n_classes=2, max_len=20_000)
+    # the last max_len within the budget passes and the next one fails
+    base = asdict(MdtConfig(d_in=2, n_classes=2))
+
+    def values(max_len):
+        return config_values(SimpleNamespace(**dict(base, max_len=max_len)))
+
+    accepted, rejected = base["max_len"], 10 ** 9
+    while rejected - accepted > 1:
+        mid = (accepted + rejected) // 2
+        if values(mid) <= MAX_CONFIG_VALUES:
+            accepted = mid
+        else:
+            rejected = mid
+    assert MdtConfig(d_in=2, n_classes=2, max_len=accepted).max_len == accepted
+    for too_long in (rejected, 20_000):
+        with pytest.raises(ValueError, match=f"model too large.*max_len {too_long} is too long, "
+                                             f"this config accepts at most {accepted}$"):
+            MdtConfig(d_in=2, n_classes=2, max_len=too_long)
+    # a config too large at any max_len names no longest one
+    with pytest.raises(ValueError, match=f"the limit is {MAX_CONFIG_VALUES}$"):
+        MdtConfig(d_in=2, n_classes=2, d_model=10 ** 9)
 
 
 def test_dropout_only_in_training_mode():
@@ -670,7 +699,7 @@ def test_eval_forwards_build_no_graph(monkeypatch):
     for x in prefixes:
         index = predict(model, x)
         want_logits, _ = graph_forward(model, x)
-        assert np.array_equal(outputs[-2].data, want_logits.data)
+        assert np.array_equal(outputs[-2].data, want_logits.data[None])
         assert index == int(np.argmax(want_logits.data))
     assert all(not t.requires_grad and t._parents == () for t in outputs)
     assert all(p.grad is None for p in model.parameters())

@@ -151,13 +151,12 @@ def test_fragment_skipped(tmp_path):
     assert reader.frames_skipped == 1
 
 
-def test_icmp_emitted_as_other(tmp_path):
+def test_icmp_skipped(tmp_path):
     path = tmp_path / "icmp.pcap"
     write_pcap(path, [(1.0, icmp_frame("10.0.0.1", "10.0.0.2"))])
-    records, _ = read_all(path)
-    assert records[0].transport is Transport.OTHER
-    assert records[0].tcp_flags == (0,) * 10
-    assert (records[0].src_port, records[0].dst_port) == (0, 0)
+    records, reader = read_all(path)
+    assert records == []
+    assert reader.frames_skipped == 1
 
 
 def test_roundtrip_random_records(tmp_path):
@@ -255,9 +254,9 @@ def test_flat_decoder_matches_slicing_decoder(tmp_path, endian, nanos):
     fast, slow = parse_both(path)
     assert fast == slow
     records, total, skipped = fast
-    assert (total, len(records)) == (len(frames), 10)
+    assert (total, len(records)) == (len(frames), 8)
     transports = [r.transport for r in records]
-    assert transports.count(Transport.OTHER) == 2 and transports.count(Transport.UDP) == 2
+    assert transports.count(Transport.TCP) == 6 and transports.count(Transport.UDP) == 2
 
 
 def test_flag_table_matches_bitwise_decode():
@@ -310,8 +309,7 @@ def test_mutated_frames_match_oracle_and_raise_only_capture_errors(specs, cut):
         if isinstance(fast, tuple):
             table = FlowTable(window_secs=120.0)
             for record in fast[0]:
-                if record.transport is not Transport.OTHER:
-                    table.assign_packet(record)
+                table.assign_packet(record)
             extract_mts(table.flush())
 
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from earlyflow.autodiff import backward, cross_entropy, scale, zero_grad
 from earlyflow.earliness import PrefixSpec
-from earlyflow.features import MtsSample
+from earlyflow.features import DatasetFormatError, MtsSample
 from earlyflow.metrics import compute_metrics
 from earlyflow.model import MdtConfig, MdtModel, forward, predict
 from earlyflow.training import (
-    EXPECT_PROFILES, ExternalFormatError, Hyperparams, dataset_classes,
+    EXPECT_PROFILES, Hyperparams, dataset_classes,
     evaluate, inverse_frequency_weights, load_external_mts, minibatch_gradients,
     stratified_split, sweep, sweep_rows, train, write_history_csv,
 )
@@ -340,13 +340,13 @@ def test_load_external_ecg_profile(tmp_path):
 
 def test_load_external_profile_mismatch(tmp_path):
     write_external(tmp_path, n_series=2, length=4, d=3)
-    with pytest.raises(ExternalFormatError):
+    with pytest.raises(DatasetFormatError):
         load_external_mts(tmp_path, expect="ecg")
 
 
 def test_load_external_unknown_profile(tmp_path):
     write_external(tmp_path)
-    with pytest.raises(ExternalFormatError):
+    with pytest.raises(DatasetFormatError):
         load_external_mts(tmp_path, expect="mystery")
 
 
@@ -354,7 +354,7 @@ def test_load_external_ragged_rejected(tmp_path):
     write_external(tmp_path, n_series=2, length=3, d=2)
     with open(tmp_path / "series.csv", "a", encoding="utf-8") as fh:
         fh.write("s0,3,1.0\n")
-    with pytest.raises(ExternalFormatError):
+    with pytest.raises(DatasetFormatError):
         load_external_mts(tmp_path)
 
 
