@@ -57,11 +57,6 @@ class EarlinessReport:
     packets_used: int
     duration_used: float
 
-    @property
-    def flow_earliness(self) -> tuple:
-        """The joint pair; consumers must keep both components."""
-        return (self.earliness, self.duration_earliness)
-
 
 def prefix_length(sample: MtsSample, spec: PrefixSpec) -> int:
     """Rows of sample that take_prefix keeps: count prefixes clamp to the
@@ -77,7 +72,6 @@ def take_prefix(sample: MtsSample, spec: PrefixSpec):
     """Return (prefix sample, earliness report) for the first
     prefix_length(sample, spec) rows."""
     total = sample.length
-    rel = sample.timestamps - sample.timestamps[0]
     used = prefix_length(sample, spec)
     prefix = MtsSample(
         flow_id=sample.flow_id,
@@ -86,8 +80,8 @@ def take_prefix(sample: MtsSample, spec: PrefixSpec):
         label=sample.label,
         endpoints=sample.endpoints,
     )
-    duration_used = float(rel[used - 1])
-    total_duration = float(rel[-1])
+    duration_used = float(sample.timestamps[used - 1] - sample.timestamps[0])
+    total_duration = float(sample.timestamps[-1] - sample.timestamps[0])
     de = duration_used / total_duration if total_duration > 0 else 0.0
     return prefix, EarlinessReport(
         earliness=used / total,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
@@ -76,10 +77,6 @@ class MtsSample:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def duration(self) -> float:
-        return float(self.timestamps[-1] - self.timestamps[0])
 
 
 def extract_mts(flows) -> list:
@@ -190,8 +187,9 @@ def read_dataset(directory) -> list:
 
     The series header is an id column (flow_id or series_id), seq_index, the
     d feature columns and an optional trailing rel_ts. Each id's rows must
-    carry seq_index 0..n-1; they may interleave with other ids' rows. The
-    extractor layout (flows.csv header FLOWS_HEADER) adds endpoints,
+    carry seq_index 0..n-1; they may interleave with other ids' rows. Every
+    numeric cell must be finite, and rel_ts may not decrease within a series.
+    The extractor layout (flows.csv header FLOWS_HEADER) adds endpoints,
     start_ts and num_packets: its series header must be series_header(d),
     every series id must be listed in flows.csv with that many rows, and
     timestamps are start_ts + rel_ts. Any other flows.csv needs an id and a
@@ -209,6 +207,10 @@ def read_dataset(directory) -> list:
         raise DatasetFormatError(f"{series_path}: unexpected header")
     if d < 1:
         raise DatasetFormatError(f"{series_path}: no feature columns")
+    finite = np.isfinite(table)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise DatasetFormatError(f"{series_path}: non-finite value in the series of {ids[row]!r}")
 
     # one pass over the ids: each run of equal ids becomes a row range
     spans = {}
@@ -231,6 +233,11 @@ def read_dataset(directory) -> list:
         seq, np.arange(len(seq)) - np.repeat(ends - lengths, lengths))
     values = np.ascontiguousarray(table[:, 1:1 + d])
     rel = np.ascontiguousarray(table[:, -1]) if has_rel else None
+    if rel is not None and seq_ok:
+        # every id is one run here, so a row with seq_index > 0 follows its own series
+        falls = np.flatnonzero((rel[1:] < rel[:-1]) & (seq[1:] > 0))
+        if len(falls):
+            _raise_falling_rel_ts(series_path, ids[falls[0] + 1])
     samples = []
     for flow_id, label, endpoints, start_ts, num_packets in entries:
         ranges = spans.get(flow_id, [])
@@ -245,6 +252,8 @@ def read_dataset(directory) -> list:
             rows = np.concatenate([np.arange(a, b) for a, b in ranges])
         if not seq_ok and not np.array_equal(seq[rows], np.arange(n)):
             raise DatasetFormatError(f"{flow_id}: seq_index not contiguous from 0")
+        if not seq_ok and rel is not None and (np.diff(rel[rows]) < 0).any():
+            _raise_falling_rel_ts(series_path, flow_id)
         if rel is None:
             timestamps = np.arange(n, dtype=np.float64)
         elif extractor:
@@ -255,6 +264,10 @@ def read_dataset(directory) -> list:
                                  timestamps=timestamps, label=label,
                                  endpoints=endpoints))
     return samples
+
+
+def _raise_falling_rel_ts(path, flow_id):
+    raise DatasetFormatError(f"{path}: rel_ts decreases within the series of {flow_id!r}")
 
 
 def _read_metadata(path):
@@ -285,6 +298,8 @@ def _read_metadata(path):
                     num_packets = int(row[8])
                 except ValueError as exc:
                     raise DatasetFormatError(f"{where}: {exc}") from None
+                if not math.isfinite(start_ts):
+                    raise DatasetFormatError(f"{where}: non-finite start_ts of {row[id_col]!r}")
             entries.append((row[id_col], row[label_col], endpoints, start_ts, num_packets))
     duplicate = _first_duplicate(entry[0] for entry in entries)
     if duplicate is not None:

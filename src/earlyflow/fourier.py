@@ -13,6 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# Kernels each lru_cache below keeps; model.DFT_CACHE_CELL_VALUES charges them.
+KERNEL_CACHE_SIZE = 8
+
 
 def _angle_table(n: int):
     """cos and sin of 2*pi*m/n for m = 0..n-1, and the (n, n) index j*k mod
@@ -22,7 +25,7 @@ def _angle_table(n: int):
     return np.cos(angle), np.sin(angle), jk
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _dft_matrix(n: int, sign: int) -> np.ndarray:
     """Read-only (n, n) kernel exp(sign*2*pi*i*j*k/n), gathered from an
     n-entry table. The cache is small on purpose: a kernel for n = 512 is
@@ -37,7 +40,7 @@ def _dft_matrix(n: int, sign: int) -> np.ndarray:
     return kernel
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def real_dft_kernel(n: int) -> np.ndarray:
     """Read-only (2n, n) matrix [C; -S], C[j, k] = cos(2*pi*j*k/n) and S the
     matching sines: kernel @ x stacks the real part of the forward transform

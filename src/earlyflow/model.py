@@ -40,7 +40,8 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, fields
 from itertools import islice
 
 import numpy as np
@@ -48,9 +49,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, _accum, _node, const, param
 from .earliness import PrefixSpec, take_prefix
-from .fourier import fft_2d, real_dft_kernel
+from .fourier import KERNEL_CACHE_SIZE, fft_2d, real_dft_kernel
 
-LN_EPS = 1e-5
 CHECKPOINT_FORMAT = "earlyflow-checkpoint-v1"
 # Most prefixes one graph holds, and the most B * T^2 attention cells (T =
 # prefix length + the classification token): 32 prefixes at attention length
@@ -60,22 +60,33 @@ MAX_GROUP = 32
 MAX_GROUP_CELLS = MAX_GROUP * 65 ** 2
 # Query rows the last encoder block attends from (see the module docstring).
 HEAD_QUERIES = 2
-# Most float64 values (1 GiB) a config may make MdtModel and one of its
-# forwards allocate; see config_values. Each parameter array is also charged
-# ARRAY_OVERHEAD_VALUES for its Python objects (tensor, array, grad, Adam
-# moments), which bounds the number of blocks of a narrow model too.
+# Most float64 values (1 GiB) a config may make MdtModel and one training
+# forward and backward allocate; see config_values. The charges below are
+# fitted to tracemalloc peaks of MdtModel plus one training step on one
+# max_len prefix, at attention lengths T of 2 to 1,000, n_heads 1 to 8 and
+# n_blocks 1 to 6 (see CHANGES.md).
 MAX_CONFIG_VALUES = 2 ** 27
-ARRAY_OVERHEAD_VALUES = 128
-# Values per cell of one prefix's (max_len + 1)^2 attention: the backward of
-# md_mha holds three score-sized arrays of 2 * n_heads heads each, and the
-# base covers the DFT kernel and the per-row arrays. Fitted to tracemalloc
-# peaks of a training forward plus backward of one prefix at attention
-# lengths 250 to 1,000 (n_heads 1, 4, 8: at most 32, 49 and 73 per cell).
-ATTENTION_CELL_VALUES = 28
-ATTENTION_HEAD_CELL_VALUES = 6
-# Values per cell of the kernels fourier's two lru_caches (8 kernels of at most
-# 2 * T^2 values each) keep between forwards; the fit above had them empty.
-DFT_CACHE_CELL_VALUES = 2 * 8 * 2
+# Each parameter value is held as data, as grad and as the product its grad is
+# summed from; each parameter array also costs ARRAY_OVERHEAD_VALUES for the
+# Python objects around it and the graph nodes built from it, which bounds
+# the number of blocks of a narrow model too.
+PARAMETER_COPIES = 3
+ARRAY_OVERHEAD_VALUES = 384
+# Values per attention row and d_model outside the blocks (with the
+# temporaries of one block's backward), and per row and block for the
+# activations each block keeps: BLOCK_ROW_VALUES per d_model and
+# BLOCK_ROW_FF_VALUES per d_ff.
+ROW_VALUES = 40
+BLOCK_ROW_VALUES = 16
+BLOCK_ROW_FF_VALUES = 4
+# Values per cell of one prefix's T^2 attention: the base, and per head for
+# each block but the last (which attends from HEAD_QUERIES rows only), whose
+# (2 * n_heads, T, T) scores are kept for backward.
+ATTENTION_CELL_VALUES = 8
+FULL_ATTENTION_HEAD_CELL_VALUES = 6
+# Values per cell of the kernels fourier's two lru_caches (KERNEL_CACHE_SIZE
+# kernels of at most 2 * T^2 values each) keep, the current forward's among them.
+DFT_CACHE_CELL_VALUES = 2 * KERNEL_CACHE_SIZE * 2
 # init of a parameter_layout entry drawn uniformly in +-sqrt(6 / (rows + cols))
 GLOROT = "glorot"
 
@@ -93,10 +104,7 @@ class MdtConfig:
     use_frequency_heads: bool = True
 
     def __post_init__(self):
-        for name in ("d_in", "n_classes", "d_model", "n_heads", "n_blocks", "d_ff", "max_len"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_int_fields(self)
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if not isinstance(self.dropout, numbers.Real) or not 0.0 <= self.dropout < 1.0:
@@ -105,22 +113,33 @@ class MdtConfig:
             raise ValueError("use_frequency_heads must be true or false")
         values = config_values(self)
         if values > MAX_CONFIG_VALUES:
-            # longest max_len the rest leaves room for; one cell costs _length_values(self, 0)
+            # longest max_len the rest leaves room for
             room = MAX_CONFIG_VALUES - values + _length_values(self, self.max_len)
-            top = math.isqrt(max(room, 0) // _length_values(self, 0))
-            longest = next((m for m in range(top, 0, -1) if _length_values(self, m) <= room), 0)
+            longest = bisect_right(range(1, self.max_len), room,
+                                   key=lambda m: _length_values(self, m))
             hint = f"; max_len {self.max_len} is too long, this config accepts at most {longest}" \
                 if longest else ""
             raise ValueError(f"model too large: it needs {values} float64 values, "
                              f"the limit is {MAX_CONFIG_VALUES}{hint}")
 
 
+def check_int_fields(obj):
+    """Raise ValueError unless every field of the dataclass obj annotated int
+    holds an integer >= 1."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", int) and (not isinstance(value, numbers.Integral) or value < 1):
+            raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
+
+
 def config_values(c: MdtConfig) -> int:
-    """Float64 values MdtModel(c) and one of its forwards allocate: every
-    entry of parameter_layout(c) plus ARRAY_OVERHEAD_VALUES per entry, and
-    the _length_values of max_len."""
+    """Float64 values MdtModel(c) and one training forward and backward of
+    one max_len prefix allocate: PARAMETER_COPIES per parameter of
+    parameter_layout(c) plus ARRAY_OVERHEAD_VALUES per entry, and the
+    _length_values of max_len."""
     def values(entries):
-        return sum(math.prod(shape) + ARRAY_OVERHEAD_VALUES for _, shape, _ in entries)
+        return sum(PARAMETER_COPIES * math.prod(shape) + ARRAY_OVERHEAD_VALUES
+                   for _, shape, _ in entries)
 
     before, after = _outer_layout(c)
     return (c.n_blocks * values(_block_layout(c, "blocks.0")) + values(before + after)
@@ -129,10 +148,13 @@ def config_values(c: MdtConfig) -> int:
 
 def _length_values(c: MdtConfig, max_len: int) -> int:
     """The values of config_values that grow with max_len: the (max_len,
-    d_model) positional table and the attention cells of one prefix of
-    max_len packets."""
-    per_cell = ATTENTION_CELL_VALUES + DFT_CACHE_CELL_VALUES + ATTENTION_HEAD_CELL_VALUES * c.n_heads
-    return max_len * c.d_model + (max_len + 1) ** 2 * per_cell
+    d_model) positional table, and the rows and attention cells of one
+    prefix of max_len packets."""
+    per_row = ROW_VALUES * c.d_model + c.n_blocks * (BLOCK_ROW_VALUES * c.d_model
+                                                     + BLOCK_ROW_FF_VALUES * c.d_ff)
+    per_cell = ATTENTION_CELL_VALUES + DFT_CACHE_CELL_VALUES \
+        + (c.n_blocks - 1) * FULL_ATTENTION_HEAD_CELL_VALUES * c.n_heads
+    return max_len * c.d_model + (max_len + 1) * per_row + (max_len + 1) ** 2 * per_cell
 
 
 def _outer_layout(c: MdtConfig):
@@ -240,11 +262,11 @@ def ifft_augment(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, spectrum.real, spectrum.imag], axis=-1)
 
 
-def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = True,
-           queries: int | None = None) -> Tensor:
+def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = None) -> Tensor:
     """Multi-domain multi-head attention over a (batch, length, d_model) stack
     of equal-length sequences; each sequence attends only to itself. Scores
-    are scaled by 1/sqrt(d_model).
+    are scaled by 1/sqrt(d_model). A w_o of d_model rows gives the time heads
+    alone, one of 2 * d_model rows adds the frequency heads.
 
     One autodiff node with a hand-written backward. The frequency heads see
     q, k and v transformed along the sequence axis; that transform commutes
@@ -268,15 +290,17 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
     batch, length, d_model = z.shape
     n_queries = length if queries is None else min(queries, length)
     dv = d_model // n_heads
-    families = 2 if use_frequency else 1     # score families: time, frequency
-    domains = 3 if use_frequency else 1      # stacked inputs: z, C z, -S z
+    if params.w_o.shape[0] not in (d_model, 2 * d_model):
+        raise ValueError(f"w_o needs {d_model} or {2 * d_model} rows, got {params.w_o.shape[0]}")
+    families = params.w_o.shape[0] // d_model   # score families: time, frequency
+    domains = 3 if families == 2 else 1         # stacked inputs: z, C z, -S z
     scaling = 1.0 / math.sqrt(d_model)
     weights = (params.w_q, params.w_k, params.w_v)
     w_data = [w.data for w in weights]
 
     stacked = np.empty((domains, batch, length, d_model))
     stacked[0] = z.data
-    if use_frequency:
+    if families == 2:
         kernel = real_dft_kernel(length)
         np.matmul(kernel.reshape(2, 1, length, length), z.data, out=stacked[1:])
     w_qkv = np.concatenate(w_data, axis=1)
@@ -295,7 +319,7 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
     scores = np.empty((batch, families * n_heads, n_queries, length))
     by_family = scores.reshape(batch, families, n_heads, n_queries, length)
     np.matmul(q, k.swapaxes(-1, -2), out=by_family)
-    if use_frequency:
+    if families == 2:
         proj_im = stacked[2:] @ w_qkv[:, :2 * d_model]
         q_im, k_im = (columns(proj_im, j)[:, 0] for j in range(2))
         q_im = q_im[..., :n_queries, :]
@@ -326,7 +350,7 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
         # so the products below take them in that layout
         g_keys = np.empty((batch, domains, n_heads, dv, length))
         np.matmul(q.swapaxes(-1, -2), g_scores, out=g_keys[:, :families])
-        if use_frequency:
+        if families == 2:
             np.matmul(g_scores[:, 1], k_im, out=g_q[:, 2])
             np.matmul(q_im.swapaxes(-1, -2), g_scores[:, 1], out=g_keys[:, 2])
         g_rows = (g_queries,
@@ -340,7 +364,7 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
                 _accum(w, rows[domain].T @ g_rows[j][domain].reshape(-1, d_model))
         for j in range(3):
             _accum(z, g_rows[j][0] @ w_data[j].T)
-        if use_frequency:
+        if families == 2:
             g_spectrum = np.empty((batch, 2 * length, d_model))
             for domain in (1, 2):
                 parts = [g_rows[j][domain] @ w_data[j].T
@@ -351,32 +375,32 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, use_frequency: bool = T
     return _node(merged @ w_o, (z, *weights, params.w_o), bw)
 
 
-def _dropout(t: Tensor, p: float, training: bool, rng) -> Tensor:
-    if not training or p <= 0.0:
+def _dropout(t: Tensor, p: float, rng) -> Tensor:
+    """Inverted dropout of t with its mask drawn from rng; t itself when rng is None."""
+    if rng is None or p <= 0.0:
         return t
-    if rng is None:
-        raise ValueError("training with dropout requires an rng")
     keep = (rng.random(t.shape) >= p) / (1.0 - p)
     return ad.mul(t, const(keep))
 
 
-def encoder_block(z: Tensor, block: BlockParams, config: MdtConfig,
-                  training: bool = False, rng=None, queries: int | None = None) -> Tensor:
+def encoder_block(z: Tensor, block: BlockParams, config: MdtConfig, rng=None,
+                  queries: int | None = None) -> Tensor:
     """Post-norm block over a (batch, length, d_model) stack: attention,
     residual + layer norm, feed-forward, residual + layer norm. Shape
-    preserving. queries: attend from the first `queries` positions only
-    (see md_mha); later rows then skip attention, and callers drop them."""
-    attended = md_mha(z, block.attn, config.n_heads, config.use_frequency_heads, queries)
-    z = ad.layer_norm(ad.add(z, _dropout(attended, config.dropout, training, rng)),
-                      block.ln1_gain, block.ln1_bias, eps=LN_EPS)
+    preserving. Dropout is drawn from rng when one is given. queries: attend
+    from the first `queries` positions only (see md_mha); later rows then
+    skip attention, and callers drop them."""
+    attended = md_mha(z, block.attn, config.n_heads, queries)
+    z = ad.layer_norm(ad.add(z, _dropout(attended, config.dropout, rng)),
+                      block.ln1_gain, block.ln1_bias)
     hidden = ad.relu(ad.linear(z, block.ff_w1, block.ff_b1))
     ff = ad.linear(hidden, block.ff_w2, block.ff_b2)
-    z = ad.layer_norm(ad.add(z, _dropout(ff, config.dropout, training, rng)),
-                      block.ln2_gain, block.ln2_bias, eps=LN_EPS)
+    z = ad.layer_norm(ad.add(z, _dropout(ff, config.dropout, rng)),
+                      block.ln2_gain, block.ln2_bias)
     return z
 
 
-def forward(model: MdtModel, x, training: bool = False, rng=None):
+def forward(model: MdtModel, x, rng=None):
     """Run one prefix, or a stack of equal-length prefixes as one graph.
 
     x: an (l, d_in) prefix or a (b, l, d_in) stack. Returns (logits, latent)
@@ -404,7 +428,7 @@ def forward(model: MdtModel, x, training: bool = False, rng=None):
     z = ad.concat([cls, z], axis=1)
     for i, block in enumerate(model.blocks):
         last = i == len(model.blocks) - 1
-        z = encoder_block(z, block, c, training, rng, HEAD_QUERIES if last else None)
+        z = encoder_block(z, block, c, rng, HEAD_QUERIES if last else None)
     latent = ad.reshape(ad.slice_axis(z, 1, 0, 1), (batch, c.d_model))
     logits = ad.add_bias(ad.matmul(latent, model.head_w), model.head_b)
     if single:

@@ -47,6 +47,9 @@ TCP_FLAG_NAMES = ("ns", "cwr", "ece", "urg", "ack", "psh", "rst", "syn", "fin", 
 # Bytes of the file read per block; a block always holds at least one whole
 # frame, so a larger frame makes a larger block.
 BLOCK_BYTES = 1 << 18
+# Largest record libpcap accepts (its MAXIMUM_SNAPLEN); a longer incl_len is
+# corruption, and reading it would allocate that many bytes.
+MAXIMUM_SNAPLEN = 262144
 
 
 class CaptureError(Exception):
@@ -212,8 +215,7 @@ class CaptureReader:
                 raise UnknownMagicError(f"{self.path}: unknown magic 0x{magic:08X}")
             if len(header) < 24:
                 raise TruncatedHeaderError(f"{self.path}: global header truncated")
-            native_magic = struct.unpack(endian + "I", header[:4])[0]
-            self._tick = 1e-9 if native_magic == MAGIC_LE_NANOS else 1e-6
+            self._tick = 1e-9 if magic in (MAGIC_LE_NANOS, MAGIC_BE_NANOS) else 1e-6
             self._endian = endian
             self._incl_len = struct.Struct(endian + "8xI").unpack_from
             link_type = struct.unpack(endian + "I", header[20:24])[0]
@@ -264,6 +266,12 @@ class CaptureReader:
             while end - pos >= 16:
                 after = pos + 16 + incl_len(buf, pos)[0]
                 if after > end:
+                    # every record longer than BLOCK_BYTES, so every one past
+                    # MAXIMUM_SNAPLEN, comes here before it fits
+                    if after - pos - 16 > MAXIMUM_SNAPLEN:
+                        raise CaptureError(
+                            f"{self.path}: record {self.frames_total + len(at)} claims "
+                            f"{after - pos - 16} bytes, more than {MAXIMUM_SNAPLEN}")
                     missing = after - end
                     break
                 at.append(pos)

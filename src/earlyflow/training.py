@@ -22,7 +22,7 @@ from .autodiff import backward, cross_entropy, scale, zero_grad
 from .earliness import BY_COUNT, PrefixSpec, aggregate_earliness, take_prefix
 from .features import DatasetFormatError, read_dataset
 from .metrics import Metrics, compute_metrics
-from .model import MdtConfig, MdtModel, forward, forward_prefixes, length_buckets
+from .model import MdtConfig, MdtModel, check_int_fields, forward, forward_prefixes, length_buckets
 
 SPLIT = (0.70, 0.15, 0.15)   # train, validation, test shares of each class
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -36,10 +36,7 @@ class Hyperparams:
     patience: int = 10
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "patience"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_int_fields(self)
         rate = self.learning_rate
         if not isinstance(rate, numbers.Real) or not 0.0 <= rate < math.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {rate!r}")
@@ -73,7 +70,7 @@ class SweepPoint:
 class Adam:
     """Standard first-moment/second-moment update with bias correction."""
 
-    def __init__(self, params, lr=1e-3):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
         self.t = 0
@@ -133,16 +130,17 @@ def _prefix_arrays(samples, spec):
     return prefixes, reports
 
 
-def minibatch_gradients(model: MdtModel, prefixes, targets, weights, rng=None):
+def minibatch_gradients(model: MdtModel, prefixes, targets, weights, rng):
     """Add to the parameter grads the gradient of sum(w * nll) / sum(w) over
-    one training minibatch, w being each target's class weight. Prefixes of
-    one length run as one graph. Returns (sum(w * nll), sum(w))."""
+    one training minibatch, w being each target's class weight, with dropout
+    drawn from rng. Prefixes of one length run as one graph. Returns
+    (sum(w * nll), sum(w))."""
     targets = np.asarray(targets, dtype=np.intp)
     batch_w = float(weights[targets].sum())
     loss_sum = 0.0
     for group in length_buckets([len(p) for p in prefixes]):
-        logits, _ = forward(model, np.stack([prefixes[i] for i in group]),
-                            training=True, rng=rng)
+        # rng positionally: the benchmark's tracer tells training forwards by args[2]
+        logits, _ = forward(model, np.stack([prefixes[i] for i in group]), rng)
         nll = cross_entropy(logits, targets[group], class_weights=weights)
         # the group's weighted mean nll times its share of the batch weight
         group_w = float(weights[targets[group]].sum())
@@ -152,7 +150,7 @@ def minibatch_gradients(model: MdtModel, prefixes, targets, weights, rng=None):
 
 
 def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
-          seed: int = 42, verbose: bool = False) -> TrainResult:
+          seed: int, verbose: bool = False) -> TrainResult:
     samples = list(samples)
     classes = dataset_classes(samples)
     if len(classes) != model.config.n_classes:
@@ -198,7 +196,7 @@ def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
 
         val_f1 = compute_metrics(_predict_labels(model, val_prefixes, classes), val_labels,
                                  classes).macro_f1 if val_ids else 0.0
-        epoch_loss = loss_sum / weight_sum if weight_sum else 0.0
+        epoch_loss = loss_sum / weight_sum
         history.append(EpochStats(epoch=epoch, loss=epoch_loss, val_macro_f1=val_f1))
         if verbose:
             print(f"epoch {epoch}: loss {epoch_loss:.6f} val_macro_f1 {val_f1:.4f}")
@@ -244,8 +242,7 @@ def _run_sweep_point(args):
                       mean_duration_earliness=mean_de, metrics=metrics)
 
 
-def sweep(config: MdtConfig, samples, specs, hp: Hyperparams,
-          seed: int = 42, jobs: int = 1) -> list:
+def sweep(config: MdtConfig, samples, specs, hp: Hyperparams, seed: int, jobs: int) -> list:
     """Train and evaluate one fresh model per PrefixSpec in specs; rows come
     back sorted by mean earliness."""
     specs = list(specs)

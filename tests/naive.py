@@ -60,12 +60,14 @@ def naive_layer_norm(x, gain, bias, eps):
 # ---------------------------------------------------------------------------
 # multi-domain attention as a graph of autodiff ops
 
-def naive_md_mha(z, params, n_heads, use_frequency=True):
+def naive_md_mha(z, params, n_heads):
     """model.md_mha composed from about 50 autodiff ops, so autodiff derives
     its backward: nine projections (z, C z and -S z by w_q and w_k, z and
     C z by w_v), one ad.softmax per head family, and a concat of the merged
-    heads before w_o."""
+    heads before w_o. As in md_mha, a w_o of 2 * d_model rows adds the
+    frequency heads."""
     batch, length, d_model = z.shape
+    use_frequency = params.w_o.shape[0] == 2 * d_model
     dv = d_model // n_heads
     scaling = 1.0 / math.sqrt(d_model)
 

@@ -5,6 +5,8 @@ or renamed function fail this suite rather than the benchmark."""
 import os
 import sys
 
+import numpy as np
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 if PERFBENCH not in sys.path:
     sys.path.insert(0, PERFBENCH)
@@ -21,3 +23,24 @@ def test_benchmark_tracing_installs_on_the_program_and_restores():
         assert patched
         assert all(vars(owner)[attr].__wrapped__ is original for owner, attr, original in patched)
     assert all(vars(owner)[attr] is original for owner, attr, original in patched)
+
+
+def test_tracer_tells_training_forwards_from_eval_forwards():
+    # the tracer names a forward model.forward_train only when its third
+    # positional argument is truthy, so training passes its rng positionally
+    ef = measure.import_program()
+    config = ef.model.MdtConfig(d_in=3, n_classes=2, d_model=8, n_heads=2, n_blocks=1, d_ff=8,
+                                max_len=4)
+    model = ef.model.MdtModel(config, seed=0)
+    prefixes = [np.zeros((4, 3)), np.ones((4, 3))]
+
+    def forward_spans():
+        return [name for name in rec.names if name.startswith("model.forward")]
+
+    with SpanRecorder() as rec:
+        measure.install_tracing(rec, ef, measure.LayerCounters())
+        ef.training.minibatch_gradients(model, prefixes, np.array([0, 1]), np.ones(2),
+                                        np.random.default_rng(0))
+        assert forward_spans() == ["model.forward_train"]
+        ef.model.forward_prefixes(model, prefixes)
+        assert forward_spans() == ["model.forward_train", "model.forward_eval"]

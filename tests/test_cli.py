@@ -17,7 +17,9 @@ from earlyflow.features import MtsSample, write_dataset
 
 from gen_mts import separable_suite
 from gen_pcap import tcp_frame, udp_frame, arp_frame, icmp_frame, write_pcap
-from test_features import MALFORMED, break_dataset
+from test_features import (
+    IMPOSSIBLE_TIME_AXES, MALFORMED, break_dataset, make_samples, nan_start_ts, write_time_axis,
+)
 
 
 @pytest.fixture
@@ -349,6 +351,23 @@ def test_malformed_dataset_row_exit_2_one_line(tmp_path, toy_dataset, capsys, na
                    "--out", tmp_path / "x.ckpt") == 2
     err = capsys.readouterr().err
     assert re.match(re.escape(f"error: {path}: ") + message, err) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rel_ts", [rel_ts for rel_ts, _ in IMPOSSIBLE_TIME_AXES] + [None])
+def test_impossible_time_axis_exit_2_one_line(tmp_path, capsys, rel_ts):
+    # rel_ts None: a NaN start_ts in an extractor-layout flows.csv
+    data = tmp_path / "ds"
+    if rel_ts is None:
+        write_dataset(make_samples(np.random.default_rng(7), 4), data)
+        break_dataset(data, "flows.csv", nan_start_ts)
+    else:
+        data.mkdir()
+        write_time_axis(data, rel_ts)
+    assert run_cli("train", "--data", data, "--prefix-duration", 1.5,
+                   "--out", tmp_path / "x.ckpt") == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: .*(non-finite|decreases).*\n", err), err
+    assert not any(tmp_path.glob("x.ckpt*"))
 
 
 def test_bad_grid_exit_2(tmp_path, toy_dataset):

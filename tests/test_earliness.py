@@ -61,11 +61,6 @@ def test_single_packet_flow_duration_earliness_zero():
     assert report.duration_earliness == 0.0
 
 
-def test_flow_earliness_is_the_pair():
-    report = EarlinessReport(0.5, 0.25, 5, 1.0)
-    assert report.flow_earliness == (0.5, 0.25)
-
-
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         PrefixSpec.by_count(0)

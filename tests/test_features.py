@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from earlyflow.features import (
-    DatasetFormatError, FEATURE_NAMES, MtsSample, extract_mts, read_dataset,
+    DatasetFormatError, FEATURE_NAMES, FLOWS_HEADER, MtsSample, extract_mts, read_dataset,
     write_dataset,
 )
 from earlyflow.flows import FlowTable
@@ -45,7 +45,7 @@ def test_burst_flow_iat_sums_to_duration():
     sample = one_sample(packets)
     assert sample.length == 10
     assert abs(sample.values[:, 1].sum() - 0.10) < 1e-9
-    assert abs(sample.duration - 0.10) < 1e-9
+    assert abs(sample.timestamps[-1] - sample.timestamps[0] - 0.10) < 1e-9
 
 
 def test_three_packet_flow_matches_hand_decode():
@@ -423,6 +423,49 @@ def test_seq_index_gap_rejected_with_matching_row_count(tmp_path, mix):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="seq_index not contiguous"):
         read_dataset(tmp_path)
+
+
+def write_time_axis(directory, rel_ts):
+    """External dataset of series 'bad', whose rel_ts cells are rel_ts, and
+    'good', whose rel_ts are 0, 1, 2, 3."""
+    rows = [f"{sid},{i},{i % 2},{t}" for sid, cells in (("bad", rel_ts), ("good", "0,1,2,3"))
+            for i, t in enumerate(cells.split(","))]
+    Path(directory, "series.csv").write_text(
+        "\n".join(["series_id,seq_index,feature_0,rel_ts"] + rows) + "\n", encoding="utf-8")
+    Path(directory, "flows.csv").write_text("series_id,label\nbad,a\ngood,b\n", encoding="utf-8")
+
+
+# rel_ts of series 'bad' and the error it gets
+IMPOSSIBLE_TIME_AXES = [
+    ("0,3,1,2", "rel_ts decreases within the series of 'bad'"),
+    ("0,nan,2,3", "non-finite value in the series of 'bad'"),
+    ("0,1,inf,3", "non-finite value in the series of 'bad'"),
+]
+
+
+@pytest.mark.parametrize("mix", [False, True])
+@pytest.mark.parametrize("rel_ts,message", IMPOSSIBLE_TIME_AXES)
+def test_impossible_time_axis_rejected(tmp_path, rel_ts, message, mix):
+    write_time_axis(tmp_path, rel_ts)
+    if mix:
+        interleave(tmp_path / "series.csv")
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape(f"{tmp_path / 'series.csv'}: {message}") + "$"):
+        read_dataset(tmp_path)
+
+
+def test_non_finite_start_ts_rejected(tmp_path):
+    write_dataset(make_samples(np.random.default_rng(7), 2), tmp_path)
+    break_dataset(tmp_path, "flows.csv", nan_start_ts)
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"{tmp_path / 'flows.csv'}: line 2: non-finite start_ts of 'sample-0'") + "$"):
+        read_dataset(tmp_path)
+
+
+def nan_start_ts(lines):
+    cells = lines[1].split(",")
+    cells[FLOWS_HEADER.index("start_ts")] = "nan"
+    lines[1] = ",".join(cells)
 
 
 def test_row_count_must_match_num_packets(tmp_path):

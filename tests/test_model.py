@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -13,8 +14,9 @@ from earlyflow.autodiff import backward, const, cross_entropy, param, sum_all, z
 from earlyflow.earliness import PrefixSpec
 from earlyflow.features import MtsSample
 from earlyflow.model import (
-    ARRAY_OVERHEAD_VALUES, ATTENTION_CELL_VALUES, ATTENTION_HEAD_CELL_VALUES, DFT_CACHE_CELL_VALUES,
-    MAX_CONFIG_VALUES,
+    ARRAY_OVERHEAD_VALUES, ATTENTION_CELL_VALUES, BLOCK_ROW_FF_VALUES, BLOCK_ROW_VALUES,
+    DFT_CACHE_CELL_VALUES, FULL_ATTENTION_HEAD_CELL_VALUES, MAX_CONFIG_VALUES, PARAMETER_COPIES,
+    ROW_VALUES,
     MdMhaParams, MdtConfig, MdtModel, config_values, encoder_block, export_latents, forward,
     forward_prefixes, ifft_augment, length_buckets, load_checkpoint, md_mha, parameter_layout,
     predict, save_checkpoint,
@@ -145,7 +147,7 @@ def test_md_mha_vanilla_matches_straight_line_oracle():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(5, 8))
     p = make_attn_params(rng, 8, 2, use_freq=False)
-    got = md_mha(const(z[None]), p, n_heads=2, use_frequency=False).data[0]
+    got = md_mha(const(z[None]), p, n_heads=2).data[0]
     want = straight_line_mdmha(z, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data, 2,
                                use_freq=False)
     assert np.abs(got - want).max() < 1e-9
@@ -198,7 +200,7 @@ def test_md_mha_identical_rows_give_uniform_scores(softmax_outputs):
     # time-head output rows are identical (frequency heads see the DC bin
     # concentration instead, so they are exempt)
     time_only = MdMhaParams(p.w_q, p.w_k, p.w_v, param(p.w_o.data[:8]))
-    out = md_mha(const(z), time_only, n_heads=2, use_frequency=False).data[0]
+    out = md_mha(const(z), time_only, n_heads=2).data[0]
     assert np.abs(out - out[0]).max() < 1e-12
 
 
@@ -213,13 +215,13 @@ def test_md_mha_score_rows_sum_to_one(softmax_outputs):
     assert np.allclose(freq_scores.sum(axis=-1), 1.0)
 
 
-def fft_pair_md_mha(z, params, n_heads, use_frequency=True, queries=None):
+def fft_pair_md_mha(z, params, n_heads, queries=None):
     """Reference for md_mha's frequency heads: q, k and v each transformed
     per head along the sequence axis by ad.fft_pair. It attends from every
     position whatever queries says; forward reads only the rows md_mha
     computes."""
-    assert use_frequency
     batch, length, d_model = z.shape
+    assert params.w_o.shape[0] == 2 * d_model
     dv = d_model // n_heads
     scaling = 1.0 / math.sqrt(d_model)
 
@@ -276,12 +278,12 @@ def test_forward_matches_fft_pair_path_ragged(monkeypatch):
     assert np.abs(latents - want_latents).max() < 1e-9
 
 
-def attention_and_grads(attention, z, p, use_freq, weights, n_heads=2):
+def attention_and_grads(attention, z, p, weights, n_heads=2):
     """Output of attention(z, p) and the grads of sum(output * weights) with
     respect to z, w_q, w_k, w_v and w_o."""
     tensors = [z, p.w_q, p.w_k, p.w_v, p.w_o]
     zero_grad(tensors)
-    out = attention(z, p, n_heads, use_freq)
+    out = attention(z, p, n_heads)
     backward(sum_all(ad.mul(out, weights)))
     return [out.data] + [t.grad for t in tensors]
 
@@ -294,8 +296,8 @@ def test_md_mha_matches_graph_oracle_with_grads(batch, use_freq):
         z = param(rng.normal(size=(batch, length, 8)))
         p = make_attn_params(rng, 8, 2, use_freq)
         weights = const(rng.normal(size=(batch, length, 8)))
-        got = attention_and_grads(md_mha, z, p, use_freq, weights)
-        want = attention_and_grads(naive_md_mha, z, p, use_freq, weights)
+        got = attention_and_grads(md_mha, z, p, weights)
+        want = attention_and_grads(naive_md_mha, z, p, weights)
         for name, a, b in zip(("out", "z", "w_q", "w_k", "w_v", "w_o"), got, want):
             assert np.abs(a - b).max() < 1e-9, (length, name)
 
@@ -308,13 +310,13 @@ def test_md_mha_equals_graph_oracle_bit_for_bit(batch, length):
     z = param(rng.normal(size=(batch, length, 64)))
     p = make_attn_params(rng, 64, 4)
     weights = const(rng.normal(size=(batch, length, 64)))
-    got = attention_and_grads(md_mha, z, p, True, weights, n_heads=4)
-    want = attention_and_grads(naive_md_mha, z, p, True, weights, n_heads=4)
+    got = attention_and_grads(md_mha, z, p, weights, n_heads=4)
+    want = attention_and_grads(naive_md_mha, z, p, weights, n_heads=4)
     for name, a, b in zip(("out", "z", "w_q", "w_k", "w_v", "w_o"), got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-def leading_rows_and_full(z, p, use_freq, n_heads, queries):
+def leading_rows_and_full(z, p, n_heads, queries):
     """md_mha attending from the first `queries` rows, and from every row,
     each with its grads under an upstream grad that is nonzero only in row 0,
     the one row the classification head reads."""
@@ -322,11 +324,11 @@ def leading_rows_and_full(z, p, use_freq, n_heads, queries):
     upstream[:, 0] = np.random.default_rng(44).normal(size=(z.shape[0], z.shape[2]))
     weights = const(upstream)
 
-    def leading(z, p, n_heads, use_freq):
-        return md_mha(z, p, n_heads, use_freq, queries)
+    def leading(z, p, n_heads):
+        return md_mha(z, p, n_heads, queries)
 
-    return (attention_and_grads(leading, z, p, use_freq, weights, n_heads),
-            attention_and_grads(md_mha, z, p, use_freq, weights, n_heads))
+    return (attention_and_grads(leading, z, p, weights, n_heads),
+            attention_and_grads(md_mha, z, p, weights, n_heads))
 
 
 @pytest.mark.parametrize("use_freq", [True, False])
@@ -337,7 +339,7 @@ def test_md_mha_leading_rows_equal_full_rows_bit_for_bit(batch, use_freq):
     rng = np.random.default_rng(45)
     z = param(rng.normal(size=(batch, 17, 32)))
     p = make_attn_params(rng, 32, 4, use_freq)
-    got, want = leading_rows_and_full(z, p, use_freq, 4, queries=2)
+    got, want = leading_rows_and_full(z, p, 4, queries=2)
     assert got[0][:, :2].tobytes() == want[0][:, :2].tobytes()
     assert not got[0][:, 2:].any()
     for name, a, b in zip(("z", "w_q", "w_k", "w_v", "w_o"), got[1:], want[1:]):
@@ -354,7 +356,7 @@ def test_md_mha_leading_rows_match_full_rows(batch, length, use_freq):
     rng = np.random.default_rng([batch, length])
     z = param(rng.normal(size=(batch, length, 32)))
     p = make_attn_params(rng, 32, 4, use_freq)
-    got, want = leading_rows_and_full(z, p, use_freq, 4, queries=2)
+    got, want = leading_rows_and_full(z, p, 4, queries=2)
     assert np.abs(got[0][:, :2] - want[0][:, :2]).max() <= 1e-12
     assert not got[0][:, 2:].any()
     for name, a, b in zip(("z", "w_q", "w_k", "w_v", "w_o"), got[1:], want[1:]):
@@ -378,8 +380,7 @@ def test_training_bits_match_full_attention(monkeypatch):
     pruned = trained_bytes()
     full_rows = model_module.md_mha
     monkeypatch.setattr(model_module, "md_mha",
-                        lambda z, p, n_heads, use_frequency=True, queries=None:
-                        full_rows(z, p, n_heads, use_frequency))
+                        lambda z, p, n_heads, queries=None: full_rows(z, p, n_heads))
     assert trained_bytes() == pruned
 
 
@@ -392,7 +393,17 @@ def test_md_mha_rejects_nonfinite_input(bad):
     for use_freq in (True, False):
         params = p if use_freq else make_attn_params(rng, 8, 2, use_freq=False)
         with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
-            md_mha(const(z), params, n_heads=2, use_frequency=use_freq)
+            md_mha(const(z), params, n_heads=2)
+
+
+@pytest.mark.parametrize("rows", [4, 12, 24, 32])
+def test_md_mha_reads_head_families_off_w_o(rows):
+    # w_o has d_model rows (time heads) or 2 * d_model (time and frequency)
+    rng = np.random.default_rng(46)
+    p = make_attn_params(rng, 8, 2)
+    p.w_o = param(rng.normal(size=(rows, 8)))
+    with pytest.raises(ValueError, match="w_o needs 8 or 16 rows, got"):
+        md_mha(const(rng.normal(size=(1, 3, 8))), p, n_heads=2)
 
 
 def test_md_mha_gradients_match_finite_differences():
@@ -526,10 +537,37 @@ def test_parameter_layout_is_the_model_and_config_values_counts_it(
     assert last.attn.w_o is model.params[f"blocks.{n_blocks - 1}.attn.w_o"]
     assert last.ln2_bias is model.params[f"blocks.{n_blocks - 1}.ln2.bias"]
     assert model.head_b is model.params["head.bias"]
-    cells = (max_len + 1) ** 2
-    assert config_values(config) == sum(math.prod(shape) for _, shape, _ in layout) + \
-        ARRAY_OVERHEAD_VALUES * len(layout) + max_len * config.d_model + \
-        cells * (ATTENTION_CELL_VALUES + DFT_CACHE_CELL_VALUES + ATTENTION_HEAD_CELL_VALUES * n_heads)
+    d_model, rows = config.d_model, max_len + 1
+    per_row = ROW_VALUES * d_model + \
+        n_blocks * (BLOCK_ROW_VALUES * d_model + BLOCK_ROW_FF_VALUES * d_ff)
+    per_cell = ATTENTION_CELL_VALUES + DFT_CACHE_CELL_VALUES + \
+        (n_blocks - 1) * FULL_ATTENTION_HEAD_CELL_VALUES * n_heads
+    parameters = sum(math.prod(shape) for _, shape, _ in layout)
+    assert config_values(config) == PARAMETER_COPIES * parameters + \
+        ARRAY_OVERHEAD_VALUES * len(layout) + max_len * d_model + rows * per_row + \
+        rows ** 2 * per_cell
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8]), st.integers(1, 8), st.integers(1, 6), st.integers(1, 4),
+       st.integers(1, 96), st.integers(1, 13), st.booleans())
+def test_config_values_bound_a_training_step(n_heads, head_width, n_blocks, ff_factor, max_len,
+                                             d_in, use_freq):
+    # tracemalloc's peak over MdtModel and one training forward and backward
+    # of a max_len prefix stays within the float64 values config_values charges
+    d_model = n_heads * head_width
+    config = MdtConfig(d_in=d_in, n_classes=3, d_model=d_model, n_heads=n_heads,
+                       n_blocks=n_blocks, d_ff=ff_factor * d_model, max_len=max_len,
+                       use_frequency_heads=use_freq)
+    x = np.random.default_rng(0).normal(size=(max_len, d_in))
+    tracemalloc.start()
+    try:
+        model = MdtModel(config, seed=0)
+        minibatch_gradients(model, [x], np.array([0]), np.ones(3), np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * config_values(config)
 
 
 def test_dft_cache_charge_covers_every_cached_kernel():
@@ -572,11 +610,11 @@ def test_dropout_only_in_training_mode():
     rng = np.random.default_rng(13)
     model = MdtModel(toy_config(dropout=0.5), seed=5)
     x = rng.normal(size=(4, 13))
-    a, _ = forward(model, x, training=False)
-    b, _ = forward(model, x, training=False)
+    a, _ = forward(model, x)
+    b, _ = forward(model, x)
     assert np.array_equal(a.data, b.data)
-    c, _ = forward(model, x, training=True, rng=np.random.default_rng(0))
-    d, _ = forward(model, x, training=True, rng=np.random.default_rng(1))
+    c, _ = forward(model, x, np.random.default_rng(0))
+    d, _ = forward(model, x, np.random.default_rng(1))
     assert np.abs(c.data - d.data).max() > 0.0
 
 
@@ -711,7 +749,8 @@ def test_training_step_after_eval_gets_gradients():
     prefixes = [rng.normal(size=(4, 13)) for _ in range(3)]
     forward_prefixes(model, prefixes)
     predict(model, prefixes[0])
-    minibatch_gradients(model, prefixes, np.array([0, 1, 2]), np.ones(3))
+    minibatch_gradients(model, prefixes, np.array([0, 1, 2]), np.ones(3),
+                        np.random.default_rng(0))
     assert all(p.grad is not None for p in model.parameters())
 
 

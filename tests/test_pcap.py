@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,22 @@ def test_flat_decoder_matches_slicing_decoder(tmp_path, endian, nanos):
     assert (total, len(records)) == (len(frames), 8)
     transports = [r.transport for r in records]
     assert transports.count(Transport.TCP) == 6 and transports.count(Transport.UDP) == 2
+
+
+def test_record_past_maximum_snaplen_rejected_without_reading_it(tmp_path):
+    # a corrupt incl_len of 2^28 would otherwise ask read() for 256 MB
+    path = tmp_path / "huge.pcap"
+    header = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+    write_raw(path, header + struct.pack("<IIII", 1, 0, 1 << 28, 1 << 28) + b"\x00" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CaptureError, match=f"record 0 claims {1 << 28} bytes, more than "
+                                               f"{pcap.MAXIMUM_SNAPLEN}"):
+            read_all(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_flag_table_matches_bitwise_decode():

@@ -114,7 +114,7 @@ def test_bucketed_minibatch_gradient_equals_per_sample_sum():
     total_w = sum(weights[t] for t in targets)
     want_loss = 0.0
     for x, t in zip(prefixes, targets):
-        logits, _ = forward(model, x, training=True)
+        logits, _ = forward(model, x)
         nll = cross_entropy(logits, t)
         backward(scale(nll, weights[t] / total_w))
         want_loss += weights[t] * float(nll.data)
@@ -160,7 +160,8 @@ def test_sweep_sorted_and_monotone_earliness():
     samples = separable_suite(6, n=60, length=12)
     config = small_config(4, 2, max_len=12)
     hp = Hyperparams(max_epochs=2, patience=5)
-    points = sweep(config, samples, [PrefixSpec.by_count(n) for n in (8, 2, 4)], hp, seed=5)
+    points = sweep(config, samples, [PrefixSpec.by_count(n) for n in (8, 2, 4)], hp,
+                   seed=5, jobs=1)
     means = [p.mean_earliness for p in points]
     assert means == sorted(means)
     assert means[0] < means[1] < means[2]
@@ -172,7 +173,8 @@ def test_sweep_sorted_and_monotone_earliness():
 def test_sweep_wholesample_grid_earliness_one():
     samples = separable_suite(7, n=40, length=8)
     config = small_config(4, 2, max_len=8)
-    points = sweep(config, samples, [PrefixSpec.by_count(8)], Hyperparams(max_epochs=1), seed=2)
+    points = sweep(config, samples, [PrefixSpec.by_count(8)], Hyperparams(max_epochs=1),
+                   seed=2, jobs=1)
     assert points[0].mean_earliness == pytest.approx(1.0)
 
 
@@ -180,7 +182,8 @@ def test_sweep_rejects_grid_beyond_max_len():
     samples = separable_suite(8, n=20, length=8)
     config = small_config(4, 2, max_len=8)
     with pytest.raises(ValueError, match="max_len"):
-        sweep(config, samples, [PrefixSpec.by_count(16)], Hyperparams(max_epochs=1), seed=2)
+        sweep(config, samples, [PrefixSpec.by_count(16)], Hyperparams(max_epochs=1),
+              seed=2, jobs=1)
 
 
 def test_sweep_duration_mode():
@@ -188,7 +191,7 @@ def test_sweep_duration_mode():
     samples = separable_suite(10, n=40, length=8)
     config = small_config(4, 2, max_len=8)
     points = sweep(config, samples, [PrefixSpec.by_duration(t) for t in (1.0, 5.0)],
-                   Hyperparams(max_epochs=1, patience=2), seed=4)
+                   Hyperparams(max_epochs=1, patience=2), seed=4, jobs=1)
     assert points[0].spec.duration_secs == 1.0
     assert points[0].mean_earliness == pytest.approx(2 / 8)
     assert points[1].mean_earliness == pytest.approx(6 / 8)
