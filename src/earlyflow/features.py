@@ -10,7 +10,9 @@ at the extractor's 13, feature_0 ... feature_{d-1} at any other width d.
 
 extract_mts turns a list of flows into samples in one pass: it builds the
 (N, 13) feature array of all N packets at once and gives each sample its
-slice. write_dataset formats each flow's rows as one block. One long-format
+slice. write_dataset formats series rows in chunks of whole flows, each
+by one row template whose per-column formats are chosen from the chunk's
+cells, so only non-integral cells pay for '%.9f'. One long-format
 reader, read_dataset, reads both the extractor layout and external series
 (training.load_external_mts adds a profile check): it takes d from the
 series header, parses every numeric cell with one np.loadtxt call and
@@ -24,8 +26,10 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, groupby, repeat
 from operator import attrgetter, eq
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,6 +43,11 @@ NUM_FEATURES = len(FEATURE_NAMES)
 _FLAG_SHIFTS = np.arange(len(TCP_FLAG_NAMES) - 1, -1, -1)
 _FLAG_CODE = {tuple(bits): code for code, bits in enumerate(
     (np.arange(1 << len(_FLAG_SHIFTS))[:, None] >> _FLAG_SHIFTS & 1).tolist())}
+
+# series.csv rows formatted by one % call (see _series_chunks), and the most
+# adjacent 0/1 columns one looked-up string covers (2^FLAG_RUN strings).
+CHUNK_ROWS = 4096
+FLAG_RUN = 10
 
 FLOWS_HEADER = ["flow_id", "src_ip", "src_port", "dst_ip", "dst_port",
                 "transport", "start_ts", "end_ts", "num_packets", "label"]
@@ -135,7 +144,8 @@ def write_dataset(samples, out_dir) -> dict:
     """Write flows.csv and series.csv under out_dir; returns a small manifest
     with row counts. Numeric fields carry exactly 9 fractional digits, and
     the series columns are named by series_header(d) for the samples' width
-    d. Each flow's series rows are formatted as one block."""
+    d. flows.csv is one writerows call; series.csv is formatted in chunks
+    (see _series_chunks), each by one row template chosen from its data."""
     samples = list(samples)
     widths = {s.width for s in samples}
     if len(widths) > 1:
@@ -144,40 +154,105 @@ def write_dataset(samples, out_dir) -> dict:
     if duplicate is not None:
         raise ValueError(f"duplicate flow_id {duplicate!r}")
     d = widths.pop() if widths else NUM_FEATURES
-    row_fmt = ",%d" + ",%.9f" * (d + 1) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     flows_path = os.path.join(out_dir, "flows.csv")
     series_path = os.path.join(out_dir, "series.csv")
-    n_rows = 0
-    # the flow id goes through csv.writer once per flow, so it is quoted
-    # exactly as a csv.writer row would quote it
-    id_buf = io.StringIO()
-    id_csv = csv.writer(id_buf, lineterminator="")
     with open(flows_path, "w", newline="", encoding="utf-8") as fh_flows, \
             open(series_path, "w", newline="", encoding="utf-8") as fh_series:
         flows_csv = csv.writer(fh_flows, lineterminator="\n")
         flows_csv.writerow(FLOWS_HEADER)
+        flows_csv.writerows(
+            [s.flow_id, *(s.endpoints or ("*", "*", "*", "*", "*")),
+             f"{s.timestamps[0]:.9f}", f"{s.timestamps[-1]:.9f}", s.length, s.label]
+            for s in samples)
         csv.writer(fh_series, lineterminator="\n").writerow(series_header(d))
-        for sample in samples:
-            ts = sample.timestamps
-            endpoints = sample.endpoints or ("*", "*", "*", "*", "*")
-            flows_csv.writerow([
-                sample.flow_id, *endpoints,
-                f"{ts[0]:.9f}", f"{ts[-1]:.9f}", sample.length, sample.label,
-            ])
-            id_buf.seek(0)
-            id_buf.truncate()
-            id_csv.writerow([sample.flow_id, ""])
-            prefix = id_buf.getvalue()[:-1].replace("%", "%%")
-            n = sample.length
-            block = np.empty((n, d + 2))
-            block[:, 0] = np.arange(n)
-            block[:, 1:-1] = sample.values
-            block[:, -1] = ts - ts[0]
-            fh_series.write(((prefix + row_fmt) * n) % tuple(block.ravel().tolist()))
-            n_rows += n
-    return {"flows": len(samples), "series_rows": n_rows,
+        for pieces in _series_chunks(samples):
+            fh_series.write(_format_chunk(pieces, d))
+    return {"flows": len(samples), "series_rows": sum(s.length for s in samples),
             "flows_path": flows_path, "series_path": series_path}
+
+
+def _series_chunks(samples):
+    """series.csv rows in chunks of about CHUNK_ROWS: lists of (sample, start,
+    stop) row ranges, each whole flow in order, a flow longer than CHUNK_ROWS
+    cut into CHUNK_ROWS-row pieces."""
+    chunk, rows = [], 0
+    for sample in samples:
+        n = sample.length
+        for start in range(0, n, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, n)
+            chunk.append((sample, start, stop))
+            rows += stop - start
+            if rows >= CHUNK_ROWS:
+                yield chunk
+                chunk, rows = [], 0
+    if chunk:
+        yield chunk
+
+
+def _format_chunk(pieces, d) -> str:
+    """The series.csv rows of one chunk, formatted by one % call.
+
+    The template is chosen per column from the chunk's cells, each choice
+    printing the bytes '%.9f' would: a run of adjacent columns whose cells
+    are all +0.0 or 1.0 is one %s argument looked up by the bits of the run,
+    an integral column without -0.0 is ',%d.000000000' over ints, and only
+    the other columns pay for ',%.9f'. The flow id is a %s argument, quoted
+    as csv.writer quotes the first of the fields [flow_id, ""], which keeps
+    an empty id unquoted."""
+    lengths = [stop - start for _, start, stop in pieces]
+    rows = sum(lengths)
+    table = np.empty((rows, d + 1))   # the d features, then rel_ts
+    table[:, :d] = np.concatenate([s.values[a:b] for s, a, b in pieces])
+    table[:, d] = np.concatenate([s.timestamps[a:b] - s.timestamps[0] for s, a, b in pieces])
+    zero = table == 0.0
+    zero_one = ((zero & ~np.signbit(table)) | (table == 1.0)).all(axis=0).tolist()
+    integral = (((table == np.trunc(table)) & (np.abs(table) < 2.0 ** 63)).all(axis=0)
+                & ~(zero & np.signbit(table)).any(axis=0)).tolist()
+    templates = ["%s,%d"]
+    columns = [np.repeat(np.array(_quoted_ids(s.flow_id for s, _, _ in pieces), dtype=object),
+                         lengths),
+               list(chain.from_iterable(range(a, b) for _, a, b in pieces))]
+    j = 0
+    while j <= d:
+        k = 1
+        if zero_one[j]:
+            while k < FLAG_RUN and j + k <= d and zero_one[j + k]:
+                k += 1
+            templates.append("%s")
+            columns.append(_zero_one_cells(k)[table[:, j:j + k].astype(np.intp)
+                                              @ (1 << np.arange(k - 1, -1, -1))])
+        elif integral[j]:
+            templates.append(",%d.000000000")
+            columns.append(table[:, j].astype(np.int64))
+        else:
+            templates.append(",%.9f")
+            columns.append(table[:, j])
+        j += k
+    # one object array of the row arguments, its cells Python ints, floats and strs
+    cells = np.empty((rows, len(columns)), dtype=object)
+    for i, column in enumerate(columns):
+        cells[:, i] = column
+    return ("".join(templates) + "\n") * rows % tuple(cells.ravel().tolist())
+
+
+def _quoted_ids(ids) -> list:
+    """Each id as csv.writer writes it as the first of the fields [id, ""]:
+    one writerows call whose writer hands each row's text to list.append."""
+    rows = []
+    csv.writer(SimpleNamespace(write=rows.append), lineterminator="").writerows(
+        [i, ""] for i in ids)
+    return [row[:-1] for row in rows]
+
+
+@lru_cache(maxsize=None)
+def _zero_one_cells(k) -> np.ndarray:
+    """The ',%.9f' text of every run of k 0/1 cells, indexed by the number
+    the run's bits spell, first cell highest."""
+    if k == 0:
+        return np.array([""], dtype=object)
+    shorter = _zero_one_cells(k - 1)
+    return np.concatenate([",0.000000000" + shorter, ",1.000000000" + shorter])
 
 
 def read_dataset(directory) -> list:
@@ -186,12 +261,13 @@ def read_dataset(directory) -> list:
     DatasetFormatError.
 
     The series header is an id column (flow_id or series_id), seq_index, the
-    d feature columns and an optional trailing rel_ts. Each id's rows must
-    carry seq_index 0..n-1; they may interleave with other ids' rows. Every
-    numeric cell must be finite, and rel_ts may not decrease within a series.
+    d feature columns and an optional trailing rel_ts. Every id must be
+    listed in flows.csv, and its rows must carry seq_index 0..n-1; they may
+    interleave with other ids' rows. Every numeric cell must be finite, and
+    rel_ts may not decrease within a series.
     The extractor layout (flows.csv header FLOWS_HEADER) adds endpoints,
     start_ts and num_packets: its series header must be series_header(d),
-    every series id must be listed in flows.csv with that many rows, and
+    each id must have as many rows as flows.csv's num_packets, and
     timestamps are start_ts + rel_ts. Any other flows.csv needs an id and a
     label column; timestamps are then rel_ts, or unit spacing without it."""
     flows_path = os.path.join(directory, "flows.csv")
@@ -219,11 +295,10 @@ def read_dataset(directory) -> list:
         start = ends[-1] if ends else 0
         ends.append(start + sum(1 for _ in run))
         spans.setdefault(flow_id, []).append((start, ends[-1]))
-    if extractor:
-        listed = {entry[0] for entry in entries}
-        unknown = next((i for i in spans if i not in listed), None)
-        if unknown is not None:
-            raise DatasetFormatError(f"{series_path}: unknown flow_id {unknown}")
+    listed = {entry[0] for entry in entries}
+    unknown = next((i for i in spans if i not in listed), None)
+    if unknown is not None:
+        raise DatasetFormatError(f"{series_path}: unknown {header[0]} {unknown}")
 
     seq = table[:, 0]
     # when each id's rows form one run, one comparison checks every seq_index

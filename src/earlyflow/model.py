@@ -58,20 +58,26 @@ CHECKPOINT_FORMAT = "earlyflow-checkpoint-v1"
 # or bigger score tensors than that group does.
 MAX_GROUP = 32
 MAX_GROUP_CELLS = MAX_GROUP * 65 ** 2
+# Most attention rows a group holds: MAX_GROUP prefixes at attention length 65.
+MAX_GROUP_ROWS = MAX_GROUP * 65
 # Query rows the last encoder block attends from (see the module docstring).
 HEAD_QUERIES = 2
-# Most float64 values (1 GiB) a config may make MdtModel and one training
-# forward and backward allocate; see config_values. The charges below are
-# fitted to tracemalloc peaks of MdtModel plus one training step on one
-# max_len prefix, at attention lengths T of 2 to 1,000, n_heads 1 to 8 and
-# n_blocks 1 to 6 (see CHANGES.md).
+# Most float64 values (1 GiB) a config may make MdtModel and one epoch of
+# training allocate; see config_values. The charges below are fitted to
+# tracemalloc peaks of MdtModel plus one training step on one max_len prefix,
+# at attention lengths T of 2 to 1,000, n_heads 1 to 8 and n_blocks 1 to 6,
+# and of MdtModel plus one epoch of train (see CHANGES.md).
 MAX_CONFIG_VALUES = 2 ** 27
 # Each parameter value is held as data, as grad and as the product its grad is
-# summed from; each parameter array also costs ARRAY_OVERHEAD_VALUES for the
-# Python objects around it and the graph nodes built from it, which bounds
-# the number of blocks of a narrow model too.
+# summed from, and train adds TRAINING_COPIES: Adam's two moments and the
+# best epoch's copy. Each parameter array also costs ARRAY_OVERHEAD_VALUES for
+# the Python objects around it and the graph nodes built from it, which
+# bounds the number of blocks of a narrow model too, and Adam's update of the
+# largest one makes ADAM_TEMPORARY_COPIES temporaries of it.
 PARAMETER_COPIES = 3
+TRAINING_COPIES = 3
 ARRAY_OVERHEAD_VALUES = 384
+ADAM_TEMPORARY_COPIES = 4
 # Values per attention row and d_model outside the blocks (with the
 # temporaries of one block's backward), and per row and block for the
 # activations each block keeps: BLOCK_ROW_VALUES per d_model and
@@ -133,28 +139,33 @@ def check_int_fields(obj):
 
 
 def config_values(c: MdtConfig) -> int:
-    """Float64 values MdtModel(c) and one training forward and backward of
-    one max_len prefix allocate: PARAMETER_COPIES per parameter of
-    parameter_layout(c) plus ARRAY_OVERHEAD_VALUES per entry, and the
-    _length_values of max_len."""
-    def values(entries):
-        return sum(PARAMETER_COPIES * math.prod(shape) + ARRAY_OVERHEAD_VALUES
-                   for _, shape, _ in entries)
-
+    """Float64 values MdtModel(c) and one epoch of train allocate at most:
+    PARAMETER_COPIES + TRAINING_COPIES per parameter of parameter_layout(c)
+    plus ARRAY_OVERHEAD_VALUES per entry, ADAM_TEMPORARY_COPIES of the
+    largest entry, and the _length_values of max_len."""
     before, after = _outer_layout(c)
-    return (c.n_blocks * values(_block_layout(c, "blocks.0")) + values(before + after)
-            + _length_values(c, c.max_len))
+    outer = [math.prod(shape) for _, shape, _ in before + after]
+    block = [math.prod(shape) for _, shape, _ in _block_layout(c, "blocks.0")]
+    parameters = sum(outer) + c.n_blocks * sum(block)
+    arrays = len(outer) + c.n_blocks * len(block)
+    return ((PARAMETER_COPIES + TRAINING_COPIES) * parameters + ARRAY_OVERHEAD_VALUES * arrays
+            + ADAM_TEMPORARY_COPIES * max(outer + block) + _length_values(c, c.max_len))
 
 
 def _length_values(c: MdtConfig, max_len: int) -> int:
     """The values of config_values that grow with max_len: the (max_len,
-    d_model) positional table, and the rows and attention cells of one
-    prefix of max_len packets."""
+    d_model) positional table, and the rows and attention cells of the
+    largest group of prefixes of at most max_len packets (length_buckets):
+    up to MAX_GROUP prefixes, within MAX_GROUP_ROWS rows and MAX_GROUP_CELLS
+    cells unless one prefix alone holds more."""
     per_row = ROW_VALUES * c.d_model + c.n_blocks * (BLOCK_ROW_VALUES * c.d_model
                                                      + BLOCK_ROW_FF_VALUES * c.d_ff)
     per_cell = ATTENTION_CELL_VALUES + DFT_CACHE_CELL_VALUES \
         + (c.n_blocks - 1) * FULL_ATTENTION_HEAD_CELL_VALUES * c.n_heads
-    return max_len * c.d_model + (max_len + 1) * per_row + (max_len + 1) ** 2 * per_cell
+    t = max_len + 1
+    rows = min(MAX_GROUP * t, max(MAX_GROUP_ROWS, t))
+    cells = min(MAX_GROUP * t ** 2, max(MAX_GROUP_CELLS, t ** 2))
+    return max_len * c.d_model + rows * per_row + cells * per_cell
 
 
 def _outer_layout(c: MdtConfig):

@@ -56,3 +56,28 @@ def test_summarize_fixed_numbers():
     assert worse == pytest.approx((1.0 - 1.05) / 1.05)
     assert "3/4" in bench_pairs.format_rows(rows)
     assert bench_pairs.summarize({"ingest": {"parent": [], "change": []}}, end_to_end) == []
+
+
+WORKLOADS = ["ingest", "train_packets", "infer_duration"]
+
+
+def test_args_default_to_every_workload_at_seed_0():
+    args = bench_pairs.parse_args(["--parent", "HEAD~1"], WORKLOADS)
+    assert (args.parent, args.pairs, args.workload, args.seed) == ("HEAD~1", 10, WORKLOADS, 0)
+
+
+def test_args_pick_repeated_workloads_once_in_order_at_any_seed():
+    args = bench_pairs.parse_args(["--parent", "abc", "--workload", "infer_duration",
+                                   "--workload", "ingest", "--workload", "infer_duration",
+                                   "--seed", "1", "--pairs", "12"], WORKLOADS)
+    assert (args.workload, args.seed, args.pairs) == (["infer_duration", "ingest"], 1, 12)
+
+
+@pytest.mark.parametrize("argv", [["--workload", "ingest"],
+                                  ["--parent", "abc", "--workload", "nope"],
+                                  ["--parent", "abc", "--seed", "x"]])
+def test_args_rejected_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(argv, WORKLOADS)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

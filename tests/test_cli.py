@@ -19,6 +19,7 @@ from gen_mts import separable_suite
 from gen_pcap import tcp_frame, udp_frame, arp_frame, icmp_frame, write_pcap
 from test_features import (
     IMPOSSIBLE_TIME_AXES, MALFORMED, break_dataset, make_samples, nan_start_ts, write_time_axis,
+    write_unlisted_external_id,
 )
 
 
@@ -351,6 +352,16 @@ def test_malformed_dataset_row_exit_2_one_line(tmp_path, toy_dataset, capsys, na
                    "--out", tmp_path / "x.ckpt") == 2
     err = capsys.readouterr().err
     assert re.match(re.escape(f"error: {path}: ") + message, err) and err.count("\n") == 1
+
+
+def test_unlisted_external_series_id_exit_2_one_line(tmp_path, capsys):
+    data = tmp_path / "ds"
+    data.mkdir()
+    path = write_unlisted_external_id(data)
+    assert run_cli("train", "--data", data, "--prefix-packets", 2,
+                   "--out", tmp_path / "x.ckpt") == 2
+    assert capsys.readouterr().err == f"error: {path}: unknown series_id ghost\n"
+    assert not any(tmp_path.glob("x.ckpt*"))
 
 
 @pytest.mark.parametrize("rel_ts", [rel_ts for rel_ts, _ in IMPOSSIBLE_TIME_AXES] + [None])

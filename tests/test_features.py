@@ -2,15 +2,17 @@ import csv
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from earlyflow import features
 from earlyflow.features import (
-    DatasetFormatError, FEATURE_NAMES, FLOWS_HEADER, MtsSample, extract_mts, read_dataset,
-    write_dataset,
+    CHUNK_ROWS, FLAG_RUN, DatasetFormatError, FEATURE_NAMES, FLOWS_HEADER, MtsSample, extract_mts,
+    read_dataset, write_dataset,
 )
 from earlyflow.flows import FlowTable
 from earlyflow.pcap import PacketRecord, Transport, ip_to_int, ip_to_str
@@ -264,29 +266,75 @@ FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-10, -5e-10, 0.5e-9, 123456789.123456789]))
 
 
+# how the values of one column are drawn, one kind per template the writer
+# may choose: 0/1 cells, integral cells, integral or 0/1 cells with one -0.0,
+# cells holding NaN or +-inf, and arbitrary cells
+ZERO_ONE, INTEGRAL, NEGATIVE_ZERO, NON_FINITE, ARBITRARY = COLUMN_KINDS = range(5)
+COLUMN_CELLS = {
+    ZERO_ONE: st.sampled_from([0.0, 1.0]),
+    INTEGRAL: st.integers(-2 ** 53, 2 ** 53).map(float),
+    NON_FINITE: st.one_of(FLOATS, st.sampled_from([np.nan, np.inf, -np.inf])),
+    ARBITRARY: FLOATS,
+}
+# ids that are empty, or that csv quoting or % formatting has to leave intact
+ID_TEXT = st.one_of(st.sampled_from(["", "%", "%s", "%%d", ",", '"', 'a,"b%d"']), NASTY_TEXT)
+
+
 @st.composite
-def sample_sets(draw):
-    d = draw(st.integers(1, 16))
-    ids = draw(st.lists(NASTY_TEXT, min_size=1, max_size=3, unique=True))
+def sample_sets(draw, finite=True):
+    """Up to four samples of one width. Each column (rel_ts aside) is drawn
+    as one of COLUMN_KINDS over all samples, NON_FINITE only when not
+    finite; the kinds may hold one run of 0/1 columns longer than
+    features.FLAG_RUN."""
+    d = draw(st.integers(1, FLAG_RUN + 6))
+    kinds = st.sampled_from([k for k in COLUMN_KINDS if not (finite and k == NON_FINITE)])
+    columns = draw(st.lists(kinds, min_size=d, max_size=d))
+    if d > FLAG_RUN and draw(st.booleans()):
+        run = draw(st.integers(FLAG_RUN + 1, d))
+        first = draw(st.integers(0, d - run))
+        columns[first:first + run] = [ZERO_ONE] * run
+    # a NEGATIVE_ZERO column is all 0/1 or all integral around its one -0.0
+    cells = [COLUMN_CELLS[draw(st.sampled_from([ZERO_ONE, INTEGRAL]))] if kind == NEGATIVE_ZERO
+             else COLUMN_CELLS[kind] for kind in columns]
+    ids = draw(st.lists(ID_TEXT, min_size=1, max_size=4, unique=True))
+    integral_time = draw(st.booleans())
     samples = []
     for flow_id in ids:
         n = draw(st.integers(1, 40))
-        values = draw(arrays(np.float64, (n, d), elements=FLOATS))
-        start = draw(st.floats(1.69e9, 1.71e9))
-        offsets = np.cumsum(draw(arrays(np.float64, n, elements=st.floats(0, 10))))
+        values = np.column_stack([draw(arrays(np.float64, n, elements=elements))
+                                  for elements in cells])
+        if integral_time:
+            start = float(draw(st.integers(1_690_000_000, 1_710_000_000)))
+            steps = st.integers(0, 10).map(float)
+        else:
+            start, steps = draw(st.floats(1.69e9, 1.71e9)), st.floats(0, 10)
+        offsets = np.cumsum(draw(arrays(np.float64, n, elements=steps)))
         endpoints = draw(st.one_of(st.none(), st.tuples(
             NASTY_TEXT, st.integers(0, 65535), NASTY_TEXT, st.integers(0, 65535),
             st.sampled_from(["tcp", "udp"]))))
         samples.append(MtsSample(flow_id=flow_id, values=values,
                                  timestamps=start + offsets - offsets[0],
                                  label=draw(NASTY_TEXT), endpoints=endpoints))
+    for j, kind in enumerate(columns):
+        if kind == NEGATIVE_ZERO:
+            sample = draw(st.sampled_from(samples))
+            sample.values[draw(st.integers(0, sample.length - 1)), j] = -0.0
+        elif kind == NON_FINITE:
+            sample = draw(st.sampled_from(samples))
+            sample.values[draw(st.integers(0, sample.length - 1)), j] = \
+                draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     return samples
 
 
-@settings(max_examples=60)
-@given(sample_sets())
-def test_block_writer_bytes_equal_csv_writer(samples):
-    with tempfile.TemporaryDirectory() as tmp:
+@settings(max_examples=150, deadline=None)
+@given(sample_sets(finite=False), st.one_of(st.just(CHUNK_ROWS), st.integers(1, 60)),
+       st.sampled_from([FLAG_RUN, 1, 2, 3]))
+def test_block_writer_bytes_equal_csv_writer(samples, chunk_rows, flag_run):
+    # small chunk sizes put chunk boundaries inside flows and between them,
+    # small FLAG_RUNs split 0/1 runs over several lookups
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(features, "CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(features, "FLAG_RUN", flag_run):
         fast, slow = Path(tmp, "fast"), Path(tmp, "slow")
         write_dataset(samples, fast)
         naive_write_dataset(samples, slow)
@@ -406,6 +454,22 @@ def test_unknown_series_id_rejected(tmp_path):
         "ghost," + lines[1].split(",", 1)[1]))
     with pytest.raises(DatasetFormatError, match="unknown flow_id ghost"):
         read_dataset(tmp_path)
+
+
+def write_unlisted_external_id(directory):
+    """External layout: series a and ghost, flows.csv listing only a."""
+    Path(directory, "series.csv").write_text(
+        "series_id,seq_index,ch0\na,0,1.0\na,1,2.0\nghost,0,3.0\nghost,1,4.0\n", encoding="utf-8")
+    Path(directory, "flows.csv").write_text("series_id,label\na,x\n", encoding="utf-8")
+    return Path(directory, "series.csv")
+
+
+def test_unlisted_external_series_id_rejected(tmp_path):
+    path = write_unlisted_external_id(tmp_path)
+    for read in (read_dataset, load_external_mts):
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"{path}: unknown series_id ghost") + "$"):
+            read(tmp_path)
 
 
 @pytest.mark.parametrize("mix", [False, True])

@@ -6,17 +6,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from earlyflow import autodiff as ad, fourier
 from earlyflow import model as model_module
 from earlyflow.autodiff import backward, const, cross_entropy, param, sum_all, zero_grad
-from earlyflow.earliness import PrefixSpec
+from earlyflow.earliness import BY_COUNT, PrefixSpec
 from earlyflow.features import MtsSample
 from earlyflow.model import (
-    ARRAY_OVERHEAD_VALUES, ATTENTION_CELL_VALUES, BLOCK_ROW_FF_VALUES, BLOCK_ROW_VALUES,
-    DFT_CACHE_CELL_VALUES, FULL_ATTENTION_HEAD_CELL_VALUES, MAX_CONFIG_VALUES, PARAMETER_COPIES,
-    ROW_VALUES,
+    ADAM_TEMPORARY_COPIES, ARRAY_OVERHEAD_VALUES, ATTENTION_CELL_VALUES, BLOCK_ROW_FF_VALUES,
+    BLOCK_ROW_VALUES, DFT_CACHE_CELL_VALUES, FULL_ATTENTION_HEAD_CELL_VALUES, MAX_CONFIG_VALUES,
+    MAX_GROUP, PARAMETER_COPIES, ROW_VALUES, TRAINING_COPIES,
     MdMhaParams, MdtConfig, MdtModel, config_values, encoder_block, export_latents, forward,
     forward_prefixes, ifft_augment, length_buckets, load_checkpoint, md_mha, parameter_layout,
     predict, save_checkpoint,
@@ -542,10 +542,11 @@ def test_parameter_layout_is_the_model_and_config_values_counts_it(
         n_blocks * (BLOCK_ROW_VALUES * d_model + BLOCK_ROW_FF_VALUES * d_ff)
     per_cell = ATTENTION_CELL_VALUES + DFT_CACHE_CELL_VALUES + \
         (n_blocks - 1) * FULL_ATTENTION_HEAD_CELL_VALUES * n_heads
-    parameters = sum(math.prod(shape) for _, shape, _ in layout)
-    assert config_values(config) == PARAMETER_COPIES * parameters + \
-        ARRAY_OVERHEAD_VALUES * len(layout) + max_len * d_model + rows * per_row + \
-        rows ** 2 * per_cell
+    sizes = [math.prod(shape) for _, shape, _ in layout]
+    # at attention lengths up to 65 a group holds MAX_GROUP prefixes
+    assert config_values(config) == (PARAMETER_COPIES + TRAINING_COPIES) * sum(sizes) + \
+        ARRAY_OVERHEAD_VALUES * len(layout) + ADAM_TEMPORARY_COPIES * max(sizes) + \
+        max_len * d_model + MAX_GROUP * (rows * per_row + rows ** 2 * per_cell)
 
 
 @settings(max_examples=25, deadline=None)
@@ -564,6 +565,35 @@ def test_config_values_bound_a_training_step(n_heads, head_width, n_blocks, ff_f
     try:
         model = MdtModel(config, seed=0)
         minibatch_gradients(model, [x], np.array([0]), np.ones(3), np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * config_values(config)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8]), st.integers(1, 32), st.integers(1, 3), st.integers(1, 4),
+       st.one_of(st.integers(1, 4), st.integers(1, 64)), st.integers(1, 13), st.booleans(),
+       st.integers(2, 20), st.integers(1, 32))
+# wide and short: the parameter copies outweigh the activations
+@example(8, 32, 2, 2, 1, 13, True, 20, 1)
+def test_config_values_bound_one_epoch_of_train(n_heads, head_width, n_blocks, ff_factor,
+                                                max_len, d_in, use_freq, n_samples, batch_size):
+    # tracemalloc's peak over MdtModel and a one-epoch train on up to 20
+    # max_len samples stays within the float64 values config_values charges
+    d_model = n_heads * head_width
+    config = MdtConfig(d_in=d_in, n_classes=2, d_model=d_model, n_heads=n_heads,
+                       n_blocks=n_blocks, d_ff=ff_factor * d_model, max_len=max_len,
+                       use_frequency_heads=use_freq)
+    rng = np.random.default_rng(0)
+    samples = [MtsSample(flow_id=f"s{i}", values=rng.normal(size=(max_len, d_in)),
+                         timestamps=np.arange(max_len, dtype=np.float64), label=f"c{i % 2}")
+               for i in range(n_samples)]
+    tracemalloc.start()
+    try:
+        model = MdtModel(config, seed=0)
+        train(model, samples, PrefixSpec(BY_COUNT, packet_count=max_len),
+              Hyperparams(batch_size=batch_size, max_epochs=1), seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,14 +1,16 @@
 """Alternating parent/change pairs of the benchmark, summarised per metric.
 
-    python3 tools/bench_pairs.py --parent REV [--pairs 10]
+    python3 tools/bench_pairs.py --parent REV [--pairs 10] [--workload W ...] [--seed 0]
 
 Run from the root of an earlyflow checkout: the change side is the checkout
 as it is, the parent side a temporary copy of the files committed at REV
 (taken with git archive, deleted when the script ends). Pair i runs the
 parent first when i is even and the change first when i is odd. Each run is
-one `python3 perfbench/run.py --workload W --seed 0 --seconds N --trace 0` in
-its side's tree, for each workload W of BENCHMARK.json and its run_seconds N;
-perfbench/ itself is only run, never edited.
+one `python3 perfbench/run.py --workload W --seed S --seconds N --trace 0` in
+its side's tree, with N the run_seconds of BENCHMARK.json, for each workload
+W given by a --workload option (repeatable; default: every workload of
+BENCHMARK.json) and the seed S of --seed (default 0); perfbench/ itself is
+only run, never edited.
 
 For each workload and each end-to-end metric of BENCHMARK.json the script
 prints both medians, the parent's interquartile range, the change's wins
@@ -30,8 +32,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-
-SEED = 0
 
 
 def iqr(values) -> float:
@@ -102,10 +102,10 @@ def export_tree(rev, dest):
         tar.extractall(dest, filter="data")
 
 
-def run_once(tree, workload, seconds) -> dict:
+def run_once(tree, workload, seed, seconds) -> dict:
     """The last JSON line of one benchmark run in tree, plus its exit code."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -118,29 +118,38 @@ def run_once(tree, workload, seconds) -> dict:
     return result
 
 
-def main(argv=None) -> int:
+def parse_args(argv, workloads):
+    """The options, with args.workload the workloads to run in order, each
+    once: those given by --workload, or all of workloads."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, metavar="REV")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", action="append", choices=workloads,
+                        help="run this workload (repeatable; default: all)")
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    args.workload = list(dict.fromkeys(args.workload or workloads))
+    return args
 
+
+def main(argv=None) -> int:
     root = os.getcwd()
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     end_to_end = benchmark["end_to_end"]
-    workloads = [w["name"] for w in benchmark["workloads"]]
-    runs = {w: {"parent": [], "change": []} for w in workloads}
+    args = parse_args(argv, [w["name"] for w in benchmark["workloads"]])
+    runs = {w: {"parent": [], "change": []} for w in args.workload}
     failures = []
     scratch = tempfile.mkdtemp(prefix="bench_pairs-")
     try:
         parent_tree = os.path.join(scratch, "parent")
         export_tree(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": root}
-        for workload in workloads:
+        for workload in args.workload:
             for pair in range(args.pairs):
                 values = {}
                 for side in side_order(pair):
-                    result = run_once(trees[side], workload, benchmark["run_seconds"])
+                    result = run_once(trees[side], workload, args.seed, benchmark["run_seconds"])
                     values[side] = {name: entry["value"]
                                     for name, entry in result["metrics"].items()}
                     print(f"{workload} pair {pair} {side}: {json.dumps(values[side])}",
