@@ -245,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="JSON")
     p.add_argument("--expect", choices=EXPECT_PROFILES)
     p.add_argument("--out", metavar="CSV")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="grid points trained side by side (>= 1, default 1); the pool holds "
+                        "at most min(jobs, grid points, CPUs) processes")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_sweep)
 

@@ -16,7 +16,7 @@ cells, so only non-integral cells pay for '%.9f'. One long-format
 reader, read_dataset, reads both the extractor layout and external series
 (training.load_external_mts adds a profile check): it takes d from the
 series header, parses every numeric cell with one np.loadtxt call and
-groups rows by id in one pass.
+groups rows by id with one stable sort, the same for every row order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from operator import attrgetter, eq
 from types import SimpleNamespace
 
@@ -288,61 +288,46 @@ def read_dataset(directory) -> list:
         row = int(np.argmin(finite.all(axis=1)))
         raise DatasetFormatError(f"{series_path}: non-finite value in the series of {ids[row]!r}")
 
-    # one pass over the ids: each run of equal ids becomes a row range
-    spans = {}
-    ends = []
-    for flow_id, run in groupby(ids):
-        start = ends[-1] if ends else 0
-        ends.append(start + sum(1 for _ in run))
-        spans.setdefault(flow_id, []).append((start, ends[-1]))
-    listed = {entry[0] for entry in entries}
-    unknown = next((i for i in spans if i not in listed), None)
-    if unknown is not None:
-        raise DatasetFormatError(f"{series_path}: unknown {header[0]} {unknown}")
-
-    seq = table[:, 0]
-    # when each id's rows form one run, one comparison checks every seq_index
-    ends = np.array(ends, dtype=np.intp)
-    lengths = np.diff(ends, prepend=0)
-    seq_ok = len(spans) == len(ends) and np.array_equal(
-        seq, np.arange(len(seq)) - np.repeat(ends - lengths, lengths))
-    values = np.ascontiguousarray(table[:, 1:1 + d])
-    rel = np.ascontiguousarray(table[:, -1]) if has_rel else None
-    if rel is not None and seq_ok:
-        # every id is one run here, so a row with seq_index > 0 follows its own series
-        falls = np.flatnonzero((rel[1:] < rel[:-1]) & (seq[1:] > 0))
+    # each row's series is its id's position in flows.csv; one stable sort
+    # puts each series' rows together in file order, every check runs over
+    # all rows at once, and each sample is a slice of one gather
+    position = {entry[0]: k for k, entry in enumerate(entries)}
+    series = np.fromiter(map(position.get, ids, repeat(-1)), np.intp, len(ids))
+    unknown = np.flatnonzero(series < 0)
+    if len(unknown):
+        raise DatasetFormatError(f"{series_path}: unknown {header[0]} {ids[unknown[0]]}")
+    order = np.argsort(series, kind="stable")
+    counts = np.bincount(series, minlength=len(entries))
+    starts = np.cumsum(counts) - counts
+    index = np.arange(len(order)) - np.repeat(starts, counts)   # position within the series
+    # num_packets is any Python int, so the extractor's counts compare as objects
+    expected = np.array([entry[4] for entry in entries], dtype=object) if extractor else counts
+    wrong = np.flatnonzero((counts != expected) | (counts == 0))
+    if len(wrong):
+        k = wrong[0]
+        flow_id, n = entries[k][0], counts[k]
+        if n != expected[k]:
+            raise DatasetFormatError(
+                f"{series_path}: {n} series rows for {flow_id!r}, metadata says {expected[k]}")
+        raise DatasetFormatError(f"{series_path}: no rows for {flow_id!r}")
+    gaps = np.flatnonzero(table[order, 0] != index)
+    if len(gaps):
+        raise DatasetFormatError(f"{series_path}: seq_index not contiguous from 0 "
+                                 f"in the series of {entries[series[order[gaps[0]]]][0]!r}")
+    values = table[order, 1:1 + d]
+    times = table[order, -1] if has_rel else index.astype(np.float64)
+    if has_rel:
+        falls = np.flatnonzero((times[1:] < times[:-1]) & (index[1:] > 0))
         if len(falls):
-            _raise_falling_rel_ts(series_path, ids[falls[0] + 1])
-    samples = []
-    for flow_id, label, endpoints, start_ts, num_packets in entries:
-        ranges = spans.get(flow_id, [])
-        n = sum(b - a for a, b in ranges)
-        if extractor and n != num_packets:
-            raise DatasetFormatError(f"{flow_id}: {n} series rows, metadata says {num_packets}")
-        if n == 0:
-            raise DatasetFormatError(f"{series_path}: no rows for {flow_id!r}")
-        if len(ranges) == 1:
-            rows = slice(*ranges[0])
-        else:
-            rows = np.concatenate([np.arange(a, b) for a, b in ranges])
-        if not seq_ok and not np.array_equal(seq[rows], np.arange(n)):
-            raise DatasetFormatError(f"{flow_id}: seq_index not contiguous from 0")
-        if not seq_ok and rel is not None and (np.diff(rel[rows]) < 0).any():
-            _raise_falling_rel_ts(series_path, flow_id)
-        if rel is None:
-            timestamps = np.arange(n, dtype=np.float64)
-        elif extractor:
-            timestamps = start_ts + rel[rows]
-        else:
-            timestamps = rel[rows]
-        samples.append(MtsSample(flow_id=flow_id, values=values[rows],
-                                 timestamps=timestamps, label=label,
-                                 endpoints=endpoints))
-    return samples
-
-
-def _raise_falling_rel_ts(path, flow_id):
-    raise DatasetFormatError(f"{path}: rel_ts decreases within the series of {flow_id!r}")
+            flow_id = entries[series[order[falls[0] + 1]]][0]
+            raise DatasetFormatError(
+                f"{series_path}: rel_ts decreases within the series of {flow_id!r}")
+    if extractor:
+        times += np.repeat([entry[3] for entry in entries], counts)
+    return [MtsSample(flow_id=flow_id, values=values[a:b], timestamps=times[a:b], label=label,
+                      endpoints=endpoints)
+            for (flow_id, label, endpoints, _, _), a, b
+            in zip(entries, starts.tolist(), (starts + counts).tolist())]
 
 
 def _read_metadata(path):

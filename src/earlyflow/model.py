@@ -113,8 +113,9 @@ class MdtConfig:
         check_int_fields(self)
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
-        if not isinstance(self.dropout, numbers.Real) or not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        if not isinstance(self.dropout, numbers.Real) or isinstance(self.dropout, bool) \
+                or not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
         if not isinstance(self.use_frequency_heads, bool):
             raise ValueError("use_frequency_heads must be true or false")
         values = config_values(self)
@@ -131,10 +132,11 @@ class MdtConfig:
 
 def check_int_fields(obj):
     """Raise ValueError unless every field of the dataclass obj annotated int
-    holds an integer >= 1."""
+    holds an integer >= 1 (bool, an int subclass, is no integer here)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.type in ("int", int) and (not isinstance(value, numbers.Integral) or value < 1):
+        if f.type in ("int", int) and (not isinstance(value, numbers.Integral)
+                                       or isinstance(value, bool) or value < 1):
             raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
 
 

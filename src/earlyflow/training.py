@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import backward, cross_entropy, scale, zero_grad
-from .earliness import BY_COUNT, PrefixSpec, aggregate_earliness, take_prefix
+from .earliness import BY_COUNT, PrefixSpec, aggregate_earliness, prefix_length, take_prefix
 from .features import DatasetFormatError, read_dataset
 from .metrics import Metrics, compute_metrics
 from .model import MdtConfig, MdtModel, check_int_fields, forward, forward_prefixes, length_buckets
@@ -38,7 +39,8 @@ class Hyperparams:
     def __post_init__(self):
         check_int_fields(self)
         rate = self.learning_rate
-        if not isinstance(rate, numbers.Real) or not 0.0 <= rate < math.inf:
+        if not isinstance(rate, numbers.Real) or isinstance(rate, bool) \
+                or not 0.0 <= rate < math.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {rate!r}")
 
 
@@ -244,18 +246,29 @@ def _run_sweep_point(args):
 
 def sweep(config: MdtConfig, samples, specs, hp: Hyperparams, seed: int, jobs: int) -> list:
     """Train and evaluate one fresh model per PrefixSpec in specs; rows come
-    back sorted by mean earliness."""
+    back sorted by mean earliness. Every grid point is checked against
+    max_len before any training. With jobs > 1 the points train in a pool of
+    min(jobs, points, CPUs) processes; the rows do not depend on its size."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     specs = list(specs)
     if not specs:
         raise ValueError("empty sweep grid")
-    too_long = [s.packet_count for s in specs
-                if s.mode == BY_COUNT and s.packet_count > config.max_len]
-    if too_long:
-        raise ValueError(f"grid points exceed max_len {config.max_len}: {too_long}")
     samples = list(samples)
+
+    def longest(spec):
+        # a count point asks for its count even where every sample is shorter
+        if spec.mode == BY_COUNT:
+            return spec.packet_count
+        return max((prefix_length(s, spec) for s in samples), default=0)
+
+    too_long = [spec.describe() for spec in specs if longest(spec) > config.max_len]
+    if too_long:
+        raise ValueError(f"grid points exceed max_len {config.max_len}: {', '.join(too_long)}")
     tasks = [(config, samples, spec, hp, seed) for spec in specs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_run_sweep_point, tasks))
     else:
         points = [_run_sweep_point(t) for t in tasks]

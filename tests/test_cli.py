@@ -267,6 +267,34 @@ def test_sweep_jobs_2_writes_jobs_1_bytes(tmp_path, toy_dataset, capsys):
     assert [line.split(",")[0] for line in outs[0].splitlines()[1:]] == ["0", "1.5", "4.5"]
 
 
+def sweep_config(tmp_path, **model):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"d_model": 8, "n_heads": 2, "n_blocks": 1, "d_ff": 16, **model},
+        "training": {"max_epochs": 1, "patience": 2},
+    }), encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_jobs_below_one_exit_2_one_line(tmp_path, toy_dataset, capsys, jobs):
+    assert run_cli("sweep", "--data", toy_dataset, "--mode", "packets", "--grid", "2,4",
+                   "--config", sweep_config(tmp_path), "--jobs", jobs) == 2
+    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("mode,grid,late", [("packets", "1,2,9", "9"),
+                                             ("duration", "0.1,1,9", "9")])
+def test_sweep_grid_past_max_len_exit_2_before_training(tmp_path, toy_dataset, capsys,
+                                                         monkeypatch, mode, grid, late):
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+    assert run_cli("sweep", "--data", toy_dataset, "--mode", mode, "--grid", grid,
+                   "--config", sweep_config(tmp_path, max_len=3)) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: grid points exceed max_len 3: {late}\n"
+
+
 def test_invalid_config_key_exit_2(tmp_path, toy_dataset):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model": {"bogus_knob": 1}}), encoding="utf-8")
@@ -292,6 +320,14 @@ def test_invalid_config_key_exit_2(tmp_path, toy_dataset):
     {"model": {"d_model": 10 ** 9}},
     {"model": {"d_ff": 10 ** 9}},
     {"model": {"n_blocks": 10 ** 9}},
+    # JSON booleans are no numbers, though bool is an int subclass
+    {"model": {"n_heads": True, "d_model": 8}},
+    {"model": {"d_model": True}},
+    {"model": {"d_ff": True}},
+    {"model": {"n_blocks": True}},
+    {"model": {"dropout": False}},
+    {"training": {"batch_size": True}},
+    {"training": {"learning_rate": True}},
 ], ids=repr)
 def test_bad_config_value_exit_2_one_line(tmp_path, toy_dataset, capsys, body):
     config = tmp_path / "config.json"
@@ -553,6 +589,23 @@ def test_oversized_manifest_config_exit_2_at_once(tmp_path, tiny_dataset, tiny_c
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "model too large" in err and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,value", [("n_heads", True), ("d_model", True),
+                                       ("n_blocks", True), ("dropout", False)])
+def test_boolean_manifest_config_exit_2_one_line(tmp_path, tiny_dataset, tiny_checkpoint,
+                                                 capsys, key, value):
+    manifest = json.loads(tiny_checkpoint.read_text(encoding="utf-8"))
+    manifest["config"][key] = value
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_text(json.dumps(manifest), encoding="utf-8")
+    shutil.copyfile(f"{tiny_checkpoint}.bin", f"{ckpt}.bin")
+    for command in ("eval", "latents"):
+        assert run_cli(command, "--data", tiny_dataset, "--ckpt", ckpt, "--prefix-packets", 4,
+                       "--out", tmp_path / "out.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: malformed manifest: {key} must be") \
+            and err.endswith(f", got {value!r}\n") and err.count("\n") == 1, err
 
 
 @settings(max_examples=60)

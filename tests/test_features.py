@@ -375,6 +375,34 @@ def test_reader_bit_equal_to_float_per_cell(samples, mix):
         assert_bit_equal(load_external_mts(tmp), ref)
 
 
+def merge_rows(series_path, permute):
+    """Rewrite series.csv as a merge of its ids' row lists, each id keeping
+    its own row order: permute gets one list entry per row, naming the row's
+    id by its first appearance, and returns those entries in the new order."""
+    lines = series_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = {}
+    for line in lines[1:]:
+        rows.setdefault(next(csv.reader([line]))[0], []).append(line)
+    queues = [iter(r) for r in rows.values()]
+    picks = permute([k for k, r in enumerate(rows.values()) for _ in r])
+    series_path.write_text("".join([lines[0]] + [next(queues[k]) for k in picks]),
+                           encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample_sets(), st.data())
+def test_reader_same_bits_for_any_merge_of_series_rows(samples, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(samples, tmp)
+        in_order = [(s.flow_id, s.label, s.endpoints, s.values, s.timestamps)
+                    for s in read_dataset(tmp)]
+        assert_bit_equal(read_dataset(tmp), naive_read_long_format(tmp))
+        merge_rows(Path(tmp, "series.csv"), lambda picks: data.draw(st.permutations(picks)))
+        merged = read_dataset(tmp)
+        assert_bit_equal(merged, in_order)
+        assert_bit_equal(merged, naive_read_long_format(tmp))
+
+
 def write_external(directory, series, rel_ts):
     """External layout: series_id/label metadata, optional rel_ts column."""
     d = series[0][1].shape[1]
@@ -485,7 +513,9 @@ def test_seq_index_gap_rejected_with_matching_row_count(tmp_path, mix):
     i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
     lines[i] = lines[i].replace(",2,", ",7,", 1)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match="seq_index not contiguous"):
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"{path}: seq_index not contiguous from 0 in the series of "
+            f"{samples[0].flow_id!r}") + "$"):
         read_dataset(tmp_path)
 
 
@@ -536,4 +566,45 @@ def test_row_count_must_match_num_packets(tmp_path):
     write_dataset(make_samples(np.random.default_rng(5), 2), tmp_path)
     break_dataset(tmp_path, "series.csv", lambda lines: lines.pop())
     with pytest.raises(DatasetFormatError, match="metadata says"):
+        read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("mix", [False, True])
+def test_row_count_error_names_file_and_id(tmp_path, mix):
+    samples = [s for s in make_samples(np.random.default_rng(5), 6) if s.length >= 2]
+    write_dataset(samples, tmp_path)
+    if mix:
+        interleave(tmp_path / "series.csv")
+    # the second flow loses its last row
+    second = samples[1]
+    path = break_dataset(tmp_path, "series.csv", lambda lines: lines.remove(next(
+        line for line in lines if line.startswith(f"{second.flow_id},{second.length - 1},"))))
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"{path}: {second.length - 1} series rows for {second.flow_id!r}, "
+            f"metadata says {second.length}") + "$"):
+        read_dataset(tmp_path)
+
+
+def test_num_packets_past_int64_is_a_row_count_error(tmp_path):
+    write_dataset(make_samples(np.random.default_rng(5), 2), tmp_path)
+    length = read_dataset(tmp_path)[0].length
+
+    def huge_num_packets(lines):
+        cells = lines[1].split(",")
+        cells[FLOWS_HEADER.index("num_packets")] = str(10 ** 30)
+        lines[1] = ",".join(cells)
+
+    break_dataset(tmp_path, "flows.csv", huge_num_packets)
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"{tmp_path / 'series.csv'}: {length} series rows for 'sample-0', "
+            f"metadata says {10 ** 30}") + "$"):
+        read_dataset(tmp_path)
+
+
+def test_listed_id_without_rows_rejected(tmp_path):
+    write_unlisted_external_id(tmp_path)
+    Path(tmp_path, "flows.csv").write_text("series_id,label\na,x\nghost,y\nlost,z\n",
+                                           encoding="utf-8")
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape(f"{tmp_path / 'series.csv'}: no rows for 'lost'") + "$"):
         read_dataset(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earlyflow import training
 from earlyflow.autodiff import backward, cross_entropy, scale, zero_grad
 from earlyflow.earliness import PrefixSpec
 from earlyflow.features import DatasetFormatError, MtsSample
@@ -184,6 +185,39 @@ def test_sweep_rejects_grid_beyond_max_len():
     with pytest.raises(ValueError, match="max_len"):
         sweep(config, samples, [PrefixSpec.by_count(16)], Hyperparams(max_epochs=1),
               seed=2, jobs=1)
+
+
+# (--jobs, os.cpu_count(), pool size or None for no pool) over three grid points
+POOL_SIZES = [(5000, 8, 3), (2, 8, 2), (5000, 2, 2), (5000, None, None), (1, 8, None)]
+
+
+@pytest.mark.parametrize("jobs,cpus,size", POOL_SIZES)
+def test_sweep_pool_is_bounded_by_points_and_cpus(monkeypatch, jobs, cpus, size):
+    sizes = []
+
+    class FakePool:
+        """Records the pool size and runs the points in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    samples = separable_suite(6, n=20, length=8)
+    config = small_config(4, 2, max_len=8)
+    specs = [PrefixSpec.by_count(n) for n in (2, 4, 8)]
+    hp = Hyperparams(max_epochs=1)
+    expected = sweep_rows(sweep(config, samples, specs, hp, seed=5, jobs=1))
+    monkeypatch.setattr(training, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(training.os, "cpu_count", lambda: cpus)
+    assert sweep_rows(sweep(config, samples, specs, hp, seed=5, jobs=jobs)) == expected
+    assert sizes == ([] if size is None else [size])
 
 
 def test_sweep_duration_mode():
