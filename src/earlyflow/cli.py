@@ -20,7 +20,7 @@ from .flows import (
     FlowTable, LabelRuleError, OrderingError, flow_order, join_labels, load_label_rules,
 )
 from .model import MdtConfig, MdtModel, export_latents, load_checkpoint, save_checkpoint
-from .pcap import CaptureError, open_capture
+from .pcap import SKIP_REASONS, CaptureError, open_capture
 from .training import (
     EXPECT_PROFILES, Hyperparams, SweepPoint, dataset_classes, evaluate,
     load_external_mts, stratified_split, sweep, sweep_rows, train,
@@ -76,7 +76,7 @@ def cmd_extract(args) -> int:
     rules = load_label_rules(args.labels) if args.labels else []
     all_flows = []
     packets = 0
-    skipped = 0
+    skipped = dict.fromkeys(SKIP_REASONS, 0)
     for path in args.pcap:
         table = FlowTable(window_secs=args.window_secs)
         assign = table.assign_packet
@@ -84,13 +84,16 @@ def cmd_extract(args) -> int:
             for record in reader:
                 assign(record)
             packets += reader.records_emitted
-            skipped += reader.frames_skipped
+            for reason, n in reader.skipped_by.items():
+                skipped[reason] += n
         all_flows.extend(table.flush())
     all_flows.sort(key=flow_order)
     join_labels(all_flows, rules)
     samples = extract_mts(all_flows)
     write_dataset(samples, args.out)
-    print(f"flows={len(samples)} packets={packets} skipped={skipped}")
+    print(f"flows={len(samples)} packets={packets} skipped={sum(skipped.values())}")
+    print("skipped by reason: " + " ".join(f"{k}={n}" for k, n in skipped.items()),
+          file=sys.stderr)
     return 0
 
 

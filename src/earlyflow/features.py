@@ -15,14 +15,15 @@ by one row template whose per-column formats are chosen from the chunk's
 cells, so only non-integral cells pay for '%.9f'. One long-format
 reader, read_dataset, reads both the extractor layout and external series
 (training.load_external_mts adds a profile check): it takes d from the
-series header, parses every numeric cell with one np.loadtxt call and
-groups rows by id with one stable sort, the same for every row order.
+series header, streams series.csv in blocks of about BLOCK_BYTES of whole
+lines, each parsed by one np.loadtxt call into a table that grows block by
+block, and groups rows by id with one stable sort, the same for every row
+order.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -48,6 +49,8 @@ _FLAG_CODE = {tuple(bits): code for code, bits in enumerate(
 # adjacent 0/1 columns one looked-up string covers (2^FLAG_RUN strings).
 CHUNK_ROWS = 4096
 FLAG_RUN = 10
+# series.csv text read per np.loadtxt call (see _read_series)
+BLOCK_BYTES = 1 << 20
 
 FLOWS_HEADER = ["flow_id", "src_ip", "src_port", "dst_ip", "dst_port",
                 "transport", "start_ts", "end_ts", "num_packets", "label"]
@@ -276,26 +279,27 @@ def read_dataset(directory) -> list:
         if not os.path.exists(path):
             raise DatasetFormatError(f"missing dataset file: {path}")
     extractor, entries = _read_metadata(flows_path)
-    header, ids, table = _read_series(series_path)
+    # each row's series is its id's position in flows.csv
+    position = {entry[0]: k for k, entry in enumerate(entries)}
+    try:
+        header, series, table, non_finite, unknown = _read_series(series_path, position)
+    except UnicodeDecodeError as exc:
+        # its byte position counts from the start of a decoded chunk, not of the file
+        raise DatasetFormatError(f"{series_path}: not UTF-8 text ({exc.reason})") from None
     has_rel = header[-1] == "rel_ts"
     d = len(header) - 2 - has_rel
     if extractor and header != series_header(len(header) - 3):
         raise DatasetFormatError(f"{series_path}: unexpected header")
     if d < 1:
         raise DatasetFormatError(f"{series_path}: no feature columns")
-    finite = np.isfinite(table)
-    if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
-        raise DatasetFormatError(f"{series_path}: non-finite value in the series of {ids[row]!r}")
+    if non_finite is not None:
+        raise DatasetFormatError(f"{series_path}: non-finite value in the series of {non_finite!r}")
+    if unknown is not None:
+        raise DatasetFormatError(f"{series_path}: unknown {header[0]} {unknown}")
 
-    # each row's series is its id's position in flows.csv; one stable sort
-    # puts each series' rows together in file order, every check runs over
-    # all rows at once, and each sample is a slice of one gather
-    position = {entry[0]: k for k, entry in enumerate(entries)}
-    series = np.fromiter(map(position.get, ids, repeat(-1)), np.intp, len(ids))
-    unknown = np.flatnonzero(series < 0)
-    if len(unknown):
-        raise DatasetFormatError(f"{series_path}: unknown {header[0]} {ids[unknown[0]]}")
+    # one stable sort puts each series' rows together in file order, every
+    # check runs over all rows at once, and each sample is a slice of one
+    # gather
     order = np.argsort(series, kind="stable")
     counts = np.bincount(series, minlength=len(entries))
     starts = np.cumsum(counts) - counts
@@ -316,6 +320,7 @@ def read_dataset(directory) -> list:
                                  f"in the series of {entries[series[order[gaps[0]]]][0]!r}")
     values = table[order, 1:1 + d]
     times = table[order, -1] if has_rel else index.astype(np.float64)
+    del table   # the samples are views of values and times alone
     if has_rel:
         falls = np.flatnonzero((times[1:] < times[:-1]) & (index[1:] > 0))
         if len(falls):
@@ -377,53 +382,130 @@ def _first_duplicate(ids):
     return None
 
 
-def _read_series(path):
-    """series.csv -> (header, id of each row, float64 table of the columns
-    after the id). Numbers are parsed by one np.loadtxt call, which gives
-    the same doubles as float()."""
+class _QuoteOrCR(Exception):
+    """A series.csv block holds a quote or CR: only csv.reader splits it."""
+
+
+def _read_series(path, position):
+    """series.csv -> (header, series, table, non_finite, unknown): the
+    header; each row's series, the position of its id in `position` (-1 for
+    an id it lacks); the float64 table of the columns after the id; and the
+    ids of the first row holding a non-finite cell and of the first row
+    whose id `position` lacks, each None when there is no such row.
+
+    The file is read in blocks of about BLOCK_BYTES of whole lines, so only
+    one block of text is held at a time. Each line is split at its first
+    comma, unless the file holds a quote or CR anywhere: then csv.reader
+    splits the records, and a block that first shows one restarts the read
+    on that path. Each block's numbers are parsed by one np.loadtxt call,
+    which gives the same doubles as float(), and appended to a table that
+    grows block by block."""
     with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    if '"' in text or "\r" in text:
-        # quoted ids or CR line ends: csv splits the records
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        header = rows[0] if rows else []
-        body = rows[1:]
-        ids = [row[0] if row else "" for row in body]
-        numeric = [",".join(row[1:]) for row in body]
-        blank = [] in body
-    else:
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        header = lines[0].split(",") if lines else []
-        body = lines[1:]
-        ids = [line.partition(",")[0] for line in body]
-        numeric = [line.partition(",")[2] for line in body]
-        blank = "" in body
+        try:
+            return _parse_blocks(path, position, *_line_blocks(fh))
+        except _QuoteOrCR:
+            fh.seek(0)
+            return _parse_blocks(path, position, *_record_blocks(fh))
+
+
+def _line_blocks(fh):
+    """(header, blocks) of a series.csv without quotes or CRs: each block is
+    (number of its first line, its lines, their ids, the text after each
+    id's comma). Raises _QuoteOrCR at the first block holding either."""
+    line = fh.readline()
+    if '"' in line or "\r" in line:
+        raise _QuoteOrCR
+    header = line.removesuffix("\n").split(",") if line else []
+
+    def blocks():
+        first = 2
+        while text := fh.read(BLOCK_BYTES):
+            text += fh.readline()
+            if '"' in text or "\r" in text:
+                raise _QuoteOrCR
+            lines = text.split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            ids, _, numeric = zip(*map(str.partition, lines, repeat(",")))
+            yield first, lines, ids, numeric
+            first += len(lines)
+
+    return header, blocks()
+
+
+def _record_blocks(fh):
+    """(header, blocks) of any series.csv, csv.reader splitting the records:
+    each block is (number of its first line, the lines of its records, their
+    ids, the numeric cells of each joined by commas), its records ending in
+    about BLOCK_BYTES of lines."""
+    lines, size = [], 0
+
+    def noted():
+        nonlocal size
+        for line in fh:
+            lines.append(line)
+            size += len(line)
+            yield line
+
+    reader = csv.reader(noted())
+    header = next(reader, [])
+
+    def blocks():
+        nonlocal lines, size
+        while True:
+            first = reader.line_num + 1
+            lines, size, rows = [], 0, []
+            for row in reader:
+                rows.append(row)
+                if size >= BLOCK_BYTES:
+                    break
+            if not rows:
+                return
+            yield (first, lines, [row[0] if row else "" for row in rows],
+                   [",".join(row[1:]) for row in rows])
+
+    return header, blocks()
+
+
+def _parse_blocks(path, position, header, blocks):
+    """_read_series's result from the header and blocks of one reader."""
     if len(header) < 3 or header[0] not in ("flow_id", "series_id") \
             or header[1] != "seq_index":
         raise DatasetFormatError(f"{path}: header must start with flow_id/series_id,seq_index")
     width = len(header) - 1
-    if not body:
-        return header, ids, np.zeros((0, width))
-    table = None
-    if not blank:
-        try:
-            table = np.loadtxt(numeric, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if table is None or table.shape != (len(body), width):
-        _raise_bad_row(path, text, len(header))
-    return header, ids, table
+    table = np.zeros((0, width))
+    series = np.zeros(0, np.intp)
+    non_finite = unknown = None
+    for first, lines, ids, numeric in blocks:
+        rows, n = len(series), len(ids)
+        block = None
+        if "" not in numeric:   # np.loadtxt skips blank lines; the rescan names them
+            try:
+                block = np.loadtxt(numeric, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+        if block is None or block.shape != (n, width):
+            _raise_bad_row(path, lines, first, len(header))
+        where = np.fromiter(map(position.get, ids, repeat(-1)), np.intp, n)
+        if unknown is None and (where < 0).any():
+            unknown = ids[np.argmax(where < 0)]
+        finite = np.isfinite(block).all(axis=1)
+        if non_finite is None and not finite.all():
+            non_finite = ids[np.argmin(finite)]
+        # resize reallocates in place where it can: no copy of earlier blocks
+        table.resize((rows + n, width), refcheck=False)
+        table[rows:] = block
+        series.resize(rows + n, refcheck=False)
+        series[rows:] = where
+    return header, series, table, non_finite, unknown
 
 
-def _raise_bad_row(path, text, n_fields):
-    """Name the first blank, ragged or non-numeric row of a series.csv that
-    np.loadtxt rejected."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
+def _raise_bad_row(path, lines, first, n_fields):
+    """Name the first blank, ragged or non-numeric row of a series.csv block
+    that np.loadtxt rejected; lines are the block's, from file line first."""
+    reader = csv.reader(lines)
     for row in reader:
-        where = f"{path}: line {reader.line_num}"
+        where = f"{path}: line {first - 1 + reader.line_num}"
         if not row:
             raise DatasetFormatError(f"{where}: blank row")
         if len(row) != n_fields:

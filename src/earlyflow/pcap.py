@@ -3,9 +3,8 @@
 Only the classic pcap container is handled (pcapng is out of scope), with
 either byte order and micro- or nanosecond timestamps, and only Ethernet
 link-layer captures. Frames that are not parseable TCP or UDP packets
-(non-IP ethertypes, nested VLAN tags, non-first fragments, other IP
-protocols, truncated L4 headers) are skipped and counted, never fatal; a
-truncated record header ends the stream with a distinct error.
+are skipped and counted by reason (SKIP_REASONS), never fatal; a truncated
+record header ends the stream with a distinct error.
 
 The reader decodes frames in blocks of about BLOCK_BYTES of the file: it
 walks the block's record headers with one unpack_from each, then decodes the
@@ -119,11 +118,19 @@ TCP_FLAGS = tuple((offset & 1, *_FLAG_BYTE_BITS[f], 1 if offset & 0x0E else 0)
 # transport of a kept frame, indexed by its TCP mask
 _TRANSPORTS = (Transport.UDP, Transport.TCP)
 
+# Why a frame is skipped, in the order _decode_block's masks drop frames:
+# no whole IPv4 or IPv6 header (a non-IP ethertype, a nested VLAN tag, a cut
+# or malformed IP header), a non-first IPv4 fragment, an IP protocol other
+# than TCP and UDP, and a TCP or UDP header cut short.
+SKIP_REASONS = ("not_ip", "fragment", "other_protocol", "truncated_l4")
 
-def _decode_block(buf, start, length, timestamps, first_index) -> list:
-    """PacketRecords of the frames buf[start[i]:start[i] + length[i]] that
-    are parseable TCP or UDP packets, in frame order; the frame at position
-    i gets capture_index first_index + i.
+
+def _decode_block(buf, start, length, timestamps, first_index):
+    """(records, skipped): the PacketRecords of the frames
+    buf[start[i]:start[i] + length[i]] that are parseable TCP or UDP
+    packets, in frame order, the frame at position i getting capture_index
+    first_index + i; and the number of the other frames under each of
+    SKIP_REASONS, each counted under the first mask that drops it.
 
     Every header field of every frame is gathered at once. A gather past the
     end of its frame reads a clipped position, and the masks below drop such
@@ -157,9 +164,10 @@ def _decode_block(buf, start, length, timestamps, first_index) -> list:
     ip_total = u16(l3 + 2)
     v4 = (ethertype == ETHERTYPE_IPV4) & (version == 4) & (ihl >= 20) & (room >= ihl) \
         & (ip_total >= ihl)
-    v4 &= (u16(l3 + 6) & 0x1FFF) == 0           # non-first fragments carry no L4 header
+    fragment = v4 & ((u16(l3 + 6) & 0x1FFF) != 0)  # non-first fragments carry no L4 header
+    v4 &= ~fragment
     v6 = (ethertype == ETHERTYPE_IPV6) & (room >= 40) & (version == 6)
-    ok = v4 | v6
+    ip = v4 | v6
     payload = u16(l3 + 4)
     proto = np.where(v4, u8(l3 + 9), u8(l3 + 6))
     l4 = l3 + np.where(v4, ihl, 40)
@@ -167,7 +175,10 @@ def _decode_block(buf, start, length, timestamps, first_index) -> list:
     l4_room = np.minimum(length, np.where(v4, l3 + ip_total, l4 + payload)) - l4
     tcp = proto == IPPROTO_TCP
     udp = proto == IPPROTO_UDP
-    ok &= (tcp & (l4_room >= 14)) | (udp & (l4_room >= 8))
+    transport = ip & (tcp | udp)
+    ok = transport & ((tcp & (l4_room >= 14)) | (udp & (l4_room >= 8)))
+    skipped = np.count_nonzero([~(ip | fragment), fragment, ip & ~transport, transport & ~ok],
+                               axis=1).tolist()
 
     keep = np.flatnonzero(ok)
     v4, v6, tcp, l3, l4 = v4[keep], v6[keep], tcp[keep], l3[keep], l4[keep]
@@ -188,16 +199,17 @@ def _decode_block(buf, start, length, timestamps, first_index) -> list:
         total_bytes.tolist(), map(TCP_FLAGS.__getitem__, flag_key.tolist()),
         (keep + first_index).tolist(),
     )
-    return list(map(tuple.__new__, repeat(PacketRecord), zip(*columns)))
+    return list(map(tuple.__new__, repeat(PacketRecord), zip(*columns))), skipped
 
 
 class CaptureReader:
     """Iterator over PacketRecords from one pcap file. Single consumer;
     open one reader per file for concurrent work.
 
-    frames_total, frames_skipped and records_emitted count the frames of
-    every block decoded so far, so they can run one block ahead of the
-    records yielded; they are exact once the iteration ends."""
+    frames_total, records_emitted and skipped_by (the skipped frames under
+    each of SKIP_REASONS) count the frames of every block decoded so far, so
+    they can run one block ahead of the records yielded; they are exact
+    once the iteration ends."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -228,8 +240,12 @@ class CaptureReader:
         self._rest = b""            # bytes after the last whole frame read
         self._block = iter(())      # records of the current block not yet yielded
         self.frames_total = 0
-        self.frames_skipped = 0
         self.records_emitted = 0
+        self.skipped_by = dict.fromkeys(SKIP_REASONS, 0)
+
+    @property
+    def frames_skipped(self) -> int:
+        return sum(self.skipped_by.values())
 
     def close(self):
         self._fh.close()
@@ -285,10 +301,12 @@ class CaptureReader:
         at = np.array(at, dtype=np.int64)
         headers = np.frombuffer(buf, dtype=np.uint8)[at[:, None] + np.arange(16)]
         sec, frac, length, _orig_len = headers.view(self._endian + "u4").astype(np.int64).T
-        records = _decode_block(buf, at + 16, length, sec + frac * self._tick, self.frames_total)
+        records, skipped = _decode_block(buf, at + 16, length, sec + frac * self._tick,
+                                         self.frames_total)
         self.frames_total += len(at)
         self.records_emitted += len(records)
-        self.frames_skipped = self.frames_total - self.records_emitted
+        for reason, n in zip(SKIP_REASONS, skipped):
+            self.skipped_by[reason] += n
         return records
 
 

@@ -223,18 +223,18 @@ def naive_tcp_flags(offset_byte, flag_byte):
 def _naive_finish(ts, src, dst, proto, l4, total_bytes, index):
     if proto == pcap.IPPROTO_TCP:
         if len(l4) < 14:
-            return None
+            return "truncated_l4"
         sport, dport = struct.unpack(">HH", l4[:4])
         flags = naive_tcp_flags(l4[12], l4[13])
         transport = pcap.Transport.TCP
     elif proto == pcap.IPPROTO_UDP:
         if len(l4) < 8:
-            return None
+            return "truncated_l4"
         sport, dport = struct.unpack(">HH", l4[:4])
         flags = (0,) * 10
         transport = pcap.Transport.UDP
     else:
-        return None
+        return "other_protocol"
     return pcap.PacketRecord(
         timestamp=ts, src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
         transport=transport, total_bytes=total_bytes, tcp_flags=flags,
@@ -242,49 +242,50 @@ def _naive_finish(ts, src, dst, proto, l4, total_bytes, index):
 
 
 def naive_decode_frame(ts, data, index):
-    """One Ethernet frame -> PacketRecord or None, slicing at each layer."""
+    """One Ethernet frame -> PacketRecord, or the pcap.SKIP_REASONS entry
+    that skips it, slicing at each layer."""
     if len(data) < 14:
-        return None
+        return "not_ip"
     ethertype = struct.unpack(">H", data[12:14])[0]
     offset = 14
     if ethertype == pcap.ETHERTYPE_VLAN:
         if len(data) < 18:
-            return None
+            return "not_ip"
         ethertype = struct.unpack(">H", data[16:18])[0]
         offset = 18
         if ethertype == pcap.ETHERTYPE_VLAN:
-            return None
+            return "not_ip"
     ip = data[offset:]
     if ethertype == pcap.ETHERTYPE_IPV4:
         if len(ip) < 20 or ip[0] >> 4 != 4:
-            return None
+            return "not_ip"
         ihl = (ip[0] & 0x0F) * 4
         if ihl < 20 or len(ip) < ihl:
-            return None
+            return "not_ip"
         total_len = struct.unpack(">H", ip[2:4])[0]
         if total_len < ihl:
-            return None
+            return "not_ip"
         frag = struct.unpack(">H", ip[6:8])[0]
         if frag & 0x1FFF:
-            return None
+            return "fragment"
         src = pcap.V4_MAPPED_PREFIX | struct.unpack(">I", ip[12:16])[0]
         dst = pcap.V4_MAPPED_PREFIX | struct.unpack(">I", ip[16:20])[0]
         l4 = ip[ihl:min(len(ip), total_len)]
         return _naive_finish(ts, src, dst, ip[9], l4, total_len, index)
     if ethertype == pcap.ETHERTYPE_IPV6:
         if len(ip) < 40 or ip[0] >> 4 != 6:
-            return None
+            return "not_ip"
         payload_len = struct.unpack(">H", ip[4:6])[0]
         src = int.from_bytes(ip[8:24], "big")
         dst = int.from_bytes(ip[24:40], "big")
         l4 = ip[40:min(len(ip), 40 + payload_len)]
         return _naive_finish(ts, src, dst, ip[6], l4, payload_len + 40, index)
-    return None
+    return "not_ip"
 
 
 def naive_read_capture(path):
-    """(records, frames_total, frames_skipped) of a classic pcap file, read
-    record by record with naive_decode_frame. Raises what CaptureReader
+    """(records, frames_total, skipped frames by reason) of a classic pcap
+    file, read record by record with naive_decode_frame. Raises what CaptureReader
     raises for a bad global header or a truncated record."""
     with open(path, "rb") as fh:
         header = fh.read(24)
@@ -303,7 +304,7 @@ def naive_read_capture(path):
         tick = 1e-9 if native_magic == pcap.MAGIC_LE_NANOS else 1e-6
         if struct.unpack(endian + "I", header[20:24])[0] != pcap.LINKTYPE_ETHERNET:
             raise pcap.UnsupportedLinkTypeError(path)
-        records, total, skipped = [], 0, 0
+        records, total, skipped = [], 0, dict.fromkeys(pcap.SKIP_REASONS, 0)
         while True:
             rec_header = fh.read(16)
             if len(rec_header) == 0:
@@ -316,7 +317,7 @@ def naive_read_capture(path):
                 raise pcap.TruncatedRecordError(path)
             record = naive_decode_frame(ts_sec + ts_frac * tick, data, total)
             total += 1
-            if record is None:
-                skipped += 1
+            if isinstance(record, str):
+                skipped[record] += 1
             else:
                 records.append(record)

@@ -16,7 +16,7 @@ from earlyflow.cli import MODEL_KEYS, TRAINING_KEYS, main
 from earlyflow.features import MtsSample, write_dataset
 
 from gen_mts import separable_suite
-from gen_pcap import tcp_frame, udp_frame, arp_frame, icmp_frame, write_pcap
+from gen_pcap import arp_frame, fragment_frame, icmp_frame, tcp_frame, udp_frame, write_pcap
 from test_features import (
     IMPOSSIBLE_TIME_AXES, MALFORMED, break_dataset, make_samples, nan_start_ts, write_time_axis,
     write_unlisted_external_id,
@@ -60,6 +60,26 @@ def test_extract_two_flows(tmp_path, two_flow_capture, capsys):
     flows_lines = (out_dir / "flows.csv").read_text(encoding="utf-8").strip().splitlines()
     assert len(flows_lines) == 3  # header + 2 flows
     assert flows_lines[1].endswith("BENIGN")
+
+
+def test_extract_prints_skip_reasons_on_stderr(tmp_path, capsys):
+    frames = [tcp_frame("10.0.0.1", 5000, "10.0.0.2", 80, flags=("syn",)),
+              arp_frame(), arp_frame(),
+              icmp_frame("10.0.0.1", "10.0.0.2"),
+              fragment_frame("10.0.0.1", "10.0.0.2"), fragment_frame("10.0.0.2", "10.0.0.1"),
+              fragment_frame("10.0.0.1", "10.0.0.3"),
+              udp_frame("10.0.0.3", 53, "10.0.0.4", 5353)[:14 + 20 + 7]]
+    path = tmp_path / "skips.pcap"
+    write_pcap(path, [(100.0 + 0.01 * i, frame) for i, frame in enumerate(frames)])
+    assert run_cli("extract", "--pcap", path, "--out", tmp_path / "ds") == 0
+    printed = capsys.readouterr()
+    # stdout stays the one summary line
+    skipped = int(re.fullmatch(r"flows=1 packets=1 skipped=(\d+)\n", printed.out).group(1))
+    head, _, counts = printed.err.partition(": ")
+    assert head == "skipped by reason" and printed.err.count("\n") == 1
+    reasons = {k: int(n) for k, n in (item.split("=") for item in counts.split())}
+    assert reasons == {"not_ip": 2, "fragment": 3, "other_protocol": 1, "truncated_l4": 1}
+    assert sum(reasons.values()) == skipped
 
 
 def test_extract_with_labels(tmp_path, two_flow_capture):

@@ -1,6 +1,7 @@
 import csv
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -276,6 +277,10 @@ COLUMN_CELLS = {
     NON_FINITE: st.one_of(FLOATS, st.sampled_from([np.nan, np.inf, -np.inf])),
     ARBITRARY: FLOATS,
 }
+# series.csv blocks from a line or two each up to the default size: block
+# boundaries fall between any two rows, and a quote first seen past the first
+# block restarts the read on the csv path
+BLOCK_SIZES = st.one_of(st.just(features.BLOCK_BYTES), st.integers(1, 300))
 # ids that are empty, or that csv quoting or % formatting has to leave intact
 ID_TEXT = st.one_of(st.sampled_from(["", "%", "%s", "%%d", ",", '"', 'a,"b%d"']), NASTY_TEXT)
 
@@ -364,9 +369,10 @@ def interleave(series_path):
 
 
 @settings(max_examples=40)
-@given(sample_sets(), st.booleans())
-def test_reader_bit_equal_to_float_per_cell(samples, mix):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(sample_sets(), st.booleans(), BLOCK_SIZES)
+def test_reader_bit_equal_to_float_per_cell(samples, mix, block_bytes):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(features, "BLOCK_BYTES", block_bytes):
         write_dataset(samples, tmp)
         if mix and len(samples) >= 2:
             interleave(Path(tmp, "series.csv"))
@@ -390,9 +396,10 @@ def merge_rows(series_path, permute):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sample_sets(), st.data())
-def test_reader_same_bits_for_any_merge_of_series_rows(samples, data):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(sample_sets(), st.data(), BLOCK_SIZES)
+def test_reader_same_bits_for_any_merge_of_series_rows(samples, data, block_bytes):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(features, "BLOCK_BYTES", block_bytes):
         write_dataset(samples, tmp)
         in_order = [(s.flow_id, s.label, s.endpoints, s.values, s.timestamps)
                     for s in read_dataset(tmp)]
@@ -421,11 +428,12 @@ def write_external(directory, series, rel_ts):
 
 @settings(max_examples=30)
 @given(st.integers(1, 6), st.lists(st.integers(1, 30), min_size=2, max_size=4),
-       st.booleans(), st.data())
-def test_external_reader_bit_equal_to_float_per_cell(d, lengths, rel_ts, data):
+       st.booleans(), st.data(), BLOCK_SIZES)
+def test_external_reader_bit_equal_to_float_per_cell(d, lengths, rel_ts, data, block_bytes):
     series = [(f"s{k}", data.draw(arrays(np.float64, (n, d), elements=FLOATS)))
               for k, n in enumerate(lengths)]
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(features, "BLOCK_BYTES", block_bytes):
         write_external(tmp, series, rel_ts)
         interleave(Path(tmp, "series.csv"))
         ref = naive_read_long_format(tmp)
@@ -433,16 +441,17 @@ def test_external_reader_bit_equal_to_float_per_cell(d, lengths, rel_ts, data):
         assert_bit_equal(load_external_mts(tmp), ref)
 
 
-def _blank_series_row(lines):
-    lines.insert(2, "")
+# series.csv mutations of line i + 1, by default line 3
+def _blank_series_row(lines, i=2):
+    lines.insert(i, "")
 
 
-def _short_series_row(lines):
-    lines[2] = lines[2].rsplit(",", 1)[0]
+def _short_series_row(lines, i=2):
+    lines[i] = lines[i].rsplit(",", 1)[0]
 
 
-def _non_numeric_series_cell(lines):
-    lines[2] = lines[2].replace(",", ",x", 1)
+def _non_numeric_series_cell(lines, i=2):
+    lines[i] = lines[i].replace(",", ",x", 1)
 
 
 def _short_flows_row(lines):
@@ -474,6 +483,80 @@ def test_malformed_rows_name_file_and_line(tmp_path, name, mutate, message):
         read_dataset(tmp_path)
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: ") + message):
         load_external_mts(tmp_path)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100, 1000])
+@pytest.mark.parametrize("first_id", ["sample-0", 'first,"quoted"\nid'])
+@pytest.mark.parametrize("mutate,message", [
+    (_blank_series_row, "blank row$"),
+    (_short_series_row, r"(\d+) fields, header has (?!\1)\d+$"),
+    (_non_numeric_series_cell, "non-numeric cell 'x"),
+])
+def test_malformed_row_in_a_later_block_names_its_line(tmp_path, mutate, message, first_id,
+                                                       block_bytes):
+    # a first id with a quote sends every block through csv.reader, and its
+    # line end makes each of its rows two lines of the file
+    samples = make_samples(np.random.default_rng(3), 12, max_len=6)
+    samples[0].flow_id = first_id
+    write_dataset(samples, tmp_path)
+    path = tmp_path / "series.csv"
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    at = len(lines) - 2
+    mutate(lines, at)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(features, "BLOCK_BYTES", block_bytes), \
+            pytest.raises(DatasetFormatError, match=re.escape(f"{path}: line {at + 1}: ") + message):
+        read_dataset(tmp_path)
+
+
+def _late_quoted_id(samples, path):
+    samples[-1].flow_id = 'last,"quoted"'
+    write_dataset(samples, path.parent)
+
+
+def _late_cr_line_ends(samples, path):
+    write_dataset(samples, path.parent)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    half = len(lines) // 2
+    path.write_text("\n".join(lines[:half]) + "\n" + "\r".join(lines[half:]) + "\r",
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("block_bytes", [1, 200])
+@pytest.mark.parametrize("write", [_late_quoted_id, _late_cr_line_ends])
+def test_quote_or_cr_past_the_first_block_reads_as_the_whole_file_does(tmp_path, write,
+                                                                       block_bytes):
+    write(make_samples(np.random.default_rng(8), 10, max_len=6), tmp_path / "series.csv")
+    with mock.patch.object(features, "BLOCK_BYTES", 1 << 30):
+        whole = [(s.flow_id, s.label, s.endpoints, s.values, s.timestamps)
+                 for s in read_dataset(tmp_path)]
+    assert_bit_equal(read_dataset(tmp_path), naive_read_long_format(tmp_path))
+    with mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+        assert_bit_equal(read_dataset(tmp_path), whole)
+
+
+def test_invalid_utf8_in_a_later_block_names_the_file(tmp_path):
+    write_dataset(make_samples(np.random.default_rng(3), 12, max_len=6), tmp_path)
+    path = tmp_path / "series.csv"
+    data = path.read_bytes()
+    path.write_bytes(data[:-20] + b"\xff" + data[-19:])
+    with mock.patch.object(features, "BLOCK_BYTES", 100), pytest.raises(
+            DatasetFormatError, match=re.escape(f"{path}: not UTF-8 text (invalid start byte)") + "$"):
+        read_dataset(tmp_path)
+
+
+def test_read_dataset_peak_memory_within_four_times_its_samples(tmp_path):
+    # tracemalloc's peak over one read_dataset call on a series.csv of at
+    # least 8 blocks stays within 4x the values and timestamps it returns
+    write_dataset(make_samples(np.random.default_rng(9), 7500), tmp_path)
+    assert (tmp_path / "series.csv").stat().st_size >= 8 * features.BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        samples = read_dataset(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * sum(s.values.nbytes + s.timestamps.nbytes for s in samples)
 
 
 def test_unknown_series_id_rejected(tmp_path):

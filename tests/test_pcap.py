@@ -232,11 +232,11 @@ def mixed_frames():
 
 
 def parse_both(path):
-    """(records, frames_total, frames_skipped) or the error type, from the
-    flat decoder and from the slicing oracle."""
+    """(records, frames_total, skipped frames by reason) or the error type,
+    from the flat decoder and from the slicing oracle."""
     try:
         with open_capture(path) as reader:
-            fast = (list(reader), reader.frames_total, reader.frames_skipped)
+            fast = (list(reader), reader.frames_total, reader.skipped_by)
     except CaptureError as exc:
         fast = type(exc)
     try:
@@ -256,6 +256,7 @@ def test_flat_decoder_matches_slicing_decoder(tmp_path, endian, nanos):
     assert fast == slow
     records, total, skipped = fast
     assert (total, len(records)) == (len(frames), 8)
+    assert skipped == {"not_ip": 5, "fragment": 1, "other_protocol": 2, "truncated_l4": 2}
     transports = [r.transport for r in records]
     assert transports.count(Transport.TCP) == 6 and transports.count(Transport.UDP) == 2
 

@@ -1,3 +1,7 @@
+import os
+import platform
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +20,7 @@ from earlyflow.training import (
     stratified_split, sweep, sweep_rows, train, write_history_csv,
 )
 
+import gen_mts
 from gen_mts import amplitude_suite, frequency_suite, separable_suite
 
 
@@ -397,3 +402,34 @@ def test_load_external_ragged_rejected(tmp_path):
 
 def test_wafer_profile_shape():
     assert EXPECT_PROFILES["wafer"] == {"d": 6, "max_len": 198}
+
+
+# Two 3-epoch trains in a fresh process; prints the minor page faults of the
+# second. Minibatches of 32 16-packet prefixes at d_model 32 free and
+# reallocate about 14 MB each.
+SECOND_TRAIN_FAULTS = """
+import resource
+from gen_mts import separable_suite
+from earlyflow.earliness import PrefixSpec
+from earlyflow.model import MdtConfig, MdtModel
+from earlyflow.training import Hyperparams, train
+samples = separable_suite(0, n=200, length=16, d=13)
+config = MdtConfig(d_in=13, n_classes=2, max_len=16, d_model=32, n_heads=4, n_blocks=2, d_ff=64)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(MdtModel(config, seed=0), samples, PrefixSpec.by_count(16),
+          Hyperparams(max_epochs=3, patience=4), seed=0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator thresholds")
+def test_second_train_reuses_freed_pages():
+    # glibc's default thresholds hand each minibatch's freed pages back to
+    # the OS (about 16k faults for this second train); kept, it faults in
+    # almost none
+    package_root = os.path.dirname(os.path.dirname(training.__file__))
+    path = os.pathsep.join([package_root, os.path.dirname(gen_mts.__file__)])
+    out = subprocess.run([sys.executable, "-c", SECOND_TRAIN_FAULTS], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert int(out.stdout) < 1000
