@@ -37,8 +37,11 @@ class CliError(Exception):
 
 
 def _load_config_file(path):
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CliError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise CliError(f"{path}: config must be a JSON object")
     model_kwargs = raw.get("model", {})
@@ -79,10 +82,9 @@ def cmd_extract(args) -> int:
     skipped = dict.fromkeys(SKIP_REASONS, 0)
     for path in args.pcap:
         table = FlowTable(window_secs=args.window_secs)
-        assign = table.assign_packet
         with open_capture(path) as reader:
-            for record in reader:
-                assign(record)
+            for block in reader.blocks():
+                table.assign_block(block)
             packets += reader.records_emitted
             for reason, n in reader.skipped_by.items():
                 skipped[reason] += n

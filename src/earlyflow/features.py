@@ -8,11 +8,13 @@ metadata, series.csv holds the long-format feature rows with 9 fractional
 digits. The series columns are named after the sample width: FEATURE_NAMES
 at the extractor's 13, feature_0 ... feature_{d-1} at any other width d.
 
-extract_mts turns a list of flows into samples in one pass: it builds the
-(N, 13) feature array of all N packets at once and gives each sample its
-slice. write_dataset formats series rows in chunks of whole flows, each
-by one row template whose per-column formats are chosen from the chunk's
-cells, so only non-integral cells pay for '%.9f'. One long-format
+extract_mts turns a list of flows into samples in one pass: it gathers the
+flows' packet columns (pcap.PacketBlock) into one block, builds the (N, 13)
+feature array of all N packets from those columns at once, and gives each
+sample its slice; no Python object is made per packet. write_dataset
+formats series rows in chunks of whole flows, each by one row template
+whose per-column formats are chosen from the chunk's cells, so only
+non-integral cells pay for '%.9f'. One long-format
 reader, read_dataset, reads both the extractor layout and external series
 (training.load_external_mts adds a profile check): it takes d from the
 series header, streams series.csv in blocks of about BLOCK_BYTES of whole
@@ -29,21 +31,15 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import attrgetter, eq
 from types import SimpleNamespace
 
 import numpy as np
 
-from .pcap import TCP_FLAG_NAMES, ip_to_str
+from .flows import flow_packets
+from .pcap import TCP_FLAG_NAMES, flag_bits, ip_to_str
 
 FEATURE_NAMES = ["direction", "iat_seconds", "bytes", *(f"flag_{n}" for n in TCP_FLAG_NAMES)]
 NUM_FEATURES = len(FEATURE_NAMES)
-
-# Every 10-bit TCP flag vector and the number its bits spell, first flag
-# highest: extract_mts maps flag tuples to these numbers and back to bits.
-_FLAG_SHIFTS = np.arange(len(TCP_FLAG_NAMES) - 1, -1, -1)
-_FLAG_CODE = {tuple(bits): code for code, bits in enumerate(
-    (np.arange(1 << len(_FLAG_SHIFTS))[:, None] >> _FLAG_SHIFTS & 1).tolist())}
 
 # series.csv rows formatted by one % call (see _series_chunks), and the most
 # adjacent 0/1 columns one looked-up string covers (2^FLAG_RUN strings).
@@ -96,40 +92,31 @@ def extract_mts(flows) -> list:
     the feature vector of packet i; the first IAT entry is 0. The flow id is
     initiator-responder-transport@start.
 
-    The (N, 13) feature array of all N packets is built in one pass and each
-    sample takes its slice: every column is read from the packets by one
-    C-level map, the IAT column is one difference over the concatenated
-    timestamps (set to 0 where each flow starts), flag vectors are looked up
-    as ten 0/1 bits (as pcap decodes them), and each endpoint address is
-    formatted once."""
+    The (N, 13) feature array of all N packets is built in one pass over the
+    flows' packet columns (flows.flow_packets) and each sample takes its
+    slice: a packet's direction is +1 where its sender is its flow's first
+    packet's, the IAT column is one difference over the concatenated
+    timestamps (set to 0 where each flow starts), the flag columns are the
+    bits of the flag codes, and each endpoint address is formatted once."""
     flows = list(flows)
     if not flows:
         return []
-    lengths = [len(flow.packets) for flow in flows]
-    packets = list(chain.from_iterable(flow.packets for flow in flows))
-    n = len(packets)
-
-    def column(field, dtype=np.float64):
-        return np.fromiter(map(attrgetter(field), packets), dtype, n)
-
-    timestamps = column("timestamp")
+    packets, lengths = flow_packets(flows)
     starts = np.cumsum(lengths) - lengths
-    values = np.empty((n, NUM_FEATURES))
-    # +1 where the packet was sent by its flow's initiator
-    initiator_ips = chain.from_iterable(map(repeat, [f.initiator[0] for f in flows], lengths))
-    from_ip = np.fromiter(map(eq, map(attrgetter("src_ip"), packets), initiator_ips), bool, n)
-    from_port = column("src_port", np.int64) == np.repeat([f.initiator[1] for f in flows], lengths)
-    values[:, 0] = np.where(from_ip & from_port, 1.0, -1.0)
+    timestamps = packets.timestamp
+    values = np.empty((len(timestamps), NUM_FEATURES))
+    sender = (packets.src_hi, packets.src_lo, packets.src_port)
+    from_initiator = np.logical_and.reduce(
+        [column == np.repeat(column[starts], lengths) for column in sender])
+    values[:, 0] = np.where(from_initiator, 1.0, -1.0)
     values[1:, 1] = timestamps[1:] - timestamps[:-1]
     values[starts, 1] = 0.0
-    values[:, 2] = column("total_bytes")
-    flag_codes = np.fromiter(map(_FLAG_CODE.__getitem__, map(attrgetter("tcp_flags"), packets)),
-                             np.int64, n)
-    values[:, 3:] = flag_codes[:, None] >> _FLAG_SHIFTS & 1
+    values[:, 2] = packets.total_bytes
+    values[:, 3:] = flag_bits(packets.flag_code)
     names = {ip: ip_to_str(ip) for ip in {ip for flow in flows
                                           for ip, _ in (flow.key.endpoint_a, flow.key.endpoint_b)}}
     samples = []
-    for flow, start, length in zip(flows, starts.tolist(), lengths):
+    for flow, start, length in zip(flows, starts.tolist(), lengths.tolist()):
         rows = slice(start, start + length)
         (src_ip, src_port), (dst_ip, dst_port) = flow.initiator, flow.responder
         src, dst, transport = names[src_ip], names[dst_ip], flow.key.transport.value
@@ -278,7 +265,10 @@ def read_dataset(directory) -> list:
     for path in (flows_path, series_path):
         if not os.path.exists(path):
             raise DatasetFormatError(f"missing dataset file: {path}")
-    extractor, entries = _read_metadata(flows_path)
+    try:
+        extractor, entries = _read_metadata(flows_path)
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{flows_path}: not UTF-8 text ({exc.reason})") from None
     # each row's series is its id's position in flows.csv
     position = {entry[0]: k for k, entry in enumerate(entries)}
     try:

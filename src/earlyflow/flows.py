@@ -1,22 +1,32 @@
 """Grouping packets into flows by canonical session key and time window.
 
 A flow is the set of packets sharing a canonical 5-tuple inside one window.
-Windows are active timeouts anchored at the flow's first packet: a packet
-within window_secs of the anchor joins the flow (boundary inclusive),
-otherwise the open flow is closed and a new window starts. FIN/RST do not
-terminate flows. Both directions of a conversation map to the same key; the
-endpoint of the first packet seen is the initiator and gets direction +1.
+Both directions of a conversation map to the same key. Within a key,
+packets are taken in timestamp order (ties in arrival order); windows are
+active timeouts anchored at each window's first packet: a packet with
+ts - first_ts_of_window <= window_secs joins the window (boundary
+inclusive), and the next packet opens a new one. FIN/RST do not terminate
+flows. The sender of a flow's first packet is its initiator and gets
+direction +1.
+
+FlowTable works on numpy columns (pcap.PacketBlock) and never builds an
+object per packet. assign_block stores a block after checking its order;
+flush concatenates the blocks and assigns every flow at once: one
+lexicographic compare orders each packet's endpoints into its key, one
+stable lexsort orders the packets by key, then timestamp, then arrival, and
+a binary search per window, run for all keys together, finds where each
+window ends. A Flow is a run of rows of the sorted columns.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .pcap import PacketRecord, Transport, ip_to_int
+from .pcap import PacketBlock, PacketRecord, Transport, ips_from_words, ip_to_int
 
 # Capture files are near-sorted; reordering beyond this is an input error
 # because silently accepting it would corrupt inter-arrival times.
@@ -31,18 +41,6 @@ class LabelRuleError(Exception):
     """Malformed label rule file."""
 
 
-def canonical_key(record: PacketRecord):
-    """Canonical (endpoint_a, endpoint_b, transport) with endpoints sorted so
-    both directions of a conversation share the key. The window index that
-    completes a FlowKey is assigned by the table when a flow is created, not
-    derived from the packet."""
-    a = (record.src_ip, record.src_port)
-    b = (record.dst_ip, record.dst_port)
-    if b < a:
-        a, b = b, a
-    return (a, b, record.transport)
-
-
 @dataclass(frozen=True)
 class FlowKey:
     endpoint_a: tuple
@@ -51,20 +49,24 @@ class FlowKey:
     window_index: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Flow:
+    """Rows first..stop-1 of `block`, the packets of the flushed table
+    sorted by key and time; the flow's packets in timestamp order."""
+
     key: FlowKey
     initiator: tuple
-    packets: list = field(default_factory=list)
+    start_ts: float
+    end_ts: float
+    block: PacketBlock
+    first: int
+    stop: int
     label: str | None = None
 
     @property
-    def start_ts(self) -> float:
-        return self.packets[0].timestamp
-
-    @property
-    def end_ts(self) -> float:
-        return self.packets[-1].timestamp
+    def packets(self) -> list:
+        """The flow's packets as PacketRecords."""
+        return self.block.take(slice(self.first, self.stop)).records()
 
     @property
     def responder(self) -> tuple:
@@ -77,21 +79,32 @@ class Flow:
         """+1 for each packet the initiator sent, -1 for each the responder sent."""
         return [1 if (p.src_ip, p.src_port) == self.initiator else -1 for p in self.packets]
 
-    def _insert(self, record: PacketRecord):
-        # tolerated jitter: place a straggler by timestamp, after ties
-        pos = len(self.packets)
-        while pos > 0 and self.packets[pos - 1].timestamp > record.timestamp:
-            pos -= 1
-        self.packets.insert(pos, record)
-        if pos == 0:
-            # the straggler now opens the flow: it defines the initiator
-            self.initiator = (record.src_ip, record.src_port)
-
 
 def flow_order(flow: Flow):
     """Sort key of emitted flows: start time, then the flow key."""
     return (flow.start_ts, flow.key.endpoint_a, flow.key.endpoint_b,
             flow.key.transport.value, flow.key.window_index)
+
+
+def flow_packets(flows):
+    """(packets, lengths): one PacketBlock of every flow's packets, flow by
+    flow, and the int64 packet count of each flow."""
+    offsets = {}        # id of a flushed table's block -> its first row below
+    blocks, firsts, stops = [], [], []
+    rows = 0
+    for flow in flows:
+        offset = offsets.get(id(flow.block))
+        if offset is None:
+            offset = offsets[id(flow.block)] = rows
+            blocks.append(flow.block)
+            rows += len(flow.block.timestamp)
+        firsts.append(offset + flow.first)
+        stops.append(offset + flow.stop)
+    firsts = np.array(firsts, dtype=np.int64)
+    lengths = np.array(stops, dtype=np.int64) - firsts
+    starts = np.cumsum(lengths) - lengths
+    index = np.arange(lengths.sum()) + np.repeat(firsts - starts, lengths)
+    return PacketBlock.concat(blocks).take(index), lengths
 
 
 class FlowTable:
@@ -101,41 +114,111 @@ class FlowTable:
         if not window_secs > 0:
             raise ValueError("window_secs must be positive")
         self.window_secs = float(window_secs)
-        self._open: dict = {}
-        self._finished: list = []
-        self._window_counts: dict = {}
+        self._blocks: list = []
         self._high_water = -math.inf
 
-    def assign_packet(self, record: PacketRecord) -> Flow:
-        """Add one packet; returns the flow it joined (possibly new)."""
-        ts = record.timestamp
-        if ts < self._high_water - ORDER_TOLERANCE_SECS:
-            raise OrderingError(f"packet at {ts:.6f} arrived after {self._high_water:.6f}")
-        if ts > self._high_water:
-            self._high_water = ts
-        ckey = canonical_key(record)
-        flow = self._open.get(ckey)
-        if flow is not None and ts - flow.packets[0].timestamp > self.window_secs:
-            self._finished.append(flow)
-            flow = None
-        if flow is None:
-            index = self._window_counts.get(ckey, 0)
-            self._window_counts[ckey] = index + 1
-            flow = Flow(FlowKey(*ckey, index), (record.src_ip, record.src_port), [record])
-            self._open[ckey] = flow
-        elif flow.packets[-1].timestamp > ts:
-            flow._insert(record)
-        else:
-            flow.packets.append(record)
-        return flow
+    def assign_block(self, block: PacketBlock):
+        """Add a block of packets that follow every packet added so far.
+        Raises OrderingError, adding none of the block, at its first packet
+        more than ORDER_TOLERANCE_SECS earlier than the latest before it."""
+        ts = block.timestamp
+        if not len(ts):
+            return
+        latest = np.maximum.accumulate(np.concatenate(([self._high_water], ts)))
+        late = np.flatnonzero(ts < latest[:-1] - ORDER_TOLERANCE_SECS)
+        if len(late):
+            i = late[0]
+            raise OrderingError(f"packet at {ts[i]:.6f} arrived after {latest[i]:.6f}")
+        self._high_water = float(latest[-1])
+        self._blocks.append(block)
+
+    def assign_packet(self, record: PacketRecord):
+        """Add one packet, as a block of one row."""
+        self.assign_block(PacketBlock.from_records([record]))
 
     def flush(self) -> list:
-        """Emit and drop every flow, closed or open, in flow_order."""
-        out = self._finished + list(self._open.values())
-        self._finished = []
-        self._open = {}
-        out.sort(key=flow_order)
-        return out
+        """Assign, emit and drop every packet added so far: the flows in
+        flow_order."""
+        packets = PacketBlock.concat(self._blocks)
+        self._blocks = []
+        n = len(packets.timestamp)
+        if not n:
+            return []
+        # the key's endpoints in ascending (address, port) order
+        src = (packets.src_hi, packets.src_lo, packets.src_port)
+        dst = (packets.dst_hi, packets.dst_lo, packets.dst_port)
+        swap = _precedes(dst, src)
+        a_hi, a_lo, a_port, b_hi, b_lo, b_port = (
+            np.where(swap, y, x) for x, y in zip(src + dst, dst + src))
+        # (port b, transport) in one int64, tcp before udp as their names sort
+        key = (a_hi, a_lo, a_port, b_hi, b_lo, b_port << 1 | ~packets.tcp)
+        order = np.lexsort((packets.timestamp, *key[::-1]))
+        packets = packets.take(order)
+        key = [column[order] for column in key]
+        ts = packets.timestamp
+
+        new_key = np.zeros(n, dtype=bool)
+        new_key[0] = True
+        for column in key:
+            new_key[1:] |= column[1:] != column[:-1]
+        key_first = np.flatnonzero(new_key)
+        opens = _window_starts(ts, key_first, np.append(key_first[1:], n), self.window_secs)
+        first = np.flatnonzero(opens)
+        stop = np.append(first[1:], n)
+        # flows are in key order, each key's windows in time order
+        key_flows = np.flatnonzero(new_key[first])
+        window_index = np.arange(len(first)) - np.repeat(
+            key_flows, np.diff(np.append(key_flows, len(first))))
+        # a stable sort by start time leaves ties in key, then window order
+        emit = np.argsort(ts[first], kind="stable")
+        first, stop, window_index = first[emit], stop[emit], window_index[emit]
+
+        def endpoints(hi, lo, port):
+            return zip(ips_from_words(hi[first], lo[first]), port[first].tolist())
+
+        tcp = packets.tcp[first].tolist()
+        return [
+            Flow(FlowKey(endpoint_a, endpoint_b, Transport.TCP if is_tcp else Transport.UDP,
+                         index),
+                 initiator, start_ts, end_ts, packets, i, j)
+            for endpoint_a, endpoint_b, is_tcp, index, initiator, start_ts, end_ts, i, j in zip(
+                endpoints(*key[:3]), endpoints(key[3], key[4], key[5] >> 1), tcp,
+                window_index.tolist(),
+                endpoints(packets.src_hi, packets.src_lo, packets.src_port),
+                ts[first].tolist(), ts[stop - 1].tolist(), first.tolist(), stop.tolist())
+        ]
+
+
+def _precedes(x, y):
+    """Mask of rows where endpoint x sorts before endpoint y: each is a
+    (high word, low word, port) triple of columns, compared in that order."""
+    (x_hi, x_lo, x_port), (y_hi, y_lo, y_port) = x, y
+    return (x_hi < y_hi) | ((x_hi == y_hi) & ((x_lo < y_lo) | ((x_lo == y_lo) & (x_port < y_port))))
+
+
+def _window_starts(ts, key_first, key_stop, window_secs):
+    """Mask of the rows that open a window, the rows of each key
+    key_first[k]..key_stop[k]-1 being in time order. A key's first row opens
+    one; after a window opened at row i, the next opens at the key's first
+    row j with ts[j] - ts[i] > window_secs. Each round finds the next opening
+    of every key still open by one binary search run for all of them."""
+    opens = np.zeros(len(ts), dtype=bool)
+    opens[key_first] = True
+    anchor, stop = key_first, key_stop
+    while True:
+        # a key's window ends before its last row iff that row is past it
+        more = ts[stop - 1] - ts[anchor] > window_secs
+        anchor, stop = anchor[more], stop[more]
+        if not len(anchor):
+            return opens
+        lo, hi = anchor + 1, stop - 1   # the first row past the window lies in [lo, hi]
+        while (lo < hi).any():
+            mid = (lo + hi) >> 1
+            past = ts[mid] - ts[anchor] > window_secs
+            hi = np.where(past, mid, hi)
+            lo = np.where(past, lo, mid + 1)
+        opens[lo] = True
+        anchor = lo
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ record header ends the stream with a distinct error.
 The reader decodes frames in blocks of about BLOCK_BYTES of the file: it
 walks the block's record headers with one unpack_from each, then decodes the
 Ethernet, VLAN, IPv4, IPv6, TCP and UDP fields of every frame in the block
-at once with numpy gathers and masks, and builds the block's PacketRecords
-from the resulting columns. Timestamps are float seconds.
+at once with numpy gathers and masks into a PacketBlock, one numpy column
+per field. CaptureReader.blocks() hands out those blocks as they are, which
+is how extract reads a capture without a Python object per packet;
+iterating the reader turns each block into PacketRecords. Timestamps are
+float seconds.
 """
 
 from __future__ import annotations
@@ -95,6 +98,97 @@ class PacketRecord(NamedTuple):
     capture_index: int
 
 
+# A flag vector as its 10-bit code: the bits in TCP_FLAG_NAMES order, first
+# flag highest.
+_FLAG_SHIFTS = np.arange(len(TCP_FLAG_NAMES) - 1, -1, -1)
+
+
+def flag_bits(codes) -> np.ndarray:
+    """(n, 10) 0/1 int64 flag vectors of n flag codes."""
+    return np.asarray(codes, dtype=np.int64)[:, None] >> _FLAG_SHIFTS & 1
+
+
+# the flag tuple of each code, as PacketRecord.tcp_flags holds it
+FLAG_TUPLES = tuple(map(tuple, flag_bits(np.arange(1 << len(TCP_FLAG_NAMES))).tolist()))
+
+# transport of a packet, indexed by its TCP mask
+_TRANSPORTS = (Transport.UDP, Transport.TCP)
+_LOW_WORD = (1 << 64) - 1
+
+
+def ips_from_words(hi, lo) -> list:
+    """128-bit addresses as Python ints from uint64 columns of their high and
+    low words; only rows with a high word pay for the shift."""
+    out = lo.tolist()
+    rows = np.flatnonzero(hi)
+    for i, word in zip(rows.tolist(), hi[rows].tolist()):
+        out[i] |= word << 64
+    return out
+
+
+class PacketBlock(NamedTuple):
+    """Packets as numpy columns, row i one packet: the fields of PacketRecord
+    with each 128-bit address split into its high and low 64-bit words
+    (uint64), the transport as a TCP mask and the flag vector as its 10-bit
+    code. Ports, sizes, codes and capture indices are int64."""
+
+    timestamp: np.ndarray
+    src_hi: np.ndarray
+    src_lo: np.ndarray
+    dst_hi: np.ndarray
+    dst_lo: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    tcp: np.ndarray
+    total_bytes: np.ndarray
+    flag_code: np.ndarray
+    capture_index: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> PacketBlock:
+        """The block of a sequence of PacketRecords, in order."""
+        n = len(records)
+        ts, src, dst, sport, dport, transport, size, flags, index = \
+            zip(*records) if n else ((),) * 9
+        flags = np.array(flags, dtype=np.int64).reshape(n, len(TCP_FLAG_NAMES))
+
+        def words(ips):
+            return (np.fromiter((ip >> 64 for ip in ips), np.uint64, n),
+                    np.fromiter((ip & _LOW_WORD for ip in ips), np.uint64, n))
+
+        return cls(np.array(ts, dtype=np.float64), *words(src), *words(dst),
+                   np.array(sport, dtype=np.int64), np.array(dport, dtype=np.int64),
+                   np.array([t is Transport.TCP for t in transport], dtype=bool),
+                   np.array(size, dtype=np.int64), flags @ (1 << _FLAG_SHIFTS),
+                   np.array(index, dtype=np.int64))
+
+    @classmethod
+    def concat(cls, blocks) -> PacketBlock:
+        """One block of the rows of `blocks`, in order; a lone block is
+        returned as it is."""
+        blocks = list(blocks)
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return cls.from_records([])
+        return cls(*map(np.concatenate, zip(*blocks)))
+
+    def take(self, rows) -> PacketBlock:
+        """The block of the rows `rows` selects (an index array or a slice)."""
+        return PacketBlock(*(column[rows] for column in self))
+
+    def records(self) -> list:
+        """The block's rows as PacketRecords."""
+        columns = (
+            self.timestamp.tolist(), ips_from_words(self.src_hi, self.src_lo),
+            ips_from_words(self.dst_hi, self.dst_lo), self.src_port.tolist(),
+            self.dst_port.tolist(), map(_TRANSPORTS.__getitem__, self.tcp.tolist()),
+            self.total_bytes.tolist(), map(FLAG_TUPLES.__getitem__, self.flag_code.tolist()),
+            self.capture_index.tolist(),
+        )
+        return list(map(tuple.__new__, repeat(PacketRecord), zip(*columns)))
+
+
 def ip_to_int(text: str) -> int:
     addr = ipaddress.ip_address(text)
     if addr.version == 4:
@@ -108,15 +202,13 @@ def ip_to_str(value: int) -> str:
     return str(ipaddress.IPv6Address(value))
 
 
-# Flag vector for every (offset_byte & 0x0F) << 8 | flag_byte: NS is bit 0 of
-# the data-offset byte, CWR..FIN the flag byte from its top bit down, and the
-# last entry is set when any of the three reserved bits is.
-_FLAG_BYTE_BITS = [tuple(f >> bit & 1 for bit in range(7, -1, -1)) for f in range(256)]
-TCP_FLAGS = tuple((offset & 1, *_FLAG_BYTE_BITS[f], 1 if offset & 0x0E else 0)
-                  for offset in range(16) for f in range(256))
+def tcp_flag_codes(offset_byte, flag_byte):
+    """Flag codes from the TCP data-offset and flag bytes (int64 arrays): NS
+    is bit 0 of the data-offset byte, CWR..FIN the flag byte from its top bit
+    down, and the reserved flag is set when any of the three reserved bits
+    is."""
+    return (offset_byte & 1) << 9 | flag_byte << 1 | ((offset_byte & 0x0E) != 0)
 
-# transport of a kept frame, indexed by its TCP mask
-_TRANSPORTS = (Transport.UDP, Transport.TCP)
 
 # Why a frame is skipped, in the order _decode_block's masks drop frames:
 # no whole IPv4 or IPv6 header (a non-IP ethertype, a nested VLAN tag, a cut
@@ -126,7 +218,7 @@ SKIP_REASONS = ("not_ip", "fragment", "other_protocol", "truncated_l4")
 
 
 def _decode_block(buf, start, length, timestamps, first_index):
-    """(records, skipped): the PacketRecords of the frames
+    """(block, skipped): the PacketBlock of the frames
     buf[start[i]:start[i] + length[i]] that are parseable TCP or UDP
     packets, in frame order, the frame at position i getting capture_index
     first_index + i; and the number of the other frames under each of
@@ -183,28 +275,25 @@ def _decode_block(buf, start, length, timestamps, first_index):
     keep = np.flatnonzero(ok)
     v4, v6, tcp, l3, l4 = v4[keep], v6[keep], tcp[keep], l3[keep], l4[keep]
     start = start[keep]         # the gathers below read the kept frames only
-    flag_key = np.where(tcp, (u8(l4 + 12) & 0x0F) << 8 | u8(l4 + 13), 0)
+    flag_code = np.where(tcp, tcp_flag_codes(u8(l4 + 12), u8(l4 + 13)), 0)
     total_bytes = np.where(v4, ip_total[keep], payload[keep] + 40)
-    # IPv4 addresses: the mapped prefix fits the low 64-bit word
-    src = (V4_MAPPED_PREFIX | (u16(l3 + 12) << 16 | u16(l3 + 14))).tolist()
-    dst = (V4_MAPPED_PREFIX | (u16(l3 + 16) << 16 | u16(l3 + 18))).tolist()
+    # IPv4 addresses: the mapped prefix fits the low 64-bit word; the IPv6
+    # rows then get both words
+    src_hi, dst_hi = np.zeros((2, len(keep)), dtype=np.uint64)
+    src_lo = (V4_MAPPED_PREFIX | (u16(l3 + 12) << 16 | u16(l3 + 14))).astype(np.uint64)
+    dst_lo = (V4_MAPPED_PREFIX | (u16(l3 + 16) << 16 | u16(l3 + 18))).astype(np.uint64)
     rows = np.flatnonzero(v6)
-    words = [u64(rows, l3 + offset).tolist() for offset in (8, 16, 24, 32)]
-    for i, src_hi, src_lo, dst_hi, dst_lo in zip(rows.tolist(), *words):
-        src[i] = src_hi << 64 | src_lo
-        dst[i] = dst_hi << 64 | dst_lo
-    columns = (
-        timestamps[keep].tolist(), src, dst, u16(l4).tolist(), u16(l4 + 2).tolist(),
-        map(_TRANSPORTS.__getitem__, tcp.tolist()),
-        total_bytes.tolist(), map(TCP_FLAGS.__getitem__, flag_key.tolist()),
-        (keep + first_index).tolist(),
-    )
-    return list(map(tuple.__new__, repeat(PacketRecord), zip(*columns))), skipped
+    src_hi[rows], src_lo[rows], dst_hi[rows], dst_lo[rows] = (
+        u64(rows, l3 + offset) for offset in (8, 16, 24, 32))
+    block = PacketBlock(timestamps[keep], src_hi, src_lo, dst_hi, dst_lo, u16(l4), u16(l4 + 2),
+                        tcp, total_bytes, flag_code, keep + first_index)
+    return block, skipped
 
 
 class CaptureReader:
-    """Iterator over PacketRecords from one pcap file. Single consumer;
-    open one reader per file for concurrent work.
+    """Reader of one pcap file: iterate it for PacketRecords, or call
+    blocks() for PacketBlocks. Single consumer of one of the two; open one
+    reader per file for concurrent work.
 
     frames_total, records_emitted and skipped_by (the skipped frames under
     each of SKIP_REASONS) count the frames of every block decoded so far, so
@@ -238,7 +327,7 @@ class CaptureReader:
             self._fh.close()
             raise
         self._rest = b""            # bytes after the last whole frame read
-        self._block = iter(())      # records of the current block not yet yielded
+        self._pending = iter(())    # records of the current block not yet yielded
         self.frames_total = 0
         self.records_emitted = 0
         self.skipped_by = dict.fromkeys(SKIP_REASONS, 0)
@@ -261,16 +350,25 @@ class CaptureReader:
         return self
 
     def __next__(self) -> PacketRecord:
-        record = next(self._block, None)
+        record = next(self._pending, None)
         while record is None:
-            self._block = iter(self._read_block())
-            record = next(self._block, None)
+            block = self._read_block()
+            if block is None:
+                raise StopIteration
+            self._pending = iter(block.records())
+            record = next(self._pending, None)
         return record
 
-    def _read_block(self) -> list:
-        """Records of the next run of whole frames. Raises StopIteration at a
-        clean end of file and TruncatedRecordError once only a partial
-        record is left."""
+    def blocks(self):
+        """Iterator over the PacketBlocks of the frames not yet read, one per
+        block of the file; a block may hold no rows."""
+        while (block := self._read_block()) is not None:
+            yield block
+
+    def _read_block(self) -> PacketBlock | None:
+        """PacketBlock of the next run of whole frames. None at a clean end
+        of file; raises TruncatedRecordError once only a partial record is
+        left."""
         incl_len = self._incl_len
         at = []
         missing = 0
@@ -295,19 +393,19 @@ class CaptureReader:
             self._rest = buf[pos:]
             if not chunk:             # no whole frame is left
                 if not self._rest:
-                    raise StopIteration
+                    return None
                 what = "record header" if len(self._rest) < 16 else "packet data"
                 raise TruncatedRecordError(f"{self.path}: {what} truncated")
         at = np.array(at, dtype=np.int64)
         headers = np.frombuffer(buf, dtype=np.uint8)[at[:, None] + np.arange(16)]
         sec, frac, length, _orig_len = headers.view(self._endian + "u4").astype(np.int64).T
-        records, skipped = _decode_block(buf, at + 16, length, sec + frac * self._tick,
-                                         self.frames_total)
+        block, skipped = _decode_block(buf, at + 16, length, sec + frac * self._tick,
+                                       self.frames_total)
         self.frames_total += len(at)
-        self.records_emitted += len(records)
+        self.records_emitted += len(block.timestamp)
         for reason, n in zip(SKIP_REASONS, skipped):
             self.skipped_by[reason] += n
-        return records
+        return block
 
 
 def open_capture(path) -> CaptureReader:

@@ -44,3 +44,22 @@ def test_tracer_tells_training_forwards_from_eval_forwards():
         assert forward_spans() == ["model.forward_train"]
         ef.model.forward_prefixes(model, prefixes)
         assert forward_spans() == ["model.forward_train", "model.forward_eval"]
+
+
+def test_tracer_records_the_extract_spans(tmp_path, capsys):
+    from gen_pcap import tcp_frame, udp_frame, write_pcap
+
+    ef = measure.import_program()
+    capture = tmp_path / "small.pcap"
+    write_pcap(capture, [(100.0, tcp_frame("10.0.0.1", 5000, "10.0.0.2", 80, flags=("syn",))),
+                         (100.1, tcp_frame("10.0.0.2", 80, "10.0.0.1", 5000, flags=("ack",))),
+                         (100.2, udp_frame("10.0.0.3", 5353, "10.0.0.4", 53))])
+    counters = measure.LayerCounters()
+    with SpanRecorder() as rec:
+        measure.install_tracing(rec, ef, counters)
+        assert ef.cli.main(["extract", "--pcap", str(capture), "--out", str(tmp_path / "ds")]) == 0
+    assert capsys.readouterr().out == "flows=2 packets=3 skipped=0\n"
+    assert {"cli.extract", "flows.flush", "features.extract_mts",
+            "features.write_dataset"} <= set(rec.names)
+    assert counters.flows == 2
+    assert [reader.frames_total for reader in counters.readers] == [3]

@@ -360,6 +360,29 @@ def test_bad_config_value_exit_2_one_line(tmp_path, toy_dataset, capsys, body):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b'{"model":\n', "Expecting value: line 2 column 1 (char 10)"),
+    (b'{"model": {"d_model": "\xff"}}', "'utf-8' codec can't decode byte 0xff in position 23"),
+], ids=["invalid-json", "not-utf-8"])
+def test_unreadable_config_names_the_file_exit_2_one_line(tmp_path, toy_dataset, capsys, raw,
+                                                          message):
+    config = tmp_path / "config.json"
+    config.write_bytes(raw)
+    assert run_cli("train", "--data", toy_dataset, "--prefix-packets", 4,
+                   "--config", config, "--out", tmp_path / "x.ckpt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: {message}") and err.count("\n") == 1, err
+
+
+def test_non_utf8_flows_csv_names_the_file_exit_2(tmp_path, toy_dataset, capsys):
+    flows_csv = toy_dataset / "flows.csv"
+    data = flows_csv.read_bytes()
+    flows_csv.write_bytes(data[:-20] + b"\xff" + data[-19:])
+    assert run_cli("train", "--data", toy_dataset, "--prefix-packets", 4,
+                   "--out", tmp_path / "x.ckpt") == 2
+    assert capsys.readouterr().err == f"error: {flows_csv}: not UTF-8 text (invalid start byte)\n"
+
+
 @pytest.mark.parametrize("command", ["train", "extract", "sweep", "sweep-late-nan"])
 def test_nan_range_flag_exit_2_one_line(tmp_path, toy_dataset, two_flow_capture, capsys,
                                         command):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from earlyflow.flows import (
-    FlowTable, LabelRuleError, OrderingError, canonical_key,
+    FlowTable, LabelRuleError, OrderingError,
     join_labels, load_label_rules, LabelRule,
 )
-from earlyflow.pcap import PacketRecord, Transport, ip_to_int
+from earlyflow.pcap import PacketBlock, PacketRecord, Transport, ip_to_int
 
 from flow_oracle import brute_force_flows, random_capture_records, table_flows_as_tuples
 from naive import naive_join_labels
@@ -22,10 +22,19 @@ def rec(ts, src="10.0.0.1", sport=5000, dst="10.0.0.2", dport=80,
         total_bytes=40, tcp_flags=flags, capture_index=idx)
 
 
-def test_canonical_key_symmetric():
-    fwd = rec(1.0, src="10.0.0.1", sport=5000, dst="10.0.0.2", dport=80)
-    back = rec(1.1, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=5000)
-    assert canonical_key(fwd) == canonical_key(back)
+def test_flow_key_symmetric():
+    fwd = dict(src="10.0.0.1", sport=5000, dst="10.0.0.2", dport=80)
+    back = dict(src="10.0.0.2", sport=80, dst="10.0.0.1", dport=5000)
+    keys = []
+    for first, second in ((fwd, back), (back, fwd)):
+        table = FlowTable(window_secs=120.0)
+        table.assign_packet(rec(1.0, idx=0, **first))
+        table.assign_packet(rec(1.1, idx=1, **second))
+        (flow,) = table.flush()
+        keys.append(flow.key)
+    assert keys[0] == keys[1]
+    assert keys[0].endpoint_a == (ip_to_int("10.0.0.1"), 5000)
+    assert keys[0].endpoint_b == (ip_to_int("10.0.0.2"), 80)
 
 
 def test_same_tuple_far_apart_gets_new_window_index():
@@ -97,6 +106,17 @@ def test_ordering_checked_against_latest_packet():
         table.assign_packet(rec(10.4, idx=2))
 
 
+def test_ordering_error_names_the_first_late_packet_of_a_block():
+    table = FlowTable(window_secs=120.0)
+    table.assign_packet(rec(10.0, idx=0))
+    block = PacketBlock.from_records([rec(10.5, idx=1), rec(10.4, idx=2), rec(10.3, idx=3)])
+    with pytest.raises(OrderingError, match=r"^packet at 10\.400000 arrived after 10\.500000$"):
+        table.assign_block(block)
+    # the rejected block adds nothing
+    table.assign_packet(rec(10.1, idx=4))
+    assert [p.capture_index for f in table.flush() for p in f.packets] == [0, 4]
+
+
 def test_small_jitter_tolerated_and_sorted():
     table = FlowTable(window_secs=120.0)
     table.assign_packet(rec(10.0, idx=0))
@@ -122,6 +142,65 @@ def test_responder_straggler_becomes_initiator():
     assert flow.initiator == (ip_to_int("10.0.0.2"), 80)
     assert flow.responder == (ip_to_int("10.0.0.1"), 5000)
     assert flow.directions == [1, -1, -1, 1, -1, 1]
+
+
+def test_straggler_at_window_boundary_joins_the_earlier_window():
+    # the B->A straggler is earlier than the second A->B packet and inside
+    # the first packet's window, so it belongs to the first flow
+    a = dict(src="10.0.0.1", sport=5000, dst="10.0.0.2", dport=80)
+    b = dict(src="10.0.0.2", sport=80, dst="10.0.0.1", dport=5000)
+    records = [rec(0.0, idx=0, **a), rec(120.0005, idx=1, **a), rec(119.9999, idx=2, **b)]
+    table = FlowTable(window_secs=120.0)
+    for r in records:
+        table.assign_packet(r)
+    flows = table.flush()
+    assert [[p.capture_index for p in f.packets] for f in flows] == [[0, 2], [1]]
+    assert [f.initiator for f in flows] == [(ip_to_int("10.0.0.1"), 5000)] * 2
+    assert [f.key.window_index for f in flows] == [0, 1]
+    assert table_flows_as_tuples(flows) == brute_force_flows(records, 120.0)
+
+
+# three conversations: two between distinct endpoints (one over IPv6 and
+# UDP) and one endpoint talking to itself; steps land on, just inside and
+# just past a 1 s window, and stragglers arrive up to 0.9 ms late
+A, B = (ip_to_int("10.0.0.1"), 5000), (ip_to_int("10.0.0.2"), 80)
+C = (ip_to_int("2001:db8::1"), 80)
+CONVERSATIONS = [(A, B, Transport.TCP), (A, C, Transport.UDP), (A, A, Transport.TCP)]
+stream_steps = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.0004, 0.9996, 1.0, 1.0004]),
+    st.sampled_from([0.0, 0.0009]),
+    st.integers(0, len(CONVERSATIONS) - 1), st.booleans()),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=120)
+@given(stream_steps, st.data())
+def test_blocks_and_single_packets_give_the_oracle_flows(steps, data):
+    records, t = [], 1000.0
+    for i, (step, late, conversation, reply) in enumerate(steps):
+        t += step
+        src, dst, transport = CONVERSATIONS[conversation]
+        if reply:
+            src, dst = dst, src
+        flags = tuple(int(bit) for bit in f"{i % 1024:010b}") \
+            if transport is Transport.TCP else (0,) * 10
+        records.append(PacketRecord(
+            timestamp=t - late, src_ip=src[0], dst_ip=dst[0], src_port=src[1],
+            dst_port=dst[1], transport=transport, total_bytes=40 + i, tcp_flags=flags,
+            capture_index=i))
+    one_by_one = FlowTable(window_secs=1.0)
+    for r in records:
+        one_by_one.assign_packet(r)
+    blocked = FlowTable(window_secs=1.0)
+    at = 0
+    while at < len(records):
+        size = data.draw(st.integers(1, len(records)))
+        blocked.assign_block(PacketBlock.from_records(records[at:at + size]))
+        at += size
+    want = brute_force_flows(records, 1.0)
+    for flows in (one_by_one.flush(), blocked.flush()):
+        assert table_flows_as_tuples(flows) == want
+        assert [f.packets for f in flows] == [[records[i] for i in w[4]] for w in want]
 
 
 def test_interleaved_conversations_match_oracle():

@@ -3,6 +3,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,7 @@ from earlyflow.features import extract_mts
 from earlyflow import pcap
 from earlyflow.flows import FlowTable
 from earlyflow.pcap import (
-    TCP_FLAGS, CaptureError, CaptureReader, PacketRecord, TCP_FLAG_NAMES, Transport,
+    FLAG_TUPLES, CaptureError, CaptureReader, PacketRecord, TCP_FLAG_NAMES, Transport,
     TruncatedHeaderError, TruncatedRecordError, UnknownMagicError, UnsupportedLinkTypeError,
     ip_to_int, ip_to_str, open_capture,
 )
@@ -278,10 +279,10 @@ def test_record_past_maximum_snaplen_rejected_without_reading_it(tmp_path):
 
 
 def test_flag_table_matches_bitwise_decode():
-    for offset_byte in range(256):
-        for flag_byte in range(256):
-            assert TCP_FLAGS[(offset_byte & 0x0F) << 8 | flag_byte] == \
-                naive_tcp_flags(offset_byte, flag_byte)
+    offset_byte, flag_byte = np.divmod(np.arange(1 << 16), 256)
+    codes = pcap.tcp_flag_codes(offset_byte, flag_byte).tolist()
+    for code, offset, flags in zip(codes, offset_byte.tolist(), flag_byte.tolist()):
+        assert FLAG_TUPLES[code] == naive_tcp_flags(offset, flags)
 
 
 def test_every_truncation_and_bit_flip_matches_oracle(tmp_path):
