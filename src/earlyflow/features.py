@@ -17,10 +17,10 @@ whose per-column formats are chosen from the chunk's cells, so only
 non-integral cells pay for '%.9f'. One long-format
 reader, read_dataset, reads both the extractor layout and external series
 (training.load_external_mts adds a profile check): it takes d from the
-series header, streams series.csv in blocks of about BLOCK_BYTES of whole
-lines, each parsed by one np.loadtxt call into a table that grows block by
-block, and groups rows by id with one stable sort, the same for every row
-order.
+series header, parses series.csv in blocks of BLOCK_ROWS records, each
+read by one quote-aware np.loadtxt call (ids and numbers together) into a
+table that grows block by block, and groups rows by id with one stable
+sort, the same for every row order.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
@@ -45,8 +46,8 @@ NUM_FEATURES = len(FEATURE_NAMES)
 # adjacent 0/1 columns one looked-up string covers (2^FLAG_RUN strings).
 CHUNK_ROWS = 4096
 FLAG_RUN = 10
-# series.csv text read per np.loadtxt call (see _read_series)
-BLOCK_BYTES = 1 << 20
+# series.csv records read per np.loadtxt call (see _read_series)
+BLOCK_ROWS = 1 << 13
 
 FLOWS_HEADER = ["flow_id", "src_ip", "src_port", "dst_ip", "dst_port",
                 "transport", "start_ts", "end_ts", "num_packets", "label"]
@@ -227,12 +228,13 @@ def _format_chunk(pieces, d) -> str:
 
 
 def _quoted_ids(ids) -> list:
-    """Each id as csv.writer writes it as the first of the fields [id, ""]:
-    one writerows call whose writer hands each row's text to list.append."""
+    """Each id as flows.csv's LF csv.writer writes it as the first of the
+    fields [id, ""], which quotes an id holding LF: one writerows call
+    whose writer hands each row's text to list.append."""
     rows = []
-    csv.writer(SimpleNamespace(write=rows.append), lineterminator="").writerows(
+    csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n").writerows(
         [i, ""] for i in ids)
-    return [row[:-1] for row in rows]
+    return [row[:-2] for row in rows]
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +261,9 @@ def read_dataset(directory) -> list:
     start_ts and num_packets: its series header must be series_header(d),
     each id must have as many rows as flows.csv's num_packets, and
     timestamps are start_ts + rel_ts. Any other flows.csv needs an id and a
-    label column; timestamps are then rel_ts, or unit spacing without it."""
+    label column; timestamps are then rel_ts, or unit spacing without it.
+    series.csv is RFC 4180 text with LF, CRLF or CR line ends, parsed on one
+    path (_read_series) whatever its ids hold."""
     flows_path = os.path.join(directory, "flows.csv")
     series_path = os.path.join(directory, "series.csv")
     for path in (flows_path, series_path):
@@ -372,10 +376,6 @@ def _first_duplicate(ids):
     return None
 
 
-class _QuoteOrCR(Exception):
-    """A series.csv block holds a quote or CR: only csv.reader splits it."""
-
-
 def _read_series(path, position):
     """series.csv -> (header, series, table, non_finite, unknown): the
     header; each row's series, the position of its id in `position` (-1 for
@@ -383,126 +383,77 @@ def _read_series(path, position):
     ids of the first row holding a non-finite cell and of the first row
     whose id `position` lacks, each None when there is no such row.
 
-    The file is read in blocks of about BLOCK_BYTES of whole lines, so only
-    one block of text is held at a time. Each line is split at its first
-    comma, unless the file holds a quote or CR anywhere: then csv.reader
-    splits the records, and a block that first shows one restarts the read
-    on that path. Each block's numbers are parsed by one np.loadtxt call,
-    which gives the same doubles as float(), and appended to a table that
-    grows block by block."""
+    After csv.reader takes the header, np.loadtxt reads blocks of
+    BLOCK_ROWS records from one iterator over the file's lines, so only one
+    block is held at a time. Its tokenizer unquotes ids as csv.reader does
+    (doubled quotes, quoted commas and line ends, CR line ends) and takes
+    just the lines of whole records, so a quoted id may span two blocks;
+    its numbers are the same doubles as float(). Each block is appended to
+    a table that grows block by block."""
     with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            return _parse_blocks(path, position, *_line_blocks(fh))
-        except _QuoteOrCR:
-            fh.seek(0)
-            return _parse_blocks(path, position, *_record_blocks(fh))
-
-
-def _line_blocks(fh):
-    """(header, blocks) of a series.csv without quotes or CRs: each block is
-    (number of its first line, its lines, their ids, the text after each
-    id's comma). Raises _QuoteOrCR at the first block holding either."""
-    line = fh.readline()
-    if '"' in line or "\r" in line:
-        raise _QuoteOrCR
-    header = line.removesuffix("\n").split(",") if line else []
-
-    def blocks():
-        first = 2
-        while text := fh.read(BLOCK_BYTES):
-            text += fh.readline()
-            if '"' in text or "\r" in text:
-                raise _QuoteOrCR
-            lines = text.split("\n")
-            if lines[-1] == "":
-                lines.pop()
-            ids, _, numeric = zip(*map(str.partition, lines, repeat(",")))
-            yield first, lines, ids, numeric
-            first += len(lines)
-
-    return header, blocks()
-
-
-def _record_blocks(fh):
-    """(header, blocks) of any series.csv, csv.reader splitting the records:
-    each block is (number of its first line, the lines of its records, their
-    ids, the numeric cells of each joined by commas), its records ending in
-    about BLOCK_BYTES of lines."""
-    lines, size = [], 0
-
-    def noted():
-        nonlocal size
-        for line in fh:
-            lines.append(line)
-            size += len(line)
-            yield line
-
-    reader = csv.reader(noted())
-    header = next(reader, [])
-
-    def blocks():
-        nonlocal lines, size
-        while True:
-            first = reader.line_num + 1
-            lines, size, rows = [], 0, []
-            for row in reader:
-                rows.append(row)
-                if size >= BLOCK_BYTES:
-                    break
-            if not rows:
-                return
-            yield (first, lines, [row[0] if row else "" for row in rows],
-                   [",".join(row[1:]) for row in rows])
-
-    return header, blocks()
-
-
-def _parse_blocks(path, position, header, blocks):
-    """_read_series's result from the header and blocks of one reader."""
-    if len(header) < 3 or header[0] not in ("flow_id", "series_id") \
-            or header[1] != "seq_index":
-        raise DatasetFormatError(f"{path}: header must start with flow_id/series_id,seq_index")
-    width = len(header) - 1
-    table = np.zeros((0, width))
-    series = np.zeros(0, np.intp)
-    non_finite = unknown = None
-    for first, lines, ids, numeric in blocks:
-        rows, n = len(series), len(ids)
-        block = None
-        if "" not in numeric:   # np.loadtxt skips blank lines; the rescan names them
-            try:
-                block = np.loadtxt(numeric, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass
-        if block is None or block.shape != (n, width):
-            _raise_bad_row(path, lines, first, len(header))
-        where = np.fromiter(map(position.get, ids, repeat(-1)), np.intp, n)
-        if unknown is None and (where < 0).any():
-            unknown = ids[np.argmax(where < 0)]
-        finite = np.isfinite(block).all(axis=1)
-        if non_finite is None and not finite.all():
-            non_finite = ids[np.argmin(finite)]
-        # resize reallocates in place where it can: no copy of earlier blocks
-        table.resize((rows + n, width), refcheck=False)
-        table[rows:] = block
-        series.resize(rows + n, refcheck=False)
-        series[rows:] = where
+        header = next(csv.reader(fh), [])
+        if len(header) < 3 or header[0] not in ("flow_id", "series_id") \
+                or header[1] != "seq_index":
+            raise DatasetFormatError(f"{path}: header must start with flow_id/series_id,seq_index")
+        width = len(header) - 1
+        lines = _blank_checked(fh, path, len(header))
+        table, series = np.zeros((0, width)), np.zeros(0, np.intp)
+        non_finite = unknown = None
+        with warnings.catch_warnings():
+            # the call after a last full block finds no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            n = BLOCK_ROWS
+            while n == BLOCK_ROWS:
+                try:
+                    block = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                                       dtype=[("id", object), ("cells", np.float64, (width,))],
+                                       max_rows=BLOCK_ROWS, ndmin=1)
+                except ValueError:
+                    _raise_bad_row(path, len(header))
+                    raise DatasetFormatError(f"{path}: unparseable numeric cells") from None
+                rows, n = len(series), len(block)
+                ids, cells = block["id"], block["cells"]
+                where = np.fromiter(map(position.get, ids, repeat(-1)), np.intp, n)
+                if unknown is None and (where < 0).any():
+                    unknown = ids[np.argmax(where < 0)]
+                finite = np.isfinite(cells).all(axis=1)
+                if non_finite is None and not finite.all():
+                    non_finite = ids[np.argmin(finite)]
+                # resize reallocates in place where it can: no copy of earlier blocks
+                table.resize((rows + n, width), refcheck=False)
+                table[rows:] = cells
+                series.resize(rows + n, refcheck=False)
+                series[rows:] = where
     return header, series, table, non_finite, unknown
 
 
-def _raise_bad_row(path, lines, first, n_fields):
-    """Name the first blank, ragged or non-numeric row of a series.csv block
-    that np.loadtxt rejected; lines are the block's, from file line first."""
-    reader = csv.reader(lines)
-    for row in reader:
-        where = f"{path}: line {first - 1 + reader.line_num}"
-        if not row:
-            raise DatasetFormatError(f"{where}: blank row")
-        if len(row) != n_fields:
-            raise DatasetFormatError(f"{where}: {len(row)} fields, header has {n_fields}")
-        for cell in row[1:]:
-            try:
-                float(cell)
-            except ValueError:
-                raise DatasetFormatError(f"{where}: non-numeric cell {cell!r}") from None
-    raise DatasetFormatError(f"{path}: unparseable numeric cells")
+def _blank_checked(fh, path, n_fields):
+    """fh's remaining lines. The first that is only a line end, which
+    np.loadtxt would skip unless it lies inside a quoted id, sends the file
+    through _raise_bad_row first."""
+    for line in fh:
+        if line in ("\n", "\r", "\r\n"):
+            _raise_bad_row(path, n_fields)
+            yield line
+            break
+        yield line
+    yield from fh
+
+
+def _raise_bad_row(path, n_fields):
+    """Raise for the first blank, ragged or non-numeric row of series.csv,
+    named by its line; return if csv.reader finds none."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if not row:
+                raise DatasetFormatError(f"{where}: blank row")
+            if len(row) != n_fields:
+                raise DatasetFormatError(f"{where}: {len(row)} fields, header has {n_fields}")
+            for cell in row[1:]:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DatasetFormatError(f"{where}: non-numeric cell {cell!r}") from None

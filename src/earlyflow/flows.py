@@ -244,6 +244,9 @@ def _parse_wild(value: str, parse):
 
 
 def load_label_rules(path) -> list:
+    """The rules of a rules file, in file order. A bad value, a non-finite
+    start_ts or end_ts, or a row of other than 7 columns raises
+    LabelRuleError naming the file and line."""
     rules = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -251,21 +254,29 @@ def load_label_rules(path) -> list:
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != RULE_HEADER:
                 raise LabelRuleError(f"{path}: expected header {','.join(RULE_HEADER)}")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                where = f"{path}:{reader.line_num}"
                 if len(row) != 7:
-                    raise LabelRuleError(f"{path}:{lineno}: expected 7 columns")
-                rules.append(LabelRule(
-                    src_ip=_parse_wild(row[0], ip_to_int),
-                    src_port=_parse_wild(row[1], int),
-                    dst_ip=_parse_wild(row[2], ip_to_int),
-                    dst_port=_parse_wild(row[3], int),
-                    start_ts=float(row[4]),
-                    end_ts=float(row[5]),
-                    label=row[6].strip(),
-                ))
-    except (ValueError, KeyError) as exc:
+                    raise LabelRuleError(f"{where}: expected 7 columns")
+                try:
+                    rule = LabelRule(
+                        src_ip=_parse_wild(row[0], ip_to_int),
+                        src_port=_parse_wild(row[1], int),
+                        dst_ip=_parse_wild(row[2], ip_to_int),
+                        dst_port=_parse_wild(row[3], int),
+                        start_ts=float(row[4]),
+                        end_ts=float(row[5]),
+                        label=row[6].strip(),
+                    )
+                except (ValueError, KeyError) as exc:
+                    raise LabelRuleError(f"{where}: bad rule value: {exc}") from exc
+                for name in ("start_ts", "end_ts"):
+                    if not math.isfinite(getattr(rule, name)):
+                        raise LabelRuleError(f"{where}: non-finite {name}")
+                rules.append(rule)
+    except UnicodeDecodeError as exc:
         raise LabelRuleError(f"{path}: bad rule value: {exc}") from exc
     return rules
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 import struct
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -327,7 +327,7 @@ class CaptureReader:
             self._fh.close()
             raise
         self._rest = b""            # bytes after the last whole frame read
-        self._pending = iter(())    # records of the current block not yet yielded
+        self._records = chain.from_iterable(map(PacketBlock.records, self.blocks()))
         self.frames_total = 0
         self.records_emitted = 0
         self.skipped_by = dict.fromkeys(SKIP_REASONS, 0)
@@ -350,20 +350,12 @@ class CaptureReader:
         return self
 
     def __next__(self) -> PacketRecord:
-        record = next(self._pending, None)
-        while record is None:
-            block = self._read_block()
-            if block is None:
-                raise StopIteration
-            self._pending = iter(block.records())
-            record = next(self._pending, None)
-        return record
+        return next(self._records)
 
     def blocks(self):
         """Iterator over the PacketBlocks of the frames not yet read, one per
         block of the file; a block may hold no rows."""
-        while (block := self._read_block()) is not None:
-            yield block
+        return iter(self._read_block, None)
 
     def _read_block(self) -> PacketBlock | None:
         """PacketBlock of the next run of whole frames. None at a clean end

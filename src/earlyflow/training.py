@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward, cross_entropy, scale, zero_grad
-from .earliness import BY_COUNT, PrefixSpec, aggregate_earliness, prefix_length, take_prefix
+from .earliness import PrefixSpec, aggregate_earliness, prefix_length, take_prefix
 from .features import DatasetFormatError, read_dataset
 from .metrics import Metrics, compute_metrics
 from .model import MdtConfig, MdtModel, check_int_fields, forward, forward_prefixes, length_buckets
@@ -276,8 +276,9 @@ def _run_sweep_point(args):
 
 def sweep(config: MdtConfig, samples, specs, hp: Hyperparams, seed: int, jobs: int) -> list:
     """Train and evaluate one fresh model per PrefixSpec in specs; rows come
-    back sorted by mean earliness. Every grid point is checked against
-    max_len before any training. With jobs > 1 the points train in a pool of
+    back sorted by mean earliness. Every grid point's longest prefix over
+    the samples, as train takes it, is checked against max_len before any
+    training. With jobs > 1 the points train in a pool of
     min(jobs, points, CPUs) processes; the rows do not depend on its size."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -285,14 +286,8 @@ def sweep(config: MdtConfig, samples, specs, hp: Hyperparams, seed: int, jobs: i
     if not specs:
         raise ValueError("empty sweep grid")
     samples = list(samples)
-
-    def longest(spec):
-        # a count point asks for its count even where every sample is shorter
-        if spec.mode == BY_COUNT:
-            return spec.packet_count
-        return max((prefix_length(s, spec) for s in samples), default=0)
-
-    too_long = [spec.describe() for spec in specs if longest(spec) > config.max_len]
+    too_long = [spec.describe() for spec in specs
+                if max((prefix_length(s, spec) for s in samples), default=0) > config.max_len]
     if too_long:
         raise ValueError(f"grid points exceed max_len {config.max_len}: {', '.join(too_long)}")
     tasks = [(config, samples, spec, hp, seed) for spec in specs]

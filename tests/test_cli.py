@@ -96,6 +96,27 @@ def test_extract_with_labels(tmp_path, two_flow_capture):
     assert "BENIGN" in body
 
 
+@pytest.mark.parametrize("cells,message", [
+    ("*,*,nan,nan", "non-finite start_ts"),
+    ("*,*,0,nan", "non-finite end_ts"),
+    ("*,*,-inf,200", "non-finite start_ts"),
+    ("*,*,0,soon", "bad rule value: could not convert string to float: 'soon'"),
+    ("*,http,0,200", "bad rule value: invalid literal for int() with base 10: 'http'"),
+])
+def test_bad_rule_exit_2_one_line_naming_its_line(tmp_path, two_flow_capture, capsys, cells,
+                                                  message):
+    # a NaN bound would compare false both ways and act as an open bound
+    rules = tmp_path / "rules.csv"
+    rules.write_text(
+        "src_ip,src_port,dst_ip,dst_port,start_ts,end_ts,label\n"
+        "10.0.0.1,*,10.0.0.2,80,0,200,Probe\n"
+        f"*,*,{cells},ATTACK\n",
+        encoding="utf-8")
+    assert run_cli("extract", "--pcap", two_flow_capture, "--labels", rules,
+                   "--out", tmp_path / "ds") == 2
+    assert capsys.readouterr().err == f"error: {rules}:3: {message}\n"
+
+
 def test_extract_missing_pcap_is_io_error(tmp_path):
     assert run_cli("extract", "--pcap", tmp_path / "nope.pcap",
                    "--out", tmp_path / "ds") == 1
@@ -313,6 +334,15 @@ def test_sweep_grid_past_max_len_exit_2_before_training(tmp_path, toy_dataset, c
                    "--config", sweep_config(tmp_path, max_len=3)) == 2
     assert calls == []
     assert capsys.readouterr().err == f"error: grid points exceed max_len 3: {late}\n"
+
+
+def test_sweep_count_point_past_every_sample_trains_like_train(tmp_path, toy_dataset):
+    # the toy samples have 10 rows, so a 100-packet prefix is the whole sample
+    config = sweep_config(tmp_path)
+    assert run_cli("train", "--data", toy_dataset, "--prefix-packets", 100,
+                   "--config", config, "--out", tmp_path / "x.ckpt") == 0
+    assert run_cli("sweep", "--data", toy_dataset, "--mode", "packets", "--grid", "2,100",
+                   "--config", config) == 0
 
 
 def test_invalid_config_key_exit_2(tmp_path, toy_dataset):

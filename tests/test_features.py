@@ -277,10 +277,9 @@ COLUMN_CELLS = {
     NON_FINITE: st.one_of(FLOATS, st.sampled_from([np.nan, np.inf, -np.inf])),
     ARBITRARY: FLOATS,
 }
-# series.csv blocks from a line or two each up to the default size: block
-# boundaries fall between any two rows, and a quote first seen past the first
-# block restarts the read on the csv path
-BLOCK_SIZES = st.one_of(st.just(features.BLOCK_BYTES), st.integers(1, 300))
+# series.csv blocks from one record each up to the default size: block
+# boundaries fall between any two rows, quoted ids with line ends included
+BLOCK_SIZES = st.one_of(st.just(features.BLOCK_ROWS), st.integers(1, 60))
 # ids that are empty, or that csv quoting or % formatting has to leave intact
 ID_TEXT = st.one_of(st.sampled_from(["", "%", "%s", "%%d", ",", '"', 'a,"b%d"']), NASTY_TEXT)
 
@@ -347,6 +346,15 @@ def test_block_writer_bytes_equal_csv_writer(samples, chunk_rows, flag_run):
             assert (fast / name).read_bytes() == (slow / name).read_bytes()
 
 
+def test_writer_quotes_ids_with_line_feeds_as_csv_writer(tmp_path):
+    samples = make_samples(np.random.default_rng(2), 3, max_len=4)
+    samples[0].flow_id, samples[2].flow_id = "a\nb", "a\n\nb"
+    write_dataset(samples, tmp_path / "fast")
+    naive_write_dataset(samples, tmp_path / "slow")
+    for name in ("flows.csv", "series.csv"):
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "slow" / name).read_bytes()
+
+
 def assert_bit_equal(samples, reference):
     assert len(samples) == len(reference)
     for s, (flow_id, label, endpoints, values, ts) in zip(samples, reference):
@@ -370,9 +378,9 @@ def interleave(series_path):
 
 @settings(max_examples=40)
 @given(sample_sets(), st.booleans(), BLOCK_SIZES)
-def test_reader_bit_equal_to_float_per_cell(samples, mix, block_bytes):
+def test_reader_bit_equal_to_float_per_cell(samples, mix, block_rows):
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+            mock.patch.object(features, "BLOCK_ROWS", block_rows):
         write_dataset(samples, tmp)
         if mix and len(samples) >= 2:
             interleave(Path(tmp, "series.csv"))
@@ -397,9 +405,9 @@ def merge_rows(series_path, permute):
 
 @settings(max_examples=60, deadline=None)
 @given(sample_sets(), st.data(), BLOCK_SIZES)
-def test_reader_same_bits_for_any_merge_of_series_rows(samples, data, block_bytes):
+def test_reader_same_bits_for_any_merge_of_series_rows(samples, data, block_rows):
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+            mock.patch.object(features, "BLOCK_ROWS", block_rows):
         write_dataset(samples, tmp)
         in_order = [(s.flow_id, s.label, s.endpoints, s.values, s.timestamps)
                     for s in read_dataset(tmp)]
@@ -429,11 +437,11 @@ def write_external(directory, series, rel_ts):
 @settings(max_examples=30)
 @given(st.integers(1, 6), st.lists(st.integers(1, 30), min_size=2, max_size=4),
        st.booleans(), st.data(), BLOCK_SIZES)
-def test_external_reader_bit_equal_to_float_per_cell(d, lengths, rel_ts, data, block_bytes):
+def test_external_reader_bit_equal_to_float_per_cell(d, lengths, rel_ts, data, block_rows):
     series = [(f"s{k}", data.draw(arrays(np.float64, (n, d), elements=FLOATS)))
               for k, n in enumerate(lengths)]
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+            mock.patch.object(features, "BLOCK_ROWS", block_rows):
         write_external(tmp, series, rel_ts)
         interleave(Path(tmp, "series.csv"))
         ref = naive_read_long_format(tmp)
@@ -485,7 +493,7 @@ def test_malformed_rows_name_file_and_line(tmp_path, name, mutate, message):
         load_external_mts(tmp_path)
 
 
-@pytest.mark.parametrize("block_bytes", [1, 100, 1000])
+@pytest.mark.parametrize("block_rows", [1, 7, 100, 1000])
 @pytest.mark.parametrize("first_id", ["sample-0", 'first,"quoted"\nid'])
 @pytest.mark.parametrize("mutate,message", [
     (_blank_series_row, "blank row$"),
@@ -493,9 +501,9 @@ def test_malformed_rows_name_file_and_line(tmp_path, name, mutate, message):
     (_non_numeric_series_cell, "non-numeric cell 'x"),
 ])
 def test_malformed_row_in_a_later_block_names_its_line(tmp_path, mutate, message, first_id,
-                                                       block_bytes):
-    # a first id with a quote sends every block through csv.reader, and its
-    # line end makes each of its rows two lines of the file
+                                                       block_rows):
+    # a first id with a quote and a line end makes each of its rows two
+    # lines of the file
     samples = make_samples(np.random.default_rng(3), 12, max_len=6)
     samples[0].flow_id = first_id
     write_dataset(samples, tmp_path)
@@ -504,7 +512,7 @@ def test_malformed_row_in_a_later_block_names_its_line(tmp_path, mutate, message
     at = len(lines) - 2
     mutate(lines, at)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with mock.patch.object(features, "BLOCK_BYTES", block_bytes), \
+    with mock.patch.object(features, "BLOCK_ROWS", block_rows), \
             pytest.raises(DatasetFormatError, match=re.escape(f"{path}: line {at + 1}: ") + message):
         read_dataset(tmp_path)
 
@@ -522,17 +530,61 @@ def _late_cr_line_ends(samples, path):
                     encoding="utf-8")
 
 
-@pytest.mark.parametrize("block_bytes", [1, 200])
+@pytest.mark.parametrize("block_rows", [1, 7, 200])
 @pytest.mark.parametrize("write", [_late_quoted_id, _late_cr_line_ends])
 def test_quote_or_cr_past_the_first_block_reads_as_the_whole_file_does(tmp_path, write,
-                                                                       block_bytes):
+                                                                       block_rows):
     write(make_samples(np.random.default_rng(8), 10, max_len=6), tmp_path / "series.csv")
-    with mock.patch.object(features, "BLOCK_BYTES", 1 << 30):
-        whole = [(s.flow_id, s.label, s.endpoints, s.values, s.timestamps)
-                 for s in read_dataset(tmp_path)]
+    # at the default BLOCK_ROWS the whole file is one block
+    whole = [(s.flow_id, s.label, s.endpoints, s.values, s.timestamps)
+             for s in read_dataset(tmp_path)]
     assert_bit_equal(read_dataset(tmp_path), naive_read_long_format(tmp_path))
-    with mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+    with mock.patch.object(features, "BLOCK_ROWS", block_rows):
         assert_bit_equal(read_dataset(tmp_path), whole)
+
+
+# quoted ids holding a line that is only a line end, which np.loadtxt would
+# skip outside quotes, and a lone CR, which ends a line of the file
+ODD_IDS = ["a\n\nb", "\r"]
+
+
+def write_odd_ids(samples, directory):
+    """write_dataset's files with samples 0 and 1 named ODD_IDS. csv.writer
+    leaves a lone CR unquoted, so sample 1's id is quoted by hand."""
+    samples[0].flow_id, samples[1].flow_id = ODD_IDS[0], "lone-cr"
+    write_dataset(samples, directory)
+    for name in ("flows.csv", "series.csv"):
+        with open(Path(directory, name), "r+", newline="", encoding="utf-8") as fh:
+            text = re.sub(r"(?m)^lone-cr,", '"\r",', fh.read())
+            fh.seek(0)
+            fh.write(text)
+            fh.truncate()
+
+
+def test_ids_with_a_blank_line_or_lone_cr_read_at_every_block_size(tmp_path):
+    samples = make_samples(np.random.default_rng(8), 10, max_len=6)
+    write_odd_ids(samples, tmp_path)
+    ref = naive_read_long_format(tmp_path)
+    assert [r[0] for r in ref[:2]] == ODD_IDS
+    for block_rows in range(1, sum(s.length for s in samples) + 2):
+        with mock.patch.object(features, "BLOCK_ROWS", block_rows):
+            assert_bit_equal(read_dataset(tmp_path), ref)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, features.BLOCK_ROWS])
+def test_blank_row_after_odd_ids_names_its_line(tmp_path, block_rows):
+    write_odd_ids(make_samples(np.random.default_rng(3), 12, max_len=6), tmp_path)
+    path = tmp_path / "series.csv"
+    # the file's lines as csv.reader counts them; a blank row before the last
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = list(fh)
+    at = len(lines) - 1
+    lines.insert(at, "\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+    with mock.patch.object(features, "BLOCK_ROWS", block_rows), pytest.raises(
+            DatasetFormatError, match=re.escape(f"{path}: line {at + 1}: blank row") + "$"):
+        read_dataset(tmp_path)
 
 
 def test_invalid_utf8_in_a_later_block_names_the_file(tmp_path):
@@ -540,16 +592,18 @@ def test_invalid_utf8_in_a_later_block_names_the_file(tmp_path):
     path = tmp_path / "series.csv"
     data = path.read_bytes()
     path.write_bytes(data[:-20] + b"\xff" + data[-19:])
-    with mock.patch.object(features, "BLOCK_BYTES", 100), pytest.raises(
+    with mock.patch.object(features, "BLOCK_ROWS", 100), pytest.raises(
             DatasetFormatError, match=re.escape(f"{path}: not UTF-8 text (invalid start byte)") + "$"):
         read_dataset(tmp_path)
 
 
 def test_read_dataset_peak_memory_within_four_times_its_samples(tmp_path):
     # tracemalloc's peak over one read_dataset call on a series.csv of at
-    # least 8 blocks stays within 4x the values and timestamps it returns
-    write_dataset(make_samples(np.random.default_rng(9), 7500), tmp_path)
-    assert (tmp_path / "series.csv").stat().st_size >= 8 * features.BLOCK_BYTES
+    # least 8 blocks of rows stays within 4x the values and timestamps it
+    # returns
+    samples = make_samples(np.random.default_rng(9), 11000)
+    assert sum(s.length for s in samples) >= 8 * features.BLOCK_ROWS
+    write_dataset(samples, tmp_path)
     tracemalloc.start()
     try:
         samples = read_dataset(tmp_path)

@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -184,12 +185,20 @@ def test_sweep_wholesample_grid_earliness_one():
     assert points[0].mean_earliness == pytest.approx(1.0)
 
 
-def test_sweep_rejects_grid_beyond_max_len():
+def test_sweep_rejects_grid_beyond_max_len(monkeypatch):
+    # a count point is checked by the prefix train takes, clamped to each
+    # sample: 16 packets of length-8 samples fit max_len 8 but not 4
     samples = separable_suite(8, n=20, length=8)
-    config = small_config(4, 2, max_len=8)
-    with pytest.raises(ValueError, match="max_len"):
-        sweep(config, samples, [PrefixSpec.by_count(16)], Hyperparams(max_epochs=1),
-              seed=2, jobs=1)
+    hp = Hyperparams(max_epochs=1)
+    (point,) = sweep(small_config(4, 2, max_len=8), samples, [PrefixSpec.by_count(16)], hp,
+                     seed=2, jobs=1)
+    assert point.spec == PrefixSpec.by_count(16) and point.mean_earliness == 1.0
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=re.escape("grid points exceed max_len 4: 16") + "$"):
+        sweep(small_config(4, 2, max_len=4), samples,
+              [PrefixSpec.by_count(2), PrefixSpec.by_count(16)], hp, seed=2, jobs=1)
+    assert calls == []
 
 
 # (--jobs, os.cpu_count(), pool size or None for no pool) over three grid points
