@@ -79,6 +79,11 @@ def no_grad():
         _recording = previous
 
 
+def recording() -> bool:
+    """Whether ops record a graph: False inside no_grad."""
+    return _recording
+
+
 def _node(data, parents, backward) -> Tensor:
     tracked = _recording and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=tracked, parents=parents if tracked else (),
@@ -319,27 +324,43 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (a,), bw)
 
 
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """(out, xhat, inv) of layer_norm on arrays: xhat = (x - mean) * inv
+    along the last axis, inv = 1 / sqrt(var + eps), out = gain * xhat + bias.
+    Raises ValueError for a non-finite x."""
+    if not np.isfinite(x).all():
+        raise ValueError("layer_norm over non-finite input")
+    # np.var's own ops on the centred values, so the same bits as np.var
+    centred = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(centred).sum(axis=-1, keepdims=True) / x.shape[-1]
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centred * inv
+    return gain * xhat + bias, xhat, inv
+
+
+def layer_norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
+    """(grad of x, grad of gain, grad of bias) of layer_norm for the output
+    grad g, from the xhat and inv of layer_norm_forward."""
+    d = g.shape[-1]
+    g_bias = g.reshape(-1, d).sum(axis=0)
+    g_gain = (g * xhat).reshape(-1, d).sum(axis=0)
+    gx = g * gain
+    term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    return term * inv, g_gain, g_bias
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """(x - mean) / sqrt(var + eps) along the last axis, then per-feature gain and bias."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm gain/bias must be vectors matching the normalized axis")
-    if not np.isfinite(x.data).all():
-        raise ValueError("layer_norm over non-finite input")
-
-    # np.var's own ops on the centred values, so the same bits as np.var
-    centred = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = np.square(centred).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
-    out = gain.data * xhat + bias.data
+    out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data, eps)
 
     def bw(g):
-        _accum(bias, g.reshape(-1, d).sum(axis=0))
-        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        gx = g * gain.data
-        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, term * inv)
+        g_x, g_gain, g_bias = layer_norm_backward(g, gain.data, xhat, inv)
+        _accum(bias, g_bias)
+        _accum(gain, g_gain)
+        _accum(x, g_x)
 
     return _node(out, (x, gain, bias), bw)
 

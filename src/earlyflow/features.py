@@ -150,17 +150,26 @@ def write_dataset(samples, out_dir) -> dict:
     series_path = os.path.join(out_dir, "series.csv")
     with open(flows_path, "w", newline="", encoding="utf-8") as fh_flows, \
             open(series_path, "w", newline="", encoding="utf-8") as fh_series:
-        flows_csv = csv.writer(fh_flows, lineterminator="\n")
+        flows_csv = lf_writer(fh_flows)
         flows_csv.writerow(FLOWS_HEADER)
         flows_csv.writerows(
             [s.flow_id, *(s.endpoints or ("*", "*", "*", "*", "*")),
              f"{s.timestamps[0]:.9f}", f"{s.timestamps[-1]:.9f}", s.length, s.label]
             for s in samples)
-        csv.writer(fh_series, lineterminator="\n").writerow(series_header(d))
+        lf_writer(fh_series).writerow(series_header(d))
         for pieces in _series_chunks(samples):
             fh_series.write(_format_chunk(pieces, d))
     return {"flows": len(samples), "series_rows": sum(s.length for s in samples),
             "flows_path": flows_path, "series_path": series_path}
+
+
+def lf_writer(fh):
+    """A csv.writer onto fh whose rows end in LF and that quotes every field
+    holding CR or LF. A writer with LF row ends would leave a lone CR
+    unquoted, and readers take that CR for a row end; this one writes CRLF
+    rows, which quote both, and hands each row to fh with LF for its CRLF."""
+    return csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")),
+                      lineterminator="\r\n")
 
 
 def _series_chunks(samples):
@@ -189,7 +198,7 @@ def _format_chunk(pieces, d) -> str:
     are all +0.0 or 1.0 is one %s argument looked up by the bits of the run,
     an integral column without -0.0 is ',%d.000000000' over ints, and only
     the other columns pay for ',%.9f'. The flow id is a %s argument, quoted
-    as csv.writer quotes the first of the fields [flow_id, ""], which keeps
+    as lf_writer quotes the first of the fields [flow_id, ""], which keeps
     an empty id unquoted."""
     lengths = [stop - start for _, start, stop in pieces]
     rows = sum(lengths)
@@ -228,12 +237,11 @@ def _format_chunk(pieces, d) -> str:
 
 
 def _quoted_ids(ids) -> list:
-    """Each id as flows.csv's LF csv.writer writes it as the first of the
-    fields [id, ""], which quotes an id holding LF: one writerows call
-    whose writer hands each row's text to list.append."""
+    """Each id as flows.csv's lf_writer writes it as the first of the fields
+    [id, ""], which quotes an id holding CR or LF: one writerows call whose
+    writer hands each row's text to list.append."""
     rows = []
-    csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n").writerows(
-        [i, ""] for i in ids)
+    lf_writer(SimpleNamespace(write=rows.append)).writerows([i, ""] for i in ids)
     return [row[:-2] for row in rows]
 
 

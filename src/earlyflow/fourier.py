@@ -19,9 +19,13 @@ KERNEL_CACHE_SIZE = 8
 
 def _angle_table(n: int):
     """cos and sin of 2*pi*m/n for m = 0..n-1, and the (n, n) index j*k mod
-    n into them, so kernel angles stay exact for large n."""
+    n into them, so kernel angles stay exact for large n. The index is
+    int32 while every product j*k fits, since that builds it faster than
+    int64."""
     angle = 2 * np.pi * np.arange(n) / n
-    jk = np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n
+    j = np.arange(n, dtype=np.int32 if (n - 1) ** 2 < 2 ** 31 else np.int64)
+    jk = np.outer(j, j)
+    jk %= n
     return np.cos(angle), np.sin(angle), jk
 
 
@@ -35,7 +39,7 @@ def _dft_matrix(n: int, sign: int) -> np.ndarray:
     table = np.empty(n, dtype=np.complex128)
     table.real = cos
     table.imag = sign * sin
-    kernel = table[jk]
+    kernel = table.take(jk)
     kernel.flags.writeable = False
     return kernel
 
@@ -72,10 +76,10 @@ def fft_along(x, axis: int, inverse: bool = False) -> np.ndarray:
     if n == 0:
         raise ValueError("fft_along over an empty axis")
     # the kernel is symmetric, so a right-multiply transforms the last axis
-    out = np.moveaxis(x, axis, -1) @ _dft_matrix(n, +1 if inverse else -1)
+    out = np.swapaxes(x, axis, -1) @ _dft_matrix(n, +1 if inverse else -1)
     if inverse:
         out /= n
-    return np.moveaxis(out, -1, axis)
+    return np.swapaxes(out, axis, -1)
 
 
 def fft_2d(x, inverse: bool = False) -> np.ndarray:

@@ -13,22 +13,25 @@ shrinks the output projection. The frequency heads project one shared
 sequence-axis DFT of the block input, a real matmul by a cached [cos; -sin]
 kernel, instead of transforming q, k and v apiece.
 
-md_mha is one autodiff node with a hand-written backward: the block input
-and its transform are projected by two matmuls, both head families score
-into one buffer under one in-place softmax, and the backward adds its
-products in the order the op-by-op composition would, so it gives the same
-bits as that composition.
+Each encoder block is two autodiff nodes with hand-written backwards:
+md_mha, and block_tail for everything after it. md_mha projects the block
+input and its transform by two matmuls, scores both head families into one
+buffer under one in-place softmax, and adds its backward products in the
+order the op-by-op composition would. block_tail runs the dropout,
+residual and layer norm around the feed-forward layer the same way. So
+both give the same bits as that composition.
 
 The head reads only the classification token of the last block, so that
 block attends from its first HEAD_QUERIES = 2 positions (the token and the
 first packet) and its score, softmax and mixing work shrinks from T x T to
 2 x T. Two rows rather than one: a one-row product takes BLAS's
 matrix-vector path, which rounds differently from the same row of a wider
-product. Everything else in the block keeps its full shape (and its dropout
-draws), so training gives the same bits as full attention; eval logits can
-move by a few ulps at attention lengths past about 190.
-
-predict and forward_prefixes run without an autodiff graph.
+product. A forward that records a graph keeps every other row of the block
+at its full shape (and its dropout draws), so training gives the same bits
+as full attention. A graph-free forward (predict, forward_prefixes, and so
+evaluation and latent export) also runs the block's output projection and
+tail on those rows alone; eval logits can move by a few ulps from full
+attention at attention lengths past about 190.
 
 use_frequency_heads=False disables both the input widening and the frequency
 heads, giving the plain transformer ablation.
@@ -36,7 +39,6 @@ heads, giving the plain transformer ablation.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -49,6 +51,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, _accum, _node, const, param
 from .earliness import PrefixSpec, take_prefix
+from .features import lf_writer
 from .fourier import KERNEL_CACHE_SIZE, fft_2d, real_dft_kernel
 
 CHECKPOINT_FORMAT = "earlyflow-checkpoint-v1"
@@ -292,10 +295,11 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
     v and the frequency heads the real part of the transformed values.
 
     queries: attend from the first `queries` positions only (None: every
-    position); the other output rows are zeros. Only the per-query work
-    shrinks: the projections, keys, values, output projection and every
-    weight-grad product keep their full shapes, so the rows computed, and
-    all grads, match those of full attention.
+    position). When ops record a graph, the other output rows are zeros and
+    only the per-query work shrinks: the projections, keys, values, output
+    projection and every weight-grad product keep their full shapes, so the
+    rows computed, and all grads, match those of full attention. A
+    graph-free call returns the `queries` rows alone.
 
     Every product and sum is the one the op-by-op composition makes (see
     naive_md_mha in the tests), in the same order, so outputs and grads
@@ -338,9 +342,12 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
         q_im = q_im[..., :n_queries, :]
         by_family[:, 1] += q_im @ k_im.swapaxes(-1, -2)
     ad.softmax_inplace(scores, scale=scaling)
-    merged = np.zeros((batch, length, families * d_model))
-    merged[:, :n_queries] = (by_family @ v).transpose(0, 3, 1, 2, 4).reshape(batch, n_queries, -1)
+    mixed = (by_family @ v).transpose(0, 3, 1, 2, 4).reshape(batch, n_queries, -1)
     w_o = params.w_o.data
+    if n_queries < length and not ad.recording():
+        return const(mixed @ w_o)
+    merged = np.zeros((batch, length, families * d_model))
+    merged[:, :n_queries] = mixed
 
     def bw(g):
         _accum(params.w_o, merged.reshape(-1, families * d_model).T @ g.reshape(-1, d_model))
@@ -388,29 +395,68 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
     return _node(merged @ w_o, (z, *weights, params.w_o), bw)
 
 
-def _dropout(t: Tensor, p: float, rng) -> Tensor:
-    """Inverted dropout of t with its mask drawn from rng; t itself when rng is None."""
-    if rng is None or p <= 0.0:
-        return t
-    keep = (rng.random(t.shape) >= p) / (1.0 - p)
-    return ad.mul(t, const(keep))
+def block_tail(z: Tensor, attended: Tensor, block: BlockParams, p: float, rng=None) -> Tensor:
+    """The encoder block after attention, as one autodiff node: h =
+    LN1(z + dropout(attended)), then LN2(h + dropout(relu(h w1 + b1) w2 +
+    b2)). Inverted dropout at rate p runs when an rng is given, its two
+    masks drawn in that order.
+
+    The backward is written by hand. Its products, sums and the order of
+    the grads it adds into z are those of the op-by-op composition (see
+    naive_encoder_block in the tests), so outputs and grads match it bit
+    for bit."""
+    masks = None
+    if rng is not None and p > 0.0:
+        masks = [(rng.random(t.shape) >= p) / (1.0 - p) for t in (attended, z)]
+    w1, b1, w2, b2 = block.ff_w1.data, block.ff_b1.data, block.ff_w2.data, block.ff_b2.data
+    d_model, d_ff = w1.shape
+    dropped = attended.data if masks is None else attended.data * masks[0]
+    h, xhat1, inv1 = ad.layer_norm_forward(z.data + dropped, block.ln1_gain.data,
+                                           block.ln1_bias.data)
+    pre = h @ w1 + b1
+    keep = pre > 0
+    hidden = np.where(keep, pre, 0.0)
+    ff = hidden @ w2 + b2
+    if masks is not None:
+        ff *= masks[1]
+    out, xhat2, inv2 = ad.layer_norm_forward(h + ff, block.ln2_gain.data, block.ln2_bias.data)
+
+    def bw(g):
+        g_residual, g_gain2, g_bias2 = ad.layer_norm_backward(g, block.ln2_gain.data, xhat2, inv2)
+        _accum(block.ln2_bias, g_bias2)
+        _accum(block.ln2_gain, g_gain2)
+        g_ff = g_residual if masks is None else g_residual * masks[1]
+        _accum(block.ff_b2, g_ff.reshape(-1, d_model).sum(axis=0))
+        g_hidden = g_ff @ w2.T
+        _accum(block.ff_w2, hidden.reshape(-1, d_ff).T @ g_ff.reshape(-1, d_model))
+        g_pre = g_hidden * keep
+        _accum(block.ff_b1, g_pre.reshape(-1, d_ff).sum(axis=0))
+        g_h = g_residual + g_pre @ w1.T
+        _accum(block.ff_w1, h.reshape(-1, d_model).T @ g_pre.reshape(-1, d_ff))
+        g_sum, g_gain1, g_bias1 = ad.layer_norm_backward(g_h, block.ln1_gain.data, xhat1, inv1)
+        _accum(block.ln1_bias, g_bias1)
+        _accum(block.ln1_gain, g_gain1)
+        _accum(z, g_sum)
+        _accum(attended, g_sum if masks is None else g_sum * masks[0])
+
+    parents = (z, attended, block.ln1_gain, block.ln1_bias, block.ff_w1, block.ff_b1,
+               block.ff_w2, block.ff_b2, block.ln2_gain, block.ln2_bias)
+    return _node(out, parents, bw)
 
 
 def encoder_block(z: Tensor, block: BlockParams, config: MdtConfig, rng=None,
                   queries: int | None = None) -> Tensor:
-    """Post-norm block over a (batch, length, d_model) stack: attention,
-    residual + layer norm, feed-forward, residual + layer norm. Shape
-    preserving. Dropout is drawn from rng when one is given. queries: attend
-    from the first `queries` positions only (see md_mha); later rows then
-    skip attention, and callers drop them."""
+    """Post-norm block over a (batch, length, d_model) stack: attention, then
+    block_tail (residual + layer norm, feed-forward, residual + layer norm).
+    Shape preserving. Dropout is drawn from rng when one is given. queries:
+    attend from the first `queries` positions only (see md_mha); later rows
+    then skip attention, and callers drop them. A graph-free call returns
+    the `queries` rows alone."""
     attended = md_mha(z, block.attn, config.n_heads, queries)
-    z = ad.layer_norm(ad.add(z, _dropout(attended, config.dropout, rng)),
-                      block.ln1_gain, block.ln1_bias)
-    hidden = ad.relu(ad.linear(z, block.ff_w1, block.ff_b1))
-    ff = ad.linear(hidden, block.ff_w2, block.ff_b2)
-    z = ad.layer_norm(ad.add(z, _dropout(ff, config.dropout, rng)),
-                      block.ln2_gain, block.ln2_bias)
-    return z
+    rows = attended.shape[1]
+    if rows < z.shape[1]:
+        z = const(z.data[:, :rows])
+    return block_tail(z, attended, block, config.dropout, rng)
 
 
 def forward(model: MdtModel, x, rng=None):
@@ -571,7 +617,7 @@ def export_latents(model: MdtModel, samples, spec: PrefixSpec, out_path):
     _, latents = forward_prefixes(model, prefixes)
     d_model = model.config.d_model
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = lf_writer(fh)
         writer.writerow(["flow_id", "label"] + [f"latent_{i}" for i in range(d_model)])
         for sample, latent in zip(samples, latents):
             writer.writerow([sample.flow_id, sample.label] + [f"{v:.9f}" for v in latent])

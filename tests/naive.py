@@ -16,6 +16,7 @@ from earlyflow import autodiff as ad
 from earlyflow import pcap
 from earlyflow.features import FEATURE_NAMES, FLOWS_HEADER
 from earlyflow.fourier import real_dft_kernel
+from earlyflow.model import md_mha
 
 
 def naive_dft(x, inverse=False):
@@ -97,8 +98,31 @@ def naive_md_mha(z, params, n_heads):
     return ad.matmul(merged, params.w_o)
 
 
+def naive_dropout(t, p, rng):
+    """Inverted dropout of t with its mask drawn from rng; t itself when rng is None."""
+    if rng is None or p <= 0.0:
+        return t
+    keep = (rng.random(t.shape) >= p) / (1.0 - p)
+    return ad.mul(t, ad.const(keep))
+
+
+def naive_encoder_block(z, block, config, rng=None, queries=None):
+    """model.encoder_block with its tail composed from autodiff ops, so
+    autodiff derives the tail's backward: md_mha, then dropout, residual
+    and ad.layer_norm, ad.linear, ad.relu, ad.linear, dropout, residual and
+    ad.layer_norm. Call it while a graph is recorded, so that md_mha
+    returns every row."""
+    attended = md_mha(z, block.attn, config.n_heads, queries)
+    z = ad.layer_norm(ad.add(z, naive_dropout(attended, config.dropout, rng)),
+                      block.ln1_gain, block.ln1_bias)
+    hidden = ad.relu(ad.linear(z, block.ff_w1, block.ff_b1))
+    ff = ad.linear(hidden, block.ff_w2, block.ff_b2)
+    return ad.layer_norm(ad.add(z, naive_dropout(ff, config.dropout, rng)),
+                         block.ln2_gain, block.ln2_bias)
+
+
 # ---------------------------------------------------------------------------
-# features: one row per packet, one csv.writer row per packet, float() per cell
+# features: one row per packet, one csv row per packet, float() per cell
 
 def naive_join_labels(flows, rules):
     """Label of each flow: the first rule, in file order, whose [start, end]
@@ -140,31 +164,41 @@ def naive_series_header(d):
     return ["flow_id", "seq_index"] + list(names) + ["rel_ts"]
 
 
+def naive_csv_row(fields):
+    """One RFC 4180 row ending in LF: a field holding a comma, a quote, CR or
+    LF is quoted, its quotes doubled."""
+    def cell(field):
+        field = str(field)
+        if any(c in field for c in ',"\r\n'):
+            return '"' + field.replace('"', '""') + '"'
+        return field
+
+    return ",".join(cell(field) for field in fields) + "\n"
+
+
 def naive_write_dataset(samples, out_dir):
-    """write_dataset through csv.writer, one row and one f-string per cell."""
+    """write_dataset row by row: one naive_csv_row per row, one f-string per cell."""
     samples = list(samples)
     d = samples[0].width if samples else len(FEATURE_NAMES)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "flows.csv"), "w", newline="", encoding="utf-8") as fh_flows, \
             open(os.path.join(out_dir, "series.csv"), "w", newline="", encoding="utf-8") as fh_series:
-        flows_csv = csv.writer(fh_flows, lineterminator="\n")
-        series_csv = csv.writer(fh_series, lineterminator="\n")
-        flows_csv.writerow(FLOWS_HEADER)
-        series_csv.writerow(naive_series_header(d))
+        fh_flows.write(naive_csv_row(FLOWS_HEADER))
+        fh_series.write(naive_csv_row(naive_series_header(d)))
         for sample in samples:
             endpoints = sample.endpoints or ("*", "*", "*", "*", "*")
-            flows_csv.writerow([
+            fh_flows.write(naive_csv_row([
                 sample.flow_id,
                 endpoints[0], endpoints[1], endpoints[2], endpoints[3], endpoints[4],
                 f"{sample.timestamps[0]:.9f}", f"{sample.timestamps[-1]:.9f}",
                 sample.length, sample.label,
-            ])
+            ]))
             start = sample.timestamps[0]
             for i in range(sample.length):
                 row = [sample.flow_id, i]
                 row.extend(f"{v:.9f}" for v in sample.values[i])
                 row.append(f"{sample.timestamps[i] - start:.9f}")
-                series_csv.writerow(row)
+                fh_series.write(naive_csv_row(row))
 
 
 def naive_read_long_format(directory):

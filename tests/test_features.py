@@ -355,6 +355,31 @@ def test_writer_quotes_ids_with_line_feeds_as_csv_writer(tmp_path):
         assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "slow" / name).read_bytes()
 
 
+# text holding lone CRs, lone LFs, CRLFs, quotes and commas
+LINE_END_TEXT = st.one_of(st.sampled_from(["\r", "\n", "\r\n", "x\ry", '"\r"', ",\r,"]),
+                          st.text(alphabet='ab,"\r\n', max_size=8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(LINE_END_TEXT, LINE_END_TEXT), min_size=1, max_size=4,
+                unique_by=lambda pair: pair[0]), BLOCK_SIZES)
+def test_ids_and_labels_with_line_ends_round_trip(names, block_rows):
+    rng = np.random.default_rng(len(names))
+    samples = make_samples(rng, len(names), max_len=3)
+    for sample, (flow_id, label) in zip(samples, names):
+        sample.flow_id, sample.label = flow_id, label
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(features, "BLOCK_ROWS", block_rows):
+        fast, slow = Path(tmp, "fast"), Path(tmp, "slow")
+        write_dataset(samples, fast)
+        naive_write_dataset(samples, slow)
+        for name in ("flows.csv", "series.csv"):
+            assert (fast / name).read_bytes() == (slow / name).read_bytes()
+        back = read_dataset(fast)
+        assert [(s.flow_id, s.label) for s in back] == names
+        assert_bit_equal(back, naive_read_long_format(fast))
+
+
 def assert_bit_equal(samples, reference):
     assert len(samples) == len(reference)
     for s, (flow_id, label, endpoints, values, ts) in zip(samples, reference):

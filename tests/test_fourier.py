@@ -74,12 +74,22 @@ def test_real_dft_kernel_matches_naive_dft(n):
 
 def test_real_dft_kernel_bit_identical_to_complex_kernel():
     """The real kernel, gathered from the cos/sin table, holds the very bits
-    of [K.real; K.imag] for the complex forward kernel K."""
-    for n in range(1, 301):
-        k = _dft_matrix(n, -1)
+    of [K.real; K.imag] for the complex forward kernel K. The kernels index
+    that table by j*k mod n in int32, and K gathered by an int64 index from
+    the same table has the same bits too."""
+    def same_bits(a, b):
+        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    for n in range(1, 601):
+        angle = 2 * np.pi * np.arange(n) / n
+        table = np.empty(n, dtype=np.complex128)
+        table.real, table.imag = np.cos(angle), -np.sin(angle)
+        k = table[np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n]
+        assert same_bits(_dft_matrix(n, -1), k), n
+        assert same_bits(_dft_matrix(n, 1), np.conj(k)), n
         kernel = real_dft_kernel(n)
         assert kernel.flags.c_contiguous
-        assert kernel.tobytes() == np.concatenate([k.real, k.imag]).tobytes(), n
+        assert same_bits(kernel, np.concatenate([k.real, k.imag])), n
 
 
 def test_empty_vector_rejected():

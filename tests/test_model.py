@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tracemalloc
@@ -16,7 +17,7 @@ from earlyflow.features import MtsSample
 from earlyflow.model import (
     ADAM_TEMPORARY_COPIES, ARRAY_OVERHEAD_VALUES, ATTENTION_CELL_VALUES, BLOCK_ROW_FF_VALUES,
     BLOCK_ROW_VALUES, DFT_CACHE_CELL_VALUES, FULL_ATTENTION_HEAD_CELL_VALUES, MAX_CONFIG_VALUES,
-    MAX_GROUP, PARAMETER_COPIES, ROW_VALUES, TRAINING_COPIES,
+    HEAD_QUERIES, MAX_GROUP, PARAMETER_COPIES, ROW_VALUES, TRAINING_COPIES,
     MdMhaParams, MdtConfig, MdtModel, config_values, encoder_block, export_latents, forward,
     forward_prefixes, ifft_augment, length_buckets, load_checkpoint, md_mha, parameter_layout,
     predict, save_checkpoint,
@@ -25,7 +26,7 @@ from earlyflow.training import Hyperparams, minibatch_gradients, train
 
 from gen_mts import frequency_suite
 from gradcheck import assert_grads_match
-from naive import naive_dft, naive_dft_2d, naive_md_mha
+from naive import naive_dft, naive_dft_2d, naive_encoder_block, naive_md_mha
 
 
 def toy_config(**overrides):
@@ -456,6 +457,66 @@ def test_encoder_block_gradient_wrt_wq():
     assert_grads_match(loss, [block.attn.w_q], tol=1e-4)
 
 
+def block_chain_and_grads(block_fn, z, model, rng, queries):
+    """The model's blocks applied in turn by block_fn, the last attending
+    from `queries` rows, and the grads of sum(output * weights) with respect
+    to z and every block parameter, weights drawn dense so every row counts."""
+    blocks = model.blocks
+    tensors = [z] + [t for name, t in model.params.items() if name.startswith("blocks.")]
+    zero_grad(tensors)
+    out = z
+    for i, block in enumerate(blocks):
+        out = block_fn(out, block, model.config, rng, queries if i == len(blocks) - 1 else None)
+    weights = const(np.random.default_rng(47).normal(size=out.shape))
+    backward(sum_all(ad.mul(out, weights)))
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("queries", [None, HEAD_QUERIES])
+@pytest.mark.parametrize("with_rng", [False, True])
+@pytest.mark.parametrize("use_freq", [True, False])
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_encoder_block_equals_graph_oracle_bit_for_bit(n_blocks, use_freq, with_rng, queries):
+    # the tail node makes the op graph's products and sums in its order and
+    # draws the same dropout masks, so training on it gives the same bits
+    config = MdtConfig(d_in=13, n_classes=3, d_model=32, n_heads=4, n_blocks=n_blocks, d_ff=64,
+                       max_len=80, dropout=0.1, use_frequency_heads=use_freq)
+    model = MdtModel(config, seed=48)
+    for length in (17, 65):
+        z = param(np.random.default_rng(length).normal(size=(3, length, 32)))
+        results, draws = [], []
+        for block_fn in (encoder_block, naive_encoder_block):
+            rng = np.random.default_rng(49) if with_rng else None
+            results.append(block_chain_and_grads(block_fn, z, model, rng, queries))
+            draws.append(None if rng is None else rng.random())
+        assert draws[0] == draws[1]
+        for i, (got, want) in enumerate(zip(*results)):
+            assert got.tobytes() == want.tobytes(), (length, i)
+
+
+@pytest.mark.parametrize("use_freq", [True, False])
+def test_forward_prefixes_head_rows_match_recorded_forward(use_freq):
+    # graph-free forwards run the last block's output projection and tail on
+    # its HEAD_QUERIES rows alone; a forward that records a graph keeps every
+    # row. Attention lengths 2, 17, 65, 191, 257 and max_len + 1.
+    max_len = 300
+    config = MdtConfig(d_in=13, n_classes=3, d_model=32, n_heads=4, n_blocks=2, d_ff=64,
+                       max_len=max_len, use_frequency_heads=use_freq)
+    model = MdtModel(config, seed=50)
+    rng = np.random.default_rng(51)
+    prefixes = [rng.normal(size=(n, 13)) for n in (1, 16, 64, 190, 256, max_len) for _ in range(2)]
+    logits, latents = forward_prefixes(model, prefixes)
+    for i, x in enumerate(prefixes):
+        want_logits, want_latent = forward(model, x)
+        assert np.abs(logits[i] - want_logits.data).max() <= 1e-12
+        assert np.abs(latents[i] - want_latent.data).max() <= 1e-12
+        assert np.argmax(logits[i]) == np.argmax(want_logits.data)
+        # predict runs x alone: its latent has the bits of x's row here,
+        # and its class is that row's
+        assert forward_prefixes(model, [x])[1][0].tobytes() == latents[i].tobytes()
+        assert predict(model, x) == np.argmax(logits[i])
+
+
 def test_forward_single_row():
     model = MdtModel(toy_config(), seed=2)
     logits, latent = forward(model, np.random.default_rng(0).normal(size=(1, 13)))
@@ -737,13 +798,17 @@ def test_export_latents_empty(tmp_path):
 
 
 def test_export_latents_one_row(tmp_path):
+    # an id and a label holding line ends and quotes read back as written
     rng = np.random.default_rng(14)
     model = MdtModel(toy_config(), seed=9)
     out = tmp_path / "latents.csv"
-    export_latents(model, [sample_of(rng, 6)], PrefixSpec.by_count(4), out)
-    lines = out.read_text(encoding="utf-8").strip().splitlines()
-    assert len(lines) == 2
-    assert len(lines[1].split(",")) == 2 + 8
+    sample = sample_of(rng, 6, label='a\r\nb,"c')
+    sample.flow_id = "x\ry"
+    export_latents(model, [sample], PrefixSpec.by_count(4), out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2
+    assert rows[1][:2] == ["x\ry", 'a\r\nb,"c'] and len(rows[1]) == 2 + 8
 
 
 def test_eval_forwards_build_no_graph(monkeypatch):
