@@ -79,11 +79,6 @@ def no_grad():
         _recording = previous
 
 
-def recording() -> bool:
-    """Whether ops record a graph: False inside no_grad."""
-    return _recording
-
-
 def _node(data, parents, backward) -> Tensor:
     tracked = _recording and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=tracked, parents=parents if tracked else (),

@@ -23,15 +23,14 @@ both give the same bits as that composition.
 
 The head reads only the classification token of the last block, so that
 block attends from its first HEAD_QUERIES = 2 positions (the token and the
-first packet) and its score, softmax and mixing work shrinks from T x T to
-2 x T. Two rows rather than one: a one-row product takes BLAS's
-matrix-vector path, which rounds differently from the same row of a wider
-product. A forward that records a graph keeps every other row of the block
-at its full shape (and its dropout draws), so training gives the same bits
-as full attention. A graph-free forward (predict, forward_prefixes, and so
-evaluation and latent export) also runs the block's output projection and
-tail on those rows alone; eval logits can move by a few ulps from full
-attention at attention lengths past about 190.
+first packet): its score, softmax and mixing work shrinks from T x T to
+2 x T, and its output projection and tail run on those two rows alone.
+Two rows rather than one: a one-row product takes BLAS's matrix-vector
+path, which rounds differently from the same row of a wider product.
+Training and eval take this one path, so a forward that records a graph
+gives the bits of a graph-free one (predict, forward_prefixes) when no
+dropout is drawn. Logits can move by a few ulps from full attention at
+attention lengths past about 190.
 
 use_frequency_heads=False disables both the input widening and the frequency
 heads, giving the plain transformer ablation.
@@ -295,11 +294,9 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
     v and the frequency heads the real part of the transformed values.
 
     queries: attend from the first `queries` positions only (None: every
-    position). When ops record a graph, the other output rows are zeros and
-    only the per-query work shrinks: the projections, keys, values, output
-    projection and every weight-grad product keep their full shapes, so the
-    rows computed, and all grads, match those of full attention. A
-    graph-free call returns the `queries` rows alone.
+    position) and return those rows alone. The projections, keys and values
+    keep every position; the output projection and its weight grad run on
+    the query rows.
 
     Every product and sum is the one the op-by-op composition makes (see
     naive_md_mha in the tests), in the same order, so outputs and grads
@@ -344,14 +341,10 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
     ad.softmax_inplace(scores, scale=scaling)
     mixed = (by_family @ v).transpose(0, 3, 1, 2, 4).reshape(batch, n_queries, -1)
     w_o = params.w_o.data
-    if n_queries < length and not ad.recording():
-        return const(mixed @ w_o)
-    merged = np.zeros((batch, length, families * d_model))
-    merged[:, :n_queries] = mixed
 
     def bw(g):
-        _accum(params.w_o, merged.reshape(-1, families * d_model).T @ g.reshape(-1, d_model))
-        g_mixed = (g @ w_o.T)[:, :n_queries].reshape(batch, n_queries, families, n_heads, dv) \
+        _accum(params.w_o, mixed.reshape(-1, families * d_model).T @ g.reshape(-1, d_model))
+        g_mixed = (g @ w_o.T).reshape(batch, n_queries, families, n_heads, dv) \
             .transpose(0, 2, 3, 1, 4)
         g_scores = g_mixed @ v.swapaxes(-1, -2)
         # grads of q and v as (domain, batch, length, d_model) rows; query
@@ -392,7 +385,7 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
                 g_spectrum[:, (domain - 1) * length:domain * length] = sum(parts[1:], parts[0])
             _accum(z, kernel.T @ g_spectrum)
 
-    return _node(merged @ w_o, (z, *weights, params.w_o), bw)
+    return _node(mixed @ w_o, (z, *weights, params.w_o), bw)
 
 
 def block_tail(z: Tensor, attended: Tensor, block: BlockParams, p: float, rng=None) -> Tensor:
@@ -448,14 +441,13 @@ def encoder_block(z: Tensor, block: BlockParams, config: MdtConfig, rng=None,
                   queries: int | None = None) -> Tensor:
     """Post-norm block over a (batch, length, d_model) stack: attention, then
     block_tail (residual + layer norm, feed-forward, residual + layer norm).
-    Shape preserving. Dropout is drawn from rng when one is given. queries:
-    attend from the first `queries` positions only (see md_mha); later rows
-    then skip attention, and callers drop them. A graph-free call returns
-    the `queries` rows alone."""
+    Dropout is drawn from rng when one is given. queries: attend from the
+    first `queries` positions only (see md_mha) and return those rows alone,
+    the tail run on them; None keeps every row."""
     attended = md_mha(z, block.attn, config.n_heads, queries)
     rows = attended.shape[1]
     if rows < z.shape[1]:
-        z = const(z.data[:, :rows])
+        z = ad.slice_axis(z, 1, 0, rows)
     return block_tail(z, attended, block, config.dropout, rng)
 
 
@@ -562,7 +554,8 @@ def load_checkpoint(path) -> MdtModel:
     an integer >= 0, classes that are not one string per class, parameters
     other than parameter_layout's names and shapes in its order, a blob of
     another size) raises ValueError naming the file, before any parameter is
-    allocated."""
+    allocated; so does a blob holding NaN or +-inf, naming the first such
+    parameter in parameter_layout order."""
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -596,15 +589,17 @@ def load_checkpoint(path) -> MdtModel:
         blob = fh.read(8 * size + 1)
     if len(blob) != 8 * size:
         raise ValueError(f"{path}: parameter blob size mismatch")
-    model = MdtModel(config, seed=seed)
-    if classes:
-        model.classes = tuple(classes)
     offset = 0
     arrays = {}
     for name, shape, _ in layout:
         count = math.prod(shape)
         arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: parameter {name} holds a non-finite value")
         offset += 8 * count
+    model = MdtModel(config, seed=seed)
+    if classes:
+        model.classes = tuple(classes)
     model.load_state(arrays)
     return model
 

@@ -110,9 +110,12 @@ def naive_encoder_block(z, block, config, rng=None, queries=None):
     """model.encoder_block with its tail composed from autodiff ops, so
     autodiff derives the tail's backward: md_mha, then dropout, residual
     and ad.layer_norm, ad.linear, ad.relu, ad.linear, dropout, residual and
-    ad.layer_norm. Call it while a graph is recorded, so that md_mha
-    returns every row."""
+    ad.layer_norm. Like encoder_block, it runs the tail on the rows md_mha
+    returns, slicing z to them."""
     attended = md_mha(z, block.attn, config.n_heads, queries)
+    rows = attended.shape[1]
+    if rows < z.shape[1]:
+        z = ad.slice_axis(z, 1, 0, rows)
     z = ad.layer_norm(ad.add(z, naive_dropout(attended, config.dropout, rng)),
                       block.ln1_gain, block.ln1_bias)
     hidden = ad.relu(ad.linear(z, block.ff_w1, block.ff_b1))

@@ -58,6 +58,20 @@ def test_summarize_fixed_numbers():
     assert bench_pairs.summarize({"ingest": {"parent": [], "change": []}}, end_to_end) == []
 
 
+def test_operations_fixed_numbers_mark_a_larger_failed_share():
+    ops = {"ingest": {"parent": (1000, 0), "change": (900, 0)},
+           "train_packets": {"parent": (200, 1), "change": (100, 1)},
+           "infer_duration": {"parent": (400, 4), "change": (500, 5)}}
+    assert bench_pairs.failed_share(200, 1) == pytest.approx(0.005)
+    assert bench_pairs.failed_share(0, 0) == 0.0
+    lines = bench_pairs.format_operations(ops).splitlines()
+    assert len(lines) == 4
+    assert lines[1].split() == ["ingest", "0/1000", "(0.00%)", "0/900", "(0.00%)"]
+    assert lines[2].split() == ["train_packets", "1/200", "(0.50%)", "1/100", "(1.00%)", "WORSE"]
+    # an equal share is not worse
+    assert lines[3].split() == ["infer_duration", "4/400", "(1.00%)", "5/500", "(1.00%)"]
+
+
 WORKLOADS = ["ingest", "train_packets", "infer_duration"]
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shutil
 import re
 import tempfile
@@ -679,6 +680,29 @@ def test_boolean_manifest_config_exit_2_one_line(tmp_path, tiny_dataset, tiny_ch
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: malformed manifest: {key} must be") \
             and err.endswith(f", got {value!r}\n") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_checkpoint_exit_2_one_line(tmp_path, tiny_dataset, tiny_checkpoint, capsys,
+                                              bad):
+    # two parameters of the blob patched; the message names the manifest and
+    # the first of them in parameter_layout order
+    manifest = json.loads(tiny_checkpoint.read_text(encoding="utf-8"))
+    starts, offset = {}, 0
+    for entry in manifest["parameters"]:
+        starts[entry["name"]] = offset
+        offset += math.prod(entry["shape"])
+    blob = np.fromfile(f"{tiny_checkpoint}.bin", dtype="<f8")
+    blob[starts["head.bias"]] = bad
+    blob[starts["blocks.0.ff.w1"] + 1] = bad
+    ckpt = tmp_path / "model.ckpt"
+    shutil.copyfile(tiny_checkpoint, ckpt)
+    blob.tofile(f"{ckpt}.bin")
+    for command in ("eval", "latents"):
+        assert run_cli(command, "--data", tiny_dataset, "--ckpt", ckpt, "--prefix-packets", 4,
+                       "--out", tmp_path / "out.csv") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: parameter blocks.0.ff.w1 holds a non-finite value\n"
 
 
 @settings(max_examples=60)

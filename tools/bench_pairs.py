@@ -16,8 +16,10 @@ For each workload and each end-to-end metric of BENCHMARK.json the script
 prints both medians, the parent's interquartile range, the change's wins
 over the pairs (ties count for neither), and how much worse the change's
 median is than the parent's, as a fraction of the parent's, next to the
-metric's bound. Runs whose checks failed or whose operations failed are
-listed after the table.
+metric's bound. Under the table it prints the failed and attempted
+operations summed per workload and side, marking a workload WORSE when the
+change's failed share exceeds the parent's. Runs whose checks failed or
+whose operations failed are listed last.
 """
 
 from __future__ import annotations
@@ -94,6 +96,24 @@ def format_rows(rows) -> str:
     return "\n".join(out)
 
 
+def failed_share(attempted, failed) -> float:
+    """Share of the attempted operations that failed; 0 when none was."""
+    return failed / attempted if attempted else 0.0
+
+
+def format_operations(ops) -> str:
+    """One line per workload from ops[workload][side] = (attempted, failed)
+    summed over that side's runs, marked WORSE when the change's failed
+    share exceeds the parent's."""
+    out = [f"{'workload':<15} {'parent failed':>22} {'change failed':>22}"]
+    for workload, sides in ops.items():
+        parent, change = (f"{failed}/{attempted} ({failed_share(attempted, failed):.2%})"
+                          for attempted, failed in (sides["parent"], sides["change"]))
+        worse = failed_share(*sides["change"]) > failed_share(*sides["parent"])
+        out.append(f"{workload:<15} {parent:>22} {change:>22}{'  WORSE' if worse else ''}")
+    return "\n".join(out)
+
+
 def export_tree(rev, dest):
     """The files committed at rev, written under dest."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev], check=True,
@@ -139,6 +159,7 @@ def main(argv=None) -> int:
     end_to_end = benchmark["end_to_end"]
     args = parse_args(argv, [w["name"] for w in benchmark["workloads"]])
     runs = {w: {"parent": [], "change": []} for w in args.workload}
+    ops = {w: {"parent": [0, 0], "change": [0, 0]} for w in args.workload}
     failures = []
     scratch = tempfile.mkdtemp(prefix="bench_pairs-")
     try:
@@ -150,6 +171,8 @@ def main(argv=None) -> int:
                 values = {}
                 for side in side_order(pair):
                     result = run_once(trees[side], workload, args.seed, benchmark["run_seconds"])
+                    ops[workload][side][0] += result["attempted"]
+                    ops[workload][side][1] += result["failed"]
                     values[side] = {name: entry["value"]
                                     for name, entry in result["metrics"].items()}
                     print(f"{workload} pair {pair} {side}: {json.dumps(values[side])}",
@@ -162,6 +185,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print(format_rows(summarize(runs, end_to_end)))
+    print(format_operations(ops))
     for failure in failures:
         print(f"FAILED RUN: {failure}")
     return 1 if failures else 0
