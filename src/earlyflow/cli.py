@@ -92,6 +92,7 @@ def cmd_extract(args) -> int:
     all_flows.sort(key=flow_order)
     join_labels(all_flows, rules)
     samples = extract_mts(all_flows)
+    del all_flows   # the samples keep only the flushed blocks' timestamp columns
     write_dataset(samples, args.out)
     print(f"flows={len(samples)} packets={packets} skipped={sum(skipped.values())}")
     print("skipped by reason: " + " ".join(f"{k}={n}" for k, n in skipped.items()),

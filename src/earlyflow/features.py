@@ -8,10 +8,11 @@ metadata, series.csv holds the long-format feature rows with 9 fractional
 digits. The series columns are named after the sample width: FEATURE_NAMES
 at the extractor's 13, feature_0 ... feature_{d-1} at any other width d.
 
-extract_mts turns a list of flows into samples in one pass: it gathers the
-flows' packet columns (pcap.PacketBlock) into one block, builds the (N, 13)
-feature array of all N packets from those columns at once, and gives each
-sample its slice; no Python object is made per packet. write_dataset
+extract_mts turns a list of flows into samples in one pass: it builds the
+(N, 13) feature array of the N packets of the flushed packet columns
+(pcap.PacketBlock) at once, reading each flow's rows where FlowTable.flush
+left them, and gives each sample its slice; no Python object is made per
+packet and the columns are not copied into flow order. write_dataset
 formats series rows in chunks of whole flows, each by one row template
 whose per-column formats are chosen from the chunk's cells, so only
 non-integral cells pay for '%.9f'. One long-format
@@ -37,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .flows import flow_packets
-from .pcap import TCP_FLAG_NAMES, flag_bits, ip_to_str
+from .pcap import TCP_FLAG_NAMES, ip_to_str
 
 FEATURE_NAMES = ["direction", "iat_seconds", "bytes", *(f"flag_{n}" for n in TCP_FLAG_NAMES)]
 NUM_FEATURES = len(FEATURE_NAMES)
@@ -93,38 +94,46 @@ def extract_mts(flows) -> list:
     the feature vector of packet i; the first IAT entry is 0. The flow id is
     initiator-responder-transport@start.
 
-    The (N, 13) feature array of all N packets is built in one pass over the
-    flows' packet columns (flows.flow_packets) and each sample takes its
-    slice: a packet's direction is +1 where its sender is its flow's first
-    packet's, the IAT column is one difference over the concatenated
-    timestamps (set to 0 where each flow starts), the flag columns are the
-    bits of the flag codes, and each endpoint address is formatted once."""
+    The (N, 13) feature array is built in one pass over the N rows of the
+    flows' packet columns where flush left them (flows.flow_packets), and
+    each sample is a slice of it: a packet's direction is +1 where its
+    sender is its flow's first packet's, the IAT column is one difference
+    over the timestamps (set to 0 where each flow starts), the flag columns
+    are filled one bit of the flag codes at a time, and each endpoint
+    address is formatted once."""
     flows = list(flows)
     if not flows:
         return []
-    packets, lengths = flow_packets(flows)
-    starts = np.cumsum(lengths) - lengths
+    packets, first, stop = flow_packets(flows)
     timestamps = packets.timestamp
-    values = np.empty((len(timestamps), NUM_FEATURES))
-    sender = (packets.src_hi, packets.src_lo, packets.src_port)
-    from_initiator = np.logical_and.reduce(
-        [column == np.repeat(column[starts], lengths) for column in sender])
+    n = len(timestamps)
+    # each flow's rows get its first row: the latest flow start at or before
+    # them, as the flows' rows are disjoint runs (rows of no flow are unused)
+    head = np.zeros(n, dtype=np.int64)
+    head[first] = first
+    np.maximum.accumulate(head, out=head)
+    from_initiator = np.ones(n, dtype=bool)
+    for column in (packets.src_hi, packets.src_lo, packets.src_port):
+        from_initiator &= column == column[head]
+    del head
+    values = np.empty((n, NUM_FEATURES))
     values[:, 0] = np.where(from_initiator, 1.0, -1.0)
-    values[1:, 1] = timestamps[1:] - timestamps[:-1]
-    values[starts, 1] = 0.0
+    np.subtract(timestamps[1:], timestamps[:-1], out=values[1:, 1])
+    values[first, 1] = 0.0
     values[:, 2] = packets.total_bytes
-    values[:, 3:] = flag_bits(packets.flag_code)
+    bits = len(TCP_FLAG_NAMES)
+    for j in range(bits):   # the first flag is the highest bit, as in pcap.flag_bits
+        values[:, 3 + j] = packets.flag_code >> (bits - 1 - j) & 1
     names = {ip: ip_to_str(ip) for ip in {ip for flow in flows
                                           for ip, _ in (flow.key.endpoint_a, flow.key.endpoint_b)}}
     samples = []
-    for flow, start, length in zip(flows, starts.tolist(), lengths.tolist()):
-        rows = slice(start, start + length)
+    for flow, start, end in zip(flows, first.tolist(), stop.tolist()):
         (src_ip, src_port), (dst_ip, dst_port) = flow.initiator, flow.responder
         src, dst, transport = names[src_ip], names[dst_ip], flow.key.transport.value
         samples.append(MtsSample(
             flow_id=f"{src}:{src_port}-{dst}:{dst_port}-{transport}@{flow.start_ts:.6f}",
-            values=values[rows],
-            timestamps=timestamps[rows],
+            values=values[start:end],
+            timestamps=timestamps[start:end],
             label=flow.label if flow.label is not None else "BENIGN",
             endpoints=(src, src_port, dst, dst_port, transport),
         ))

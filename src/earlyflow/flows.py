@@ -87,8 +87,11 @@ def flow_order(flow: Flow):
 
 
 def flow_packets(flows):
-    """(packets, lengths): one PacketBlock of every flow's packets, flow by
-    flow, and the int64 packet count of each flow."""
+    """(packets, first, stop): one PacketBlock holding the packets of every
+    flow, and int64 columns placing flow k at rows first[k]..stop[k]-1 of
+    it. The rows stay where flush left them, in key order: a lone table's
+    block is used as it is, and the blocks of several tables are
+    concatenated once."""
     offsets = {}        # id of a flushed table's block -> its first row below
     blocks, firsts, stops = [], [], []
     rows = 0
@@ -100,11 +103,8 @@ def flow_packets(flows):
             rows += len(flow.block.timestamp)
         firsts.append(offset + flow.first)
         stops.append(offset + flow.stop)
-    firsts = np.array(firsts, dtype=np.int64)
-    lengths = np.array(stops, dtype=np.int64) - firsts
-    starts = np.cumsum(lengths) - lengths
-    index = np.arange(lengths.sum()) + np.repeat(firsts - starts, lengths)
-    return PacketBlock.concat(blocks).take(index), lengths
+    return (PacketBlock.concat(blocks), np.array(firsts, dtype=np.int64),
+            np.array(stops, dtype=np.int64))
 
 
 class FlowTable:
@@ -138,7 +138,8 @@ class FlowTable:
 
     def flush(self) -> list:
         """Assign, emit and drop every packet added so far: the flows in
-        flow_order."""
+        flow_order. The packet and key columns are sorted one at a time, so
+        each unsorted column is freed as its sorted copy is made."""
         packets = PacketBlock.concat(self._blocks)
         self._blocks = []
         n = len(packets.timestamp)
@@ -148,13 +149,19 @@ class FlowTable:
         src = (packets.src_hi, packets.src_lo, packets.src_port)
         dst = (packets.dst_hi, packets.dst_lo, packets.dst_port)
         swap = _precedes(dst, src)
-        a_hi, a_lo, a_port, b_hi, b_lo, b_port = (
-            np.where(swap, y, x) for x, y in zip(src + dst, dst + src))
+        key = [np.where(swap, y, x) for x, y in zip(src + dst, dst + src)]
+        del src, dst, swap
         # (port b, transport) in one int64, tcp before udp as their names sort
-        key = (a_hi, a_lo, a_port, b_hi, b_lo, b_port << 1 | ~packets.tcp)
+        key[5] <<= 1
+        key[5] |= ~packets.tcp
         order = np.lexsort((packets.timestamp, *key[::-1]))
-        packets = packets.take(order)
-        key = [column[order] for column in key]
+        columns = list(packets)
+        del packets
+        for group in (key, columns):
+            for i in range(len(group)):
+                group[i] = group[i][order]
+        del order
+        packets = PacketBlock(*columns)
         ts = packets.timestamp
 
         new_key = np.zeros(n, dtype=bool)

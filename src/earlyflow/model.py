@@ -227,14 +227,19 @@ class BlockParams:
 
 
 class MdtModel:
-    def __init__(self, config: MdtConfig, seed: int):
+    def __init__(self, config: MdtConfig, seed: int, arrays=None):
+        """Parameters drawn from seed in parameter_layout order, or copied
+        from `arrays` (name -> array, as load_checkpoint reads them) without
+        a draw."""
         self.config = config
         self.seed = seed
         self.classes: tuple | None = None  # label order backing the head, set by training
         self.params: dict = {}
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if arrays is None else None
         for name, shape, init in parameter_layout(config):
-            if init == GLOROT:
+            if arrays is not None:
+                self.params[name] = param(np.array(arrays[name], dtype=np.float64))
+            elif init == GLOROT:
                 limit = math.sqrt(6.0 / (shape[0] + shape[1]))
                 self.params[name] = param(rng.uniform(-limit, limit, size=shape))
             else:
@@ -597,10 +602,9 @@ def load_checkpoint(path) -> MdtModel:
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"{path}: parameter {name} holds a non-finite value")
         offset += 8 * count
-    model = MdtModel(config, seed=seed)
+    model = MdtModel(config, seed=seed, arrays=arrays)
     if classes:
         model.classes = tuple(classes)
-    model.load_state(arrays)
     return model
 
 

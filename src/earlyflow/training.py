@@ -15,7 +15,6 @@ import ctypes
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,6 +292,8 @@ def sweep(config: MdtConfig, samples, specs, hp: Hyperparams, seed: int, jobs: i
     tasks = [(config, samples, spec, hp, seed) for spec in specs]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_run_sweep_point, tasks))
     else:

@@ -45,17 +45,45 @@ def test_summarize_fixed_numbers():
                                                           (130, 1.3)]]
     rows = bench_pairs.summarize({"ingest": {"parent": parent, "change": change}}, end_to_end)
     assert [row[:2] for row in rows] == [("ingest", "work_per_s"), ("ingest", "setup_s")]
-    _, _, unit, p_med, c_med, spread, won, pairs, worse, bound = rows[0]
-    assert (unit, p_med, c_med, won, pairs, bound) == ("1/s", 102.5, 110.0, 3, 4, 0.25)
+    _, _, unit, p_med, c_med, spread, won, pairs, worse, bound, word = rows[0]
+    assert (unit, p_med, c_med, won, pairs, bound, word) == ("1/s", 102.5, 110.0, 3, 4, 0.25, "")
     assert spread == pytest.approx(106.25 - 97.5)
     assert worse == pytest.approx((102.5 - 110.0) / 102.5)
-    _, _, _, p_med, c_med, spread, won, pairs, worse, _ = rows[1]
-    assert (c_med, won, pairs) == (1.0, 1, 4)   # the tie at 1.0 counts for neither
+    _, _, _, p_med, c_med, spread, won, pairs, worse, _, word = rows[1]
+    assert (c_med, won, pairs, word) == (1.0, 1, 4, "")   # the tie at 1.0 counts for neither
     assert p_med == pytest.approx(1.05)
     assert spread == pytest.approx(1.125 - 0.95)
     assert worse == pytest.approx((1.0 - 1.05) / 1.05)
     assert "3/4" in bench_pairs.format_rows(rows)
     assert bench_pairs.summarize({"ingest": {"parent": [], "change": []}}, end_to_end) == []
+
+
+def test_verdict_fixed_numbers():
+    parent = [66.0, 66.1, 66.0, 66.2, 66.1, 66.0, 66.3, 66.1, 66.0, 66.2]
+    assert bench_pairs.iqr(parent) == pytest.approx(0.175)
+    # 9 of 10 pairs won, the medians 7.05 apart: a resolved gain
+    change = [59.0, 59.1, 58.9, 59.2, 59.0, 59.3, 58.9, 59.0, 59.1, 66.5]
+    assert bench_pairs.verdict(parent, change, "lower", 0.1) == "resolved"
+    # 8 of 10 won: not resolved, and the parent's spread is within the bound
+    assert bench_pairs.verdict(parent, change[:8] + [66.5, 66.5], "lower", 0.1) == ""
+    # 9 of 10 won, but the medians are 0.1 apart, within the parent's IQR
+    assert bench_pairs.verdict(parent, [p - 0.1 for p in parent[:9]] + [67.0], "lower",
+                               0.1) == ""
+    # a parent IQR of 45% of its median exceeds a 0.25 bound
+    wide = [60.0, 140.0, 80.0, 120.0, 100.0, 70.0, 130.0, 100.0]
+    assert bench_pairs.iqr(wide) == pytest.approx(45.0)
+    assert bench_pairs.verdict(wide, [w * 0.95 for w in wide], "higher", 0.25) == "unresolved"
+    assert bench_pairs.verdict(wide, [w * 0.95 for w in wide], "higher", 0.5) == ""
+    # unless every change run beats every parent run
+    assert bench_pairs.verdict(wide, [141.0] * 8, "higher", 0.25) == ""
+    assert bench_pairs.verdict(wide, [141.0] * 7 + [100.0], "higher", 0.25) == "unresolved"
+    assert bench_pairs.verdict(wide, [150.0] * 8, "higher", 0.25) == "resolved"
+    lines = bench_pairs.format_rows(bench_pairs.summarize(
+        {"ingest": {"parent": [{"peak_rss_mb": p} for p in parent],
+                    "change": [{"peak_rss_mb": c} for c in change]}},
+        [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}])).splitlines()
+    assert lines[0].split()[-1] == "verdict"
+    assert lines[1].split()[-2:] == ["MB", "resolved"]
 
 
 def test_operations_fixed_numbers_mark_a_larger_failed_share():

@@ -103,13 +103,26 @@ def pooled_capture(rng, n_packets, n_hosts, n_ports, straggle):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150), st.integers(1, 3), st.integers(1, 3),
        st.floats(0.0, 0.5))
 def test_extract_mts_equals_per_packet_loop(seed, n_packets, n_hosts, n_ports, straggle):
-    """One pass over every flow of a random capture gives each flow the rows,
-    timestamps, endpoints and id of a per-flow oracle."""
+    """One pass over every flow of a random capture, over a shuffled subset
+    of them, and over the flows of two tables that split the capture gives
+    each flow the rows, timestamps, endpoints and id of a per-flow oracle.
+    The subset and the two tables leave flows that do not tile one block."""
+    rng = np.random.default_rng(seed)
+    records = pooled_capture(rng, n_packets, n_hosts, n_ports, straggle)
     table = FlowTable(window_secs=120.0)
-    for record in pooled_capture(np.random.default_rng(seed), n_packets, n_hosts, n_ports,
-                                 straggle):
+    for record in records:
         table.assign_packet(record)
     flows = table.flush()
+    check_against_oracle(flows)
+    check_against_oracle([flows[i] for i in rng.permutation(len(flows))[:rng.integers(len(flows))]])
+    tables = FlowTable(window_secs=120.0), FlowTable(window_secs=120.0)
+    for record in records:
+        tables[rng.integers(2)].assign_packet(record)
+    flows = tables[0].flush() + tables[1].flush()
+    check_against_oracle([flows[i] for i in rng.permutation(len(flows))])
+
+
+def check_against_oracle(flows):
     samples = extract_mts(flows)
     assert len(samples) == len(flows)
     for flow, sample in zip(flows, samples):

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -726,6 +729,35 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(model, b)
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.ckpt.bin").read_bytes() == (tmp_path / "b.ckpt.bin").read_bytes()
+
+
+# Loads the checkpoint argv[1] in a fresh process and runs one eval forward;
+# prints whether numpy.random got imported, then whether the parameters'
+# bytes, in parameter_layout order, are the blob's.
+LOAD_WITHOUT_DRAW = """
+import sys
+import numpy as np
+from earlyflow.model import forward_prefixes, load_checkpoint, parameter_layout
+model = load_checkpoint(sys.argv[1])
+logits, _ = forward_prefixes(model, [np.ones((5, model.config.d_in))])
+assert np.isfinite(logits).all()
+params = b"".join(model.params[name].data.astype("<f8").tobytes()
+                  for name, _, _ in parameter_layout(model.config))
+with open(sys.argv[1] + ".bin", "rb") as fh:
+    print("numpy.random" in sys.modules, params == fh.read())
+"""
+
+
+def test_load_checkpoint_draws_nothing(tmp_path):
+    # eval and latents processes only load a model: its parameters come from
+    # the blob, so numpy.random is never imported
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(MdtModel(toy_config(), seed=6), path)
+    package_root = os.path.dirname(os.path.dirname(model_module.__file__))
+    out = subprocess.run([sys.executable, "-c", LOAD_WITHOUT_DRAW, str(path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": package_root})
+    assert out.stdout.split() == ["False", "True"]
 
 
 def _edit_manifest(path, edit):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import platform
 import re
@@ -228,10 +229,20 @@ def test_sweep_pool_is_bounded_by_points_and_cpus(monkeypatch, jobs, cpus, size)
     specs = [PrefixSpec.by_count(n) for n in (2, 4, 8)]
     hp = Hyperparams(max_epochs=1)
     expected = sweep_rows(sweep(config, samples, specs, hp, seed=5, jobs=1))
-    monkeypatch.setattr(training, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(training.os, "cpu_count", lambda: cpus)
     assert sweep_rows(sweep(config, samples, specs, hp, seed=5, jobs=jobs)) == expected
     assert sizes == ([] if size is None else [size])
+
+
+def test_import_loads_no_process_pool():
+    # sweep imports its process pool only when it builds one
+    package_root = os.path.dirname(os.path.dirname(training.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, earlyflow; print(*sorted(m for m in "
+         "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": package_root})
+    assert out.stdout.split() == []
 
 
 def test_sweep_duration_mode():

@@ -14,12 +14,20 @@ only run, never edited.
 
 For each workload and each end-to-end metric of BENCHMARK.json the script
 prints both medians, the parent's interquartile range, the change's wins
-over the pairs (ties count for neither), and how much worse the change's
+over the pairs (ties count for neither), how much worse the change's
 median is than the parent's, as a fraction of the parent's, next to the
-metric's bound. Under the table it prints the failed and attempted
-operations summed per workload and side, marking a workload WORSE when the
-change's failed share exceeds the parent's. Runs whose checks failed or
-whose operations failed are listed last.
+metric's bound, and a verdict:
+  resolved    the change wins at least CLAIM_WIN_SHARE of the pairs and its
+              median is better than the parent's by more than the parent's
+              interquartile range, so a gain on this metric may be claimed;
+  unresolved  the parent's interquartile range, as a share of its median,
+              exceeds the metric's bound, so these runs cannot show that the
+              change is no worse; unless every run of the change reads
+              better than every run of the parent.
+Under the table it prints the failed and attempted operations summed per
+workload and side, marking a workload WORSE when the change's failed share
+exceeds the parent's. Runs whose checks failed or whose operations failed
+are listed last.
 """
 
 from __future__ import annotations
@@ -34,6 +42,9 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+
+# share of the pairs a change must win for a gain to count as resolved
+CLAIM_WIN_SHARE = 0.9
 
 
 def iqr(values) -> float:
@@ -61,6 +72,23 @@ def worse_by(parent_median, change_median, better) -> float:
     return diff / abs(parent_median)
 
 
+def verdict(parent, change, better, bound) -> str:
+    """'resolved', 'unresolved' or '' for one metric's runs in pair order
+    (see the module docstring)."""
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    spread = iqr(parent)
+    gain = c_med - p_med if better == "higher" else p_med - c_med
+    if wins(parent, change, better) >= CLAIM_WIN_SHARE * len(parent) and gain > spread:
+        return "resolved"
+    if better == "higher":
+        every_run_better = min(change) > max(parent)
+    else:
+        every_run_better = max(change) < min(parent)
+    if spread > bound * abs(p_med) and not every_run_better:
+        return "unresolved"
+    return ""
+
+
 def side_order(pair: int) -> tuple:
     """Which side runs first in pair `pair`: the parent on even pairs."""
     return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -70,7 +98,7 @@ def summarize(runs, end_to_end) -> list:
     """One row per (workload, metric) from runs[workload][side], the metric
     dicts of each side in pair order: (workload, metric, unit, parent
     median, change median, parent IQR, change wins, pairs, worse_by,
-    bound)."""
+    bound, verdict)."""
     rows = []
     for workload, sides in runs.items():
         pairs = len(sides["parent"])
@@ -83,16 +111,18 @@ def summarize(runs, end_to_end) -> list:
             p_med, c_med = statistics.median(parent), statistics.median(change)
             rows.append((workload, name, metric["unit"], p_med, c_med, iqr(parent),
                          wins(parent, change, better), pairs,
-                         worse_by(p_med, c_med, better), metric["bound"]))
+                         worse_by(p_med, c_med, better), metric["bound"],
+                         verdict(parent, change, better, metric["bound"])))
     return rows
 
 
 def format_rows(rows) -> str:
     out = [f"{'workload':<15} {'metric':<12} {'parent':>12} {'change':>12} "
-           f"{'parent IQR':>11} {'wins':>6} {'worse by':>9} {'bound':>6}"]
-    for workload, name, unit, p_med, c_med, spread, won, pairs, worse, bound in rows:
+           f"{'parent IQR':>11} {'wins':>6} {'worse by':>9} {'bound':>6} {'unit':<6} verdict"]
+    for workload, name, unit, p_med, c_med, spread, won, pairs, worse, bound, word in rows:
         out.append(f"{workload:<15} {name:<12} {p_med:>12.4g} {c_med:>12.4g} "
-                   f"{spread:>11.4g} {f'{won}/{pairs}':>6} {worse:>+9.3f} {bound:>6}  {unit}")
+                   f"{spread:>11.4g} {f'{won}/{pairs}':>6} {worse:>+9.3f} {bound:>6} "
+                   f"{unit:<6} {word}".rstrip())
     return "\n".join(out)
 
 
