@@ -18,10 +18,13 @@ whose per-column formats are chosen from the chunk's cells, so only
 non-integral cells pay for '%.9f'. One long-format
 reader, read_dataset, reads both the extractor layout and external series
 (training.load_external_mts adds a profile check): it takes d from the
-series header, parses series.csv in blocks of BLOCK_ROWS records, each
-read by one quote-aware np.loadtxt call (ids and numbers together) into a
-table that grows block by block, and groups rows by id with one stable
-sort, the same for every row order.
+series header and parses series.csv in blocks of BLOCK_ROWS records, each
+read by one quote-aware np.loadtxt call (ids and numbers together) and
+appended to the columns the samples are sliced from: each row's series,
+seq_index, a contiguous (rows, d) values array and rel_ts, each grown in
+place. A file whose rows are grouped in flows.csv order, as write_dataset
+writes them, is sliced as read; only interleaved rows pay one stable sort
+and one gather, so either way the samples are the same bytes.
 """
 
 from __future__ import annotations
@@ -293,12 +296,11 @@ def read_dataset(directory) -> list:
     # each row's series is its id's position in flows.csv
     position = {entry[0]: k for k, entry in enumerate(entries)}
     try:
-        header, series, table, non_finite, unknown = _read_series(series_path, position)
+        header, series, seq, values, rel, non_finite, unknown = _read_series(series_path, position)
     except UnicodeDecodeError as exc:
         # its byte position counts from the start of a decoded chunk, not of the file
         raise DatasetFormatError(f"{series_path}: not UTF-8 text ({exc.reason})") from None
-    has_rel = header[-1] == "rel_ts"
-    d = len(header) - 2 - has_rel
+    d = values.shape[1]
     if extractor and header != series_header(len(header) - 3):
         raise DatasetFormatError(f"{series_path}: unexpected header")
     if d < 1:
@@ -308,13 +310,11 @@ def read_dataset(directory) -> list:
     if unknown is not None:
         raise DatasetFormatError(f"{series_path}: unknown {header[0]} {unknown}")
 
-    # one stable sort puts each series' rows together in file order, every
-    # check runs over all rows at once, and each sample is a slice of one
-    # gather
-    order = np.argsort(series, kind="stable")
+    # each series' rows together in file order: as read when the file groups
+    # them in flows.csv order, else one stable sort and one gather; every
+    # check runs over all rows at once, and each sample is a slice
     counts = np.bincount(series, minlength=len(entries))
     starts = np.cumsum(counts) - counts
-    index = np.arange(len(order)) - np.repeat(starts, counts)   # position within the series
     # num_packets is any Python int, so the extractor's counts compare as objects
     expected = np.array([entry[4] for entry in entries], dtype=object) if extractor else counts
     wrong = np.flatnonzero((counts != expected) | (counts == 0))
@@ -325,19 +325,36 @@ def read_dataset(directory) -> list:
             raise DatasetFormatError(
                 f"{series_path}: {n} series rows for {flow_id!r}, metadata says {expected[k]}")
         raise DatasetFormatError(f"{series_path}: no rows for {flow_id!r}")
-    gaps = np.flatnonzero(table[order, 0] != index)
+    if (series[1:] < series[:-1]).any():
+        order = np.argsort(series, kind="stable")
+        series, seq = series[order], seq[order]
+    else:
+        order = None
+    # each row's position within its series: 1 per row, restarting at 0 at
+    # each series' first row (every series has one)
+    index = np.ones(len(series), dtype=np.intp)
+    index[:1] = 0
+    index[starts[1:]] = 1 - counts[:-1]
+    np.cumsum(index, out=index)
+    gaps = np.flatnonzero(seq != index)
     if len(gaps):
         raise DatasetFormatError(f"{series_path}: seq_index not contiguous from 0 "
-                                 f"in the series of {entries[series[order[gaps[0]]]][0]!r}")
-    values = table[order, 1:1 + d]
-    times = table[order, -1] if has_rel else index.astype(np.float64)
-    del table   # the samples are views of values and times alone
-    if has_rel:
+                                 f"in the series of {entries[series[gaps[0]]][0]!r}")
+    del seq
+    if rel is None:
+        times = index.astype(np.float64)
+    else:
+        times = rel if order is None else rel[order]
+        del rel
         falls = np.flatnonzero((times[1:] < times[:-1]) & (index[1:] > 0))
         if len(falls):
-            flow_id = entries[series[order[falls[0] + 1]]][0]
+            flow_id = entries[series[falls[0] + 1]][0]
             raise DatasetFormatError(
                 f"{series_path}: rel_ts decreases within the series of {flow_id!r}")
+    del series, index
+    if order is not None:
+        values = values[order]
+        del order
     if extractor:
         times += np.repeat([entry[3] for entry in entries], counts)
     return [MtsSample(flow_id=flow_id, values=values[a:b], timestamps=times[a:b], label=label,
@@ -394,27 +411,33 @@ def _first_duplicate(ids):
 
 
 def _read_series(path, position):
-    """series.csv -> (header, series, table, non_finite, unknown): the
-    header; each row's series, the position of its id in `position` (-1 for
-    an id it lacks); the float64 table of the columns after the id; and the
-    ids of the first row holding a non-finite cell and of the first row
-    whose id `position` lacks, each None when there is no such row.
+    """series.csv -> (header, series, seq, values, rel, non_finite,
+    unknown): the header; each row's series, the position of its id in
+    `position` (-1 for an id it lacks); its seq_index cell; the (rows, d)
+    array of its d feature cells; its rel_ts cell, or None without a rel_ts
+    column; and the ids of the first row holding a non-finite cell and of
+    the first row whose id `position` lacks, each None when there is no
+    such row.
 
     After csv.reader takes the header, np.loadtxt reads blocks of
     BLOCK_ROWS records from one iterator over the file's lines, so only one
     block is held at a time. Its tokenizer unquotes ids as csv.reader does
     (doubled quotes, quoted commas and line ends, CR line ends) and takes
     just the lines of whole records, so a quoted id may span two blocks;
-    its numbers are the same doubles as float(). Each block is appended to
-    a table that grows block by block."""
+    its numbers are the same doubles as float(). Each block's cells are
+    appended to the four columns, each grown in place, so no table of every
+    cell is held beside them."""
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
         if len(header) < 3 or header[0] not in ("flow_id", "series_id") \
                 or header[1] != "seq_index":
             raise DatasetFormatError(f"{path}: header must start with flow_id/series_id,seq_index")
         width = len(header) - 1
+        has_rel = header[-1] == "rel_ts"
+        d = width - 1 - has_rel
         lines = _blank_checked(fh, path, len(header))
-        table, series = np.zeros((0, width)), np.zeros(0, np.intp)
+        series, seq, values = np.zeros(0, np.intp), np.zeros(0), np.zeros((0, d))
+        rel = np.zeros(0) if has_rel else None
         non_finite = unknown = None
         with warnings.catch_warnings():
             # the call after a last full block finds no rows
@@ -437,11 +460,13 @@ def _read_series(path, position):
                 if non_finite is None and not finite.all():
                     non_finite = ids[np.argmin(finite)]
                 # resize reallocates in place where it can: no copy of earlier blocks
-                table.resize((rows + n, width), refcheck=False)
-                table[rows:] = cells
-                series.resize(rows + n, refcheck=False)
-                series[rows:] = where
-    return header, series, table, non_finite, unknown
+                for column, part in ((series, where), (seq, cells[:, 0]),
+                                     (values, cells[:, 1:1 + d]), (rel, cells[:, -1])):
+                    if column is not None:
+                        column.resize((rows + n, *column.shape[1:]), refcheck=False)
+                        column[rows:] = part
+                del block, ids, cells, part   # before the next block is read
+    return header, series, seq, values, rel, non_finite, unknown
 
 
 def _blank_checked(fh, path, n_fields):

@@ -11,7 +11,7 @@ direction +1.
 
 FlowTable works on numpy columns (pcap.PacketBlock) and never builds an
 object per packet. assign_block stores a block after checking its order;
-flush concatenates the blocks and assigns every flow at once: one
+flush joins the blocks column by column and assigns every flow at once: one
 lexicographic compare orders each packet's endpoints into its key, one
 stable lexsort orders the packets by key, then timestamp, then arrival, and
 a binary search per window, run for all keys together, finds where each
@@ -138,13 +138,20 @@ class FlowTable:
 
     def flush(self) -> list:
         """Assign, emit and drop every packet added so far: the flows in
-        flow_order. The packet and key columns are sorted one at a time, so
-        each unsorted column is freed as its sorted copy is made."""
-        packets = PacketBlock.concat(self._blocks)
-        self._blocks = []
-        n = len(packets.timestamp)
-        if not n:
+        flow_order. The blocks are joined and the packet and key columns
+        sorted one column at a time, so each column's pieces are freed as
+        their joined copy is made, and each unsorted column as its sorted
+        copy is."""
+        if not self._blocks:
             return []
+        columns = [list(pieces) for pieces in zip(*self._blocks)]
+        self._blocks = []
+        for i, pieces in enumerate(columns):
+            columns[i] = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        del pieces
+        packets = PacketBlock(*columns)
+        del columns
+        n = len(packets.timestamp)
         # the key's endpoints in ascending (address, port) order
         src = (packets.src_hi, packets.src_lo, packets.src_port)
         dst = (packets.dst_hi, packets.dst_lo, packets.dst_port)
@@ -184,13 +191,14 @@ class FlowTable:
             return zip(ips_from_words(hi[first], lo[first]), port[first].tolist())
 
         tcp = packets.tcp[first].tolist()
+        key_a, key_b = endpoints(*key[:3]), endpoints(key[3], key[4], key[5] >> 1)
+        del key   # the flows are built from their keys' first rows alone
         return [
             Flow(FlowKey(endpoint_a, endpoint_b, Transport.TCP if is_tcp else Transport.UDP,
                          index),
                  initiator, start_ts, end_ts, packets, i, j)
             for endpoint_a, endpoint_b, is_tcp, index, initiator, start_ts, end_ts, i, j in zip(
-                endpoints(*key[:3]), endpoints(key[3], key[4], key[5] >> 1), tcp,
-                window_index.tolist(),
+                key_a, key_b, tcp, window_index.tolist(),
                 endpoints(packets.src_hi, packets.src_lo, packets.src_port),
                 ts[first].tolist(), ts[stop - 1].tolist(), first.tolist(), stop.tolist())
         ]

@@ -11,7 +11,6 @@ bit-identical.
 from __future__ import annotations
 
 import csv
-import ctypes
 import math
 import numbers
 import os
@@ -23,15 +22,11 @@ from .autodiff import backward, cross_entropy, scale, zero_grad
 from .earliness import PrefixSpec, aggregate_earliness, prefix_length, take_prefix
 from .features import DatasetFormatError, read_dataset
 from .metrics import Metrics, compute_metrics
-from .model import MdtConfig, MdtModel, check_int_fields, forward, forward_prefixes, length_buckets
+from .model import (MdtConfig, MdtModel, check_int_fields, forward, forward_prefixes,
+                    keep_freed_heap, length_buckets)
 
 SPLIT = (0.70, 0.15, 0.15)   # train, validation, test shares of each class
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD (malloc.h),
-# and the mmap threshold train sets: blocks below it come from the heap, and
-# up to twice it of freed heap is kept for reuse
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-HEAP_BLOCK_BYTES = 32 << 20
 
 
 @dataclass
@@ -156,33 +151,10 @@ def minibatch_gradients(model: MdtModel, prefixes, targets, weights, rng):
     return loss_sum, batch_w
 
 
-def _keep_freed_heap():
-    """Have glibc keep freed heap for the next minibatch (see
-    HEAP_BLOCK_BYTES); elsewhere than glibc this does nothing.
-
-    A minibatch allocates and frees a working set of many arrays, each far
-    smaller than the set (about 14 MB in all, none above 1 MB, at d_model
-    32, batch 32 and 17 positions). glibc's default thresholds follow the
-    largest block freed so far: it mmaps each block above the mmap
-    threshold and returns free heap beyond twice it to the OS. Unless the
-    process had freed a block of half the working set before, every
-    minibatch therefore faulted its pages in again: an 8-epoch train of 600
-    16-packet prefixes took 370k minor faults and 2.5 s, against 4k and
-    1.5 s with fixed thresholds (2-vCPU Xeon VM, BLAS at 1 thread)."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, HEAP_BLOCK_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, 2 * HEAP_BLOCK_BYTES)
-
-
 def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
           seed: int, verbose: bool = False) -> TrainResult:
     samples = list(samples)
-    _keep_freed_heap()
+    keep_freed_heap()
     classes = dataset_classes(samples)
     if len(classes) != model.config.n_classes:
         raise ValueError(

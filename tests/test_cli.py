@@ -8,14 +8,15 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earlyflow import earliness, training
+from earlyflow import earliness, features, training
 from earlyflow.cli import MODEL_KEYS, TRAINING_KEYS, main
-from earlyflow.features import MtsSample, write_dataset
+from earlyflow.features import MtsSample, read_dataset, write_dataset
 
 from gen_mts import separable_suite
 from gen_pcap import arp_frame, fragment_frame, icmp_frame, tcp_frame, udp_frame, write_pcap
@@ -177,12 +178,10 @@ def test_flows_never_span_capture_files(tmp_path, capsys):
     assert err.startswith("error: duplicate flow_id ") and err.count("\n") == 1
 
 
-def test_extract_peak_memory_per_packet(tmp_path, capsys):
-    # tracemalloc's peak over one extract of 20,000 packets in 500 flows:
-    # the flushed packet columns (about 81 bytes a packet) and the feature
-    # array (104) with no gathered copy of the columns beside them. Gathering
-    # the columns into flow order, as extract once did, peaks at about 385
-    # bytes a packet.
+def write_conversations(path):
+    """A capture of 500 conversations of 40 packets each, their packets
+    interleaved in time, every third conversation UDP; returns the packet
+    count."""
     frames = []
     for c in range(500):
         client, server = f"10.0.{c // 250}.{c % 250 + 1}", "10.1.0.1"
@@ -194,7 +193,17 @@ def test_extract_peak_memory_per_packet(tmp_path, capsys):
             back = udp_frame(server, 53, client, 1024 + c)
         frames += [(1000.0 + 0.5 * i + 0.001 * c, back if i % 2 else out) for i in range(40)]
     frames.sort(key=lambda frame: frame[0])
-    write_pcap(tmp_path / "capture.pcap", frames)
+    write_pcap(path, frames)
+    return len(frames)
+
+
+def test_extract_peak_memory_per_packet(tmp_path, capsys):
+    # tracemalloc's peak over one extract of 20,000 packets in 500 flows:
+    # the flushed packet columns (about 81 bytes a packet) and the feature
+    # array (104) with no gathered copy of the columns beside them. Gathering
+    # the columns into flow order, as extract once did, peaks at about 385
+    # bytes a packet.
+    packets = write_conversations(tmp_path / "capture.pcap")
     tracemalloc.start()
     try:
         assert run_cli("extract", "--pcap", tmp_path / "capture.pcap",
@@ -203,7 +212,27 @@ def test_extract_peak_memory_per_packet(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert "flows=500 packets=20000" in capsys.readouterr().out
-    assert peak <= 340 * len(frames)
+    assert peak <= 340 * packets
+
+
+def test_read_dataset_peak_memory_per_byte_returned(tmp_path):
+    # tracemalloc's peak over one read_dataset of an extract of 20,000
+    # packets in 500 flows, read in blocks of 2,048 rows, as a multiple of
+    # the values and timestamps it returns: about 1.42, the columns the
+    # samples are sliced from with each row's series and seq_index beside
+    # them, one block of rows, and the metadata. Reading a table of every
+    # cell and gathering the samples from it, as read_dataset once did,
+    # peaks at about 2.40.
+    write_conversations(tmp_path / "capture.pcap")
+    assert run_cli("extract", "--pcap", tmp_path / "capture.pcap", "--out", tmp_path / "out") == 0
+    with mock.patch.object(features, "BLOCK_ROWS", 2048):
+        tracemalloc.start()
+        try:
+            samples = read_dataset(tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.6 * sum(s.values.nbytes + s.timestamps.nbytes for s in samples)
 
 
 @pytest.fixture

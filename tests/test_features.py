@@ -456,6 +456,62 @@ def test_reader_same_bits_for_any_merge_of_series_rows(samples, data, block_rows
         assert_bit_equal(merged, naive_read_long_format(tmp))
 
 
+def break_rows(series_path, faults):
+    """Apply faults to a series.csv whose rows are grouped by id: each is
+    (kind, k, r) for row r (modulo its length) of the k-th id (modulo their
+    number). "count" drops the row, "seq_index" sets its seq_index to 999,
+    and "rel_ts" sets its rel_ts below the row's before it (row 0 is left
+    as it is)."""
+    lines = series_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = {}
+    for i, line in enumerate(lines[1:], start=1):
+        rows.setdefault(next(csv.reader([line]))[0], []).append(i)
+    groups, width = list(rows.values()), len(lines[0].split(","))
+    dropped = set()
+    for kind, k, r in faults:
+        group = groups[k % len(groups)]
+        i = group[r % len(group)]
+        # the numeric cells hold no comma, so they split off the id from the right
+        cells = lines[i].rstrip("\n").rsplit(",", width - 1)
+        if kind == "count":
+            dropped.add(i)
+        elif kind == "seq_index":
+            cells[1] = "999"
+        elif i != group[0]:
+            cells[-1] = "-1.000000000"
+        lines[i] = ",".join(cells) + "\n"
+    series_path.write_text("".join(line for i, line in enumerate(lines) if i not in dropped),
+                           encoding="utf-8")
+
+
+def read_outcome(directory):
+    """read_dataset's samples as comparable tuples, or its error message."""
+    try:
+        return [(s.flow_id, s.label, s.endpoints, s.values.shape, s.values.tobytes(),
+                 s.timestamps.tobytes()) for s in read_dataset(directory)]
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
+FAULTS = st.lists(st.tuples(st.sampled_from(["count", "seq_index", "rel_ts"]),
+                            st.integers(0, 3), st.integers(0, 39)), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample_sets(), FAULTS, st.data(), BLOCK_SIZES)
+def test_any_merge_of_series_rows_reads_or_fails_as_grouped(samples, faults, data, block_rows):
+    # a file grouped in flows.csv order is read without a gather, a merge of
+    # its rows through one; both give the same bytes or the same first error
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(features, "BLOCK_ROWS", block_rows):
+        write_dataset(samples, tmp)
+        path = Path(tmp, "series.csv")
+        break_rows(path, faults)
+        grouped = read_outcome(tmp)
+        merge_rows(path, lambda picks: data.draw(st.permutations(picks)))
+        assert read_outcome(tmp) == grouped
+
+
 def write_external(directory, series, rel_ts):
     """External layout: series_id/label metadata, optional rel_ts column."""
     d = series[0][1].shape[1]

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -758,6 +759,36 @@ def test_load_checkpoint_draws_nothing(tmp_path):
                          capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": package_root})
     assert out.stdout.split() == ["False", "True"]
+
+
+# Repeated graph-free forwards of one length-200 prefix in a fresh process
+# that has freed no large block; prints the minor page faults of the last
+# ten. Each forward allocates and frees a first-block score buffer of 2.6 MB
+# (8 heads of 201 x 201 cells).
+REPEATED_FORWARD_FAULTS = """
+import resource
+import numpy as np
+from earlyflow.model import MdtConfig, MdtModel, predict
+model = MdtModel(MdtConfig(d_in=13, n_classes=3, d_model=32, n_heads=4, d_ff=64, max_len=200),
+                 seed=0)
+x = np.random.default_rng(1).standard_normal((200, 13))
+predict(model, x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    predict(model, x)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator thresholds")
+def test_repeated_eval_forwards_reuse_freed_pages():
+    # under glibc's default thresholds these ten forwards hand freed pages
+    # back to the OS and fault them in again (about 850 faults); forward_prefixes
+    # keeps freed heap, and they fault in almost none
+    package_root = os.path.dirname(os.path.dirname(model_module.__file__))
+    out = subprocess.run([sys.executable, "-c", REPEATED_FORWARD_FAULTS], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": package_root})
+    assert int(out.stdout) < 200
 
 
 def _edit_manifest(path, edit):
