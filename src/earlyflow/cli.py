@@ -9,6 +9,7 @@ input or configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -73,6 +74,16 @@ def _write_rows(rows, path):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(out)
+
+
+@contextlib.contextmanager
+def _naming_checkpoint(ckpt):
+    """Name the checkpoint ckpt in a numeric fault of the forwards run inside
+    (forward_prefixes raises FloatingPointError on overflow)."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise CliError(f"{ckpt}: forward pass failed: {exc}") from None
 
 
 def cmd_extract(args) -> int:
@@ -143,7 +154,8 @@ def cmd_eval(args) -> int:
     if len(classes) != model.config.n_classes:
         raise CliError("checkpoint class count does not match the dataset")
     subset = _select_split(samples, args.split, args.seed)
-    metrics, mean_e, mean_de = evaluate(model, subset, spec, classes)
+    with _naming_checkpoint(args.ckpt):
+        metrics, mean_e, mean_de = evaluate(model, subset, spec, classes)
     point = SweepPoint(spec=spec, mean_earliness=mean_e,
                        mean_duration_earliness=mean_de, metrics=metrics)
     _write_rows(sweep_rows([point]), args.out)
@@ -173,7 +185,8 @@ def cmd_latents(args) -> int:
     samples = _load_samples(args)
     model = load_checkpoint(args.ckpt)
     spec = _prefix_spec(args)
-    export_latents(model, samples, spec, args.out)
+    with _naming_checkpoint(args.ckpt):
+        export_latents(model, samples, spec, args.out)
     print(f"wrote {args.out} rows={len(samples)} width={model.config.d_model}")
     return 0
 
@@ -270,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 INVALID_INPUT_ERRORS = (
     CliError, CaptureError, LabelRuleError, OrderingError, DatasetFormatError, ValueError,
+    FloatingPointError,
 )
 
 

@@ -5,6 +5,12 @@ uses the conjugate kernel scaled by 1/n, so ifft(fft(x)) == x. Every length
 runs as one product with a cached (n, n) kernel matrix, so no input ever
 needs padding. real_dft_kernel gives the forward transform of real input as
 one real matrix, for callers that fold it into other matmuls.
+
+Each kernel cache keeps what one model forward reuses, and no more: a
+forward at prefix length L needs _dft_matrix(d_in) and _dft_matrix(L) for
+its input widening and one real_dft_kernel(L + 1) that every encoder block
+shares. Ragged eval moves to a new length with nearly every forward, so
+older kernels would only be held, never hit again.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-# Kernels each lru_cache below keeps; model.DFT_CACHE_CELL_VALUES charges them.
-KERNEL_CACHE_SIZE = 8
+# Kernels each lru_cache below keeps (see the module docstring);
+# model.DFT_CACHE_CELL_VALUES charges them.
+KERNEL_CACHE_SIZE = 2
 
 
 def _angle_table(n: int):
@@ -32,8 +39,10 @@ def _angle_table(n: int):
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _dft_matrix(n: int, sign: int) -> np.ndarray:
     """Read-only (n, n) kernel exp(sign*2*pi*i*j*k/n), gathered from an
-    n-entry table. The cache is small on purpose: a kernel for n = 512 is
-    4 MB, and callers that see many lengths only reuse the recent ones.
+    n-entry table. The cache keeps two kernels, the two that the inverse 2D
+    transform of one (length, d_in) prefix uses: one for its feature axis
+    and one for its sequence axis. A kernel for n = 512 is 4 MB, and ragged
+    eval rarely comes back to an older length before it is evicted.
     """
     cos, sin, jk = _angle_table(n)
     table = np.empty(n, dtype=np.complex128)

@@ -99,8 +99,8 @@ BLOCK_ROW_FF_VALUES = 4
 # (2 * n_heads, T, T) scores are kept for backward.
 ATTENTION_CELL_VALUES = 8
 FULL_ATTENTION_HEAD_CELL_VALUES = 6
-# Values per cell of the kernels fourier's two lru_caches (KERNEL_CACHE_SIZE
-# kernels of at most 2 * T^2 values each) keep, the current forward's among them.
+# Values per cell of the kernels fourier's two lru_caches keep: KERNEL_CACHE_SIZE
+# kernels of at most 2 * T^2 values each, what one forward reuses (see fourier).
 DFT_CACHE_CELL_VALUES = 2 * KERNEL_CACHE_SIZE * 2
 # init of a parameter_layout entry drawn uniformly in +-sqrt(6 / (rows + cols))
 GLOROT = "glorot"
@@ -554,12 +554,14 @@ def keep_freed_heap():
 def forward_prefixes(model: MdtModel, prefixes):
     """Eval-mode logits (n, n_classes) and latents (n, d_model) as arrays,
     in input order, for ragged (l, d_in) prefixes run as length buckets,
-    on a heap that keeps its freed pages (keep_freed_heap)."""
+    on a heap that keeps its freed pages (keep_freed_heap). An overflow,
+    invalid or divide-by-zero operation raises FloatingPointError; underflow
+    stays silent, as the softmax relies on it."""
     keep_freed_heap()
     c = model.config
     logits = np.empty((len(prefixes), c.n_classes))
     latents = np.empty((len(prefixes), c.d_model))
-    with ad.no_grad():
+    with ad.no_grad(), np.errstate(over="raise", invalid="raise", divide="raise"):
         for group in length_buckets([len(p) for p in prefixes]):
             group_logits, group_latents = forward(model, np.stack([prefixes[i] for i in group]))
             logits[group] = group_logits.data

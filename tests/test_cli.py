@@ -764,6 +764,26 @@ def test_nonfinite_checkpoint_exit_2_one_line(tmp_path, tiny_dataset, tiny_check
         assert err == f"error: {ckpt}: parameter blocks.0.ff.w1 holds a non-finite value\n"
 
 
+def test_overflowing_checkpoint_exit_2_one_line(tmp_path, tiny_dataset, tiny_checkpoint, capsys):
+    # a finite weight of 1e308 overflows the first product it enters; the
+    # forward raises on it at once, and the one line names the checkpoint
+    blob = np.fromfile(f"{tiny_checkpoint}.bin", dtype="<f8")
+    blob[0] = 1e308     # input_proj.weight[0, 0]
+    ckpt = tmp_path / "model.ckpt"
+    shutil.copyfile(tiny_checkpoint, ckpt)
+    blob.tofile(f"{ckpt}.bin")
+    for command in ("eval", "latents"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(command, "--data", tiny_dataset, "--ckpt", ckpt, "--prefix-packets", 4,
+                           "--out", tmp_path / "out.csv") == 2
+        err = capsys.readouterr().err
+        assert not caught, [str(w.message) for w in caught]
+        assert re.fullmatch(rf"error: {re.escape(str(ckpt))}: forward pass failed: "
+                            r"overflow encountered in \w+\n", err), err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @settings(max_examples=60)
 @given(st.data())
 def test_eval_and_latents_any_manifest_exit_cleanly(tiny_dataset, tiny_checkpoint, data):

@@ -611,6 +611,8 @@ def test_parameter_layout_is_the_model_and_config_values_counts_it(
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([1, 2, 4, 8]), st.integers(1, 8), st.integers(1, 6), st.integers(1, 4),
        st.integers(1, 96), st.integers(1, 13), st.booleans())
+# narrow and long: the DFT kernels are the largest share of the charge
+@example(1, 1, 1, 1, 400, 13, True)
 def test_config_values_bound_a_training_step(n_heads, head_width, n_blocks, ff_factor, max_len,
                                              d_in, use_freq):
     # tracemalloc's peak over MdtModel and one training forward and backward
@@ -663,6 +665,57 @@ def test_dft_cache_charge_covers_every_cached_kernel():
     # each cached kernel holds at most 2 * T^2 float64 values (complex n x n or real 2n x n)
     caches = (fourier._dft_matrix, fourier.real_dft_kernel)
     assert DFT_CACHE_CELL_VALUES == sum(2 * cache.cache_info().maxsize for cache in caches)
+
+
+def clear_kernel_caches():
+    fourier._dft_matrix.cache_clear()
+    fourier.real_dft_kernel.cache_clear()
+
+
+def test_kernel_caches_miss_once_per_kernel_in_training_and_ragged_eval():
+    # a fixed-length train builds its three kernels once: the inverse
+    # kernels of the feature and sequence axes, and the real kernel every
+    # block shares. Ragged eval builds one real kernel per length group and
+    # reuses it in the group's other blocks, and builds one inverse kernel
+    # per length next to the feature axis's, which every group reuses.
+    config = toy_config(d_in=4, n_blocks=3, max_len=12)
+    rng = np.random.default_rng(0)
+    samples = [MtsSample(flow_id=f"s{i}", values=rng.normal(size=(10, 4)),
+                         timestamps=np.arange(10, dtype=np.float64), label=f"c{i % 3}")
+               for i in range(24)]
+    clear_kernel_caches()
+    train(MdtModel(config, seed=0), samples, PrefixSpec(BY_COUNT, packet_count=6),
+          Hyperparams(batch_size=8, max_epochs=2), seed=0)
+    assert fourier.real_dft_kernel.cache_info().misses == 1
+    assert fourier._dft_matrix.cache_info().misses == 2
+    lengths = [5, 9, 5, 3, 11, 9, 7, 3]     # none is d_in
+    groups = len(set(lengths))
+    clear_kernel_caches()
+    forward_prefixes(MdtModel(config, seed=1), [rng.normal(size=(n, 4)) for n in lengths])
+    real, inverse = fourier.real_dft_kernel.cache_info(), fourier._dft_matrix.cache_info()
+    assert (real.misses, real.hits) == (groups, groups * (config.n_blocks - 1))
+    assert (inverse.misses, inverse.hits) == (groups + 1, groups - 1)
+
+
+def test_ragged_eval_holds_two_kernels_per_cache_afterwards():
+    # tracemalloc's memory still held after forward_prefixes over 12 lengths
+    # of 200 to 244 packets, its results dropped: the kernel caches, which
+    # keep two kernels each, what one forward reuses, of at most 2 * T^2
+    # float64 values at the longest attention length T. About 0.74 of this
+    # bound; caches of eight kernels each held about 3.4 times it.
+    lengths = range(200, 248, 4)
+    model = MdtModel(toy_config(d_in=4, max_len=lengths[-1]), seed=0)
+    rng = np.random.default_rng(0)
+    prefixes = [rng.normal(size=(n, 4)) for n in lengths]
+    clear_kernel_caches()
+    tracemalloc.start()
+    try:
+        forward_prefixes(model, prefixes)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kernel_bytes = 8 * 2 * (lengths[-1] + 1) ** 2
+    assert held <= 2 * 2 * kernel_bytes     # two caches of two kernels
 
 
 def test_config_beyond_value_budget_rejected():
