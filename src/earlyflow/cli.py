@@ -56,10 +56,6 @@ def _load_config_file(path):
     return model_kwargs, train_kwargs
 
 
-def _load_samples(args):
-    return load_external_mts(args.data, expect=args.expect)
-
-
 def _prefix_spec(args) -> PrefixSpec:
     # the required mutually exclusive group sets exactly one of the two
     if args.prefix_packets is not None:
@@ -122,14 +118,13 @@ def _build_model_and_hp(args, samples, spec):
 
 
 def cmd_train(args) -> int:
-    samples = _load_samples(args)
+    samples = load_external_mts(args.data, expect=args.expect)
     if not samples:
         raise CliError("dataset is empty")
     spec = _prefix_spec(args)
     config, hp = _build_model_and_hp(args, samples, spec)
     model = MdtModel(config, seed=args.seed)
     result = train(model, samples, spec, hp, seed=args.seed, verbose=args.verbose)
-    model.classes = result.classes
     save_checkpoint(model, args.out)
     if args.history:
         write_history_csv(result.history, args.history)
@@ -147,7 +142,7 @@ def _select_split(samples, which, seed):
 
 
 def cmd_eval(args) -> int:
-    samples = _load_samples(args)
+    samples = load_external_mts(args.data, expect=args.expect)
     model = load_checkpoint(args.ckpt)
     spec = _prefix_spec(args)
     classes = model.classes or dataset_classes(samples)
@@ -163,7 +158,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    samples = _load_samples(args)
+    samples = load_external_mts(args.data, expect=args.expect)
     if not samples:
         raise CliError("dataset is empty")
     by_count = args.mode == BY_COUNT
@@ -182,7 +177,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_latents(args) -> int:
-    samples = _load_samples(args)
+    samples = load_external_mts(args.data, expect=args.expect)
     model = load_checkpoint(args.ckpt)
     spec = _prefix_spec(args)
     with _naming_checkpoint(args.ckpt):

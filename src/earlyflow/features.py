@@ -41,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .flows import flow_packets
-from .pcap import TCP_FLAG_NAMES, ip_to_str
+from .pcap import FLAG_SHIFTS, TCP_FLAG_NAMES, ip_to_str
 
 FEATURE_NAMES = ["direction", "iat_seconds", "bytes", *(f"flag_{n}" for n in TCP_FLAG_NAMES)]
 NUM_FEATURES = len(FEATURE_NAMES)
@@ -102,8 +102,8 @@ def extract_mts(flows) -> list:
     each sample is a slice of it: a packet's direction is +1 where its
     sender is its flow's first packet's, the IAT column is one difference
     over the timestamps (set to 0 where each flow starts), the flag columns
-    are filled one bit of the flag codes at a time, and each endpoint
-    address is formatted once."""
+    are filled one bit of the flag codes at a time, at the bits of
+    pcap.FLAG_SHIFTS, and each endpoint address is formatted once."""
     flows = list(flows)
     if not flows:
         return []
@@ -124,9 +124,8 @@ def extract_mts(flows) -> list:
     np.subtract(timestamps[1:], timestamps[:-1], out=values[1:, 1])
     values[first, 1] = 0.0
     values[:, 2] = packets.total_bytes
-    bits = len(TCP_FLAG_NAMES)
-    for j in range(bits):   # the first flag is the highest bit, as in pcap.flag_bits
-        values[:, 3 + j] = packets.flag_code >> (bits - 1 - j) & 1
+    for j, shift in enumerate(FLAG_SHIFTS.tolist()):
+        values[:, 3 + j] = packets.flag_code >> shift & 1
     names = {ip: ip_to_str(ip) for ip in {ip for flow in flows
                                           for ip, _ in (flow.key.endpoint_a, flow.key.endpoint_b)}}
     samples = []

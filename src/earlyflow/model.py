@@ -483,6 +483,7 @@ def forward(model: MdtModel, x, rng=None):
         raise ValueError(f"prefix length {length} exceeds max_len {c.max_len}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
+    keep_freed_heap()
 
     feats = ifft_augment(x) if c.use_frequency_heads else x
     z = ad.add_bias(ad.matmul(const(feats), model.input_w), model.input_b)
@@ -523,8 +524,9 @@ def length_buckets(lengths) -> list:
 def keep_freed_heap():
     """Have glibc keep freed heap for the next forward (see
     HEAP_BLOCK_BYTES), once per process; elsewhere than glibc this does
-    nothing. train and forward_prefixes call it, so evaluate, predict,
-    export_latents and validation run under it, but importing does not.
+    nothing. forward calls it, so training, evaluate, predict,
+    export_latents and a lone forward all run under it, but importing does
+    not.
 
     A training minibatch or an eval length group allocates and frees a
     working set of many arrays: about 14 MB, none above 1 MB, for a
@@ -553,11 +555,10 @@ def keep_freed_heap():
 
 def forward_prefixes(model: MdtModel, prefixes):
     """Eval-mode logits (n, n_classes) and latents (n, d_model) as arrays,
-    in input order, for ragged (l, d_in) prefixes run as length buckets,
-    on a heap that keeps its freed pages (keep_freed_heap). An overflow,
-    invalid or divide-by-zero operation raises FloatingPointError; underflow
-    stays silent, as the softmax relies on it."""
-    keep_freed_heap()
+    in input order, for ragged (l, d_in) prefixes run as length buckets.
+    An overflow, invalid or divide-by-zero operation raises
+    FloatingPointError; underflow stays silent, as the softmax relies on
+    it."""
     c = model.config
     logits = np.empty((len(prefixes), c.n_classes))
     latents = np.empty((len(prefixes), c.d_model))

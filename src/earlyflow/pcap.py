@@ -78,10 +78,6 @@ class Transport(enum.Enum):
     TCP = "tcp"
     UDP = "udp"
 
-    # Members are singletons that compare by identity; Enum.__hash__ hashes
-    # the name in Python, a call paid by every flow-key dict lookup.
-    __hash__ = object.__hash__
-
 
 class PacketRecord(NamedTuple):
     """One parsed packet, immutable. Addresses are 128-bit integers (IPv4
@@ -98,14 +94,15 @@ class PacketRecord(NamedTuple):
     capture_index: int
 
 
-# A flag vector as its 10-bit code: the bits in TCP_FLAG_NAMES order, first
-# flag highest.
-_FLAG_SHIFTS = np.arange(len(TCP_FLAG_NAMES) - 1, -1, -1)
+# The bit of each flag in a 10-bit flag code, in TCP_FLAG_NAMES order, first
+# flag highest: flag j is code >> FLAG_SHIFTS[j] & 1. The one owner of that
+# layout; extract_mts fills its flag columns from it.
+FLAG_SHIFTS = np.arange(len(TCP_FLAG_NAMES) - 1, -1, -1)
 
 
 def flag_bits(codes) -> np.ndarray:
     """(n, 10) 0/1 int64 flag vectors of n flag codes."""
-    return np.asarray(codes, dtype=np.int64)[:, None] >> _FLAG_SHIFTS & 1
+    return np.asarray(codes, dtype=np.int64)[:, None] >> FLAG_SHIFTS & 1
 
 
 # the flag tuple of each code, as PacketRecord.tcp_flags holds it
@@ -159,7 +156,7 @@ class PacketBlock(NamedTuple):
         return cls(np.array(ts, dtype=np.float64), *words(src), *words(dst),
                    np.array(sport, dtype=np.int64), np.array(dport, dtype=np.int64),
                    np.array([t is Transport.TCP for t in transport], dtype=bool),
-                   np.array(size, dtype=np.int64), flags @ (1 << _FLAG_SHIFTS),
+                   np.array(size, dtype=np.int64), flags @ (1 << FLAG_SHIFTS),
                    np.array(index, dtype=np.int64))
 
     @classmethod

@@ -23,7 +23,7 @@ from .earliness import PrefixSpec, aggregate_earliness, prefix_length, take_pref
 from .features import DatasetFormatError, read_dataset
 from .metrics import Metrics, compute_metrics
 from .model import (MdtConfig, MdtModel, check_int_fields, forward, forward_prefixes,
-                    keep_freed_heap, length_buckets)
+                    length_buckets)
 
 SPLIT = (0.70, 0.15, 0.15)   # train, validation, test shares of each class
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -53,7 +53,6 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    model: MdtModel
     history: list
     classes: tuple
     train_ids: list
@@ -83,8 +82,6 @@ class Adam:
         self.t += 1
         for i, p in enumerate(self.params):
             g = p.grad
-            if g is None:
-                continue
             self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
             self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
             m_hat = self.m[i] / (1 - ADAM_BETA1 ** self.t)
@@ -154,7 +151,6 @@ def minibatch_gradients(model: MdtModel, prefixes, targets, weights, rng):
 def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
           seed: int, verbose: bool = False) -> TrainResult:
     samples = list(samples)
-    keep_freed_heap()
     classes = dataset_classes(samples)
     if len(classes) != model.config.n_classes:
         raise ValueError(
@@ -179,7 +175,6 @@ def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
     rng = np.random.default_rng([seed, 202])
 
     best_f1 = -1.0
-    best_state = {k: v.copy() for k, v in model.state_arrays().items()}
     patience_left = hp.patience
     history = []
 
@@ -214,7 +209,8 @@ def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
                 break
 
     model.load_state(best_state)
-    return TrainResult(model=model, history=history, classes=classes,
+    model.classes = classes
+    return TrainResult(history=history, classes=classes,
                        train_ids=train_ids, val_ids=val_ids, test_ids=test_ids)
 
 

@@ -80,6 +80,16 @@ def test_zero_learning_rate_leaves_parameters_unchanged():
         assert np.array_equal(arr, before[name]), name
 
 
+def test_train_sets_the_class_order_of_the_head():
+    # train owns the class order: the model it returns carries the order its
+    # head was trained in, so a checkpoint saved from it names its classes
+    samples = separable_suite(1, n=20)
+    model = MdtModel(small_config(4, 2), seed=3)
+    assert model.classes is None
+    result = train(model, samples, PrefixSpec.by_count(6), Hyperparams(max_epochs=1), seed=3)
+    assert model.classes == result.classes == dataset_classes(samples)
+
+
 def test_separable_toy_loss_strictly_decreases_five_seeds():
     for seed in range(5):
         samples = separable_suite(seed, n=60)
