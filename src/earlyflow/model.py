@@ -30,7 +30,9 @@ path, which rounds differently from the same row of a wider product.
 Training and eval take this one path, so a forward that records a graph
 gives the bits of a graph-free one (predict, forward_prefixes) when no
 dropout is drawn. Logits can move by a few ulps from full attention at
-attention lengths past about 190.
+attention lengths past about 190. The head sums each row's products on its
+own (head_product), so one head serves every group size: a prefix gets the
+same logits alone (predict) as in any length group (evaluate).
 
 use_frequency_heads=False disables both the input widening and the frequency
 heads, giving the plain transformer ablation.
@@ -463,6 +465,21 @@ def encoder_block(z: Tensor, block: BlockParams, config: MdtConfig, rng=None,
     return block_tail(z, attended, block, config.dropout, rng)
 
 
+def head_product(latent: Tensor, w: Tensor) -> Tensor:
+    """latent @ w for a (batch, d_model) latent, as one autodiff node whose
+    row i has the bits of row i alone: each row's products are summed over
+    d_model by numpy, not by BLAS, whose (batch, d) @ (d, c) product rounds
+    by the number of rows. So a prefix gets the same logits in any length
+    group, alone too. The backward is matmul's."""
+    x, wd = latent.data, w.data
+
+    def bw(g):
+        _accum(latent, g @ wd.T)
+        _accum(w, x.T @ g)
+
+    return _node((x[:, :, None] * wd).sum(axis=1), (latent, w), bw)
+
+
 def forward(model: MdtModel, x, rng=None):
     """Run one prefix, or a stack of equal-length prefixes as one graph.
 
@@ -494,7 +511,7 @@ def forward(model: MdtModel, x, rng=None):
         last = i == len(model.blocks) - 1
         z = encoder_block(z, block, c, rng, HEAD_QUERIES if last else None)
     latent = ad.reshape(ad.slice_axis(z, 1, 0, 1), (batch, c.d_model))
-    logits = ad.add_bias(ad.matmul(latent, model.head_w), model.head_b)
+    logits = ad.add_bias(head_product(latent, model.head_w), model.head_b)
     if single:
         return ad.reshape(logits, (c.n_classes,)), ad.reshape(latent, (c.d_model,))
     return logits, latent

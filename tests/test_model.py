@@ -505,13 +505,54 @@ def test_forward_prefixes_head_rows_match_recorded_forward(use_freq):
         assert logits[group].tobytes() == want_logits.data.tobytes()
         assert latents[group].tobytes() == want_latents.data.tobytes()
     for i, x in enumerate(prefixes):
+        # a lone prefix, recorded or not, has the bits of its row in its group
         want_logits, want_latent = forward(model, x)
-        assert np.abs(logits[i] - want_logits.data).max() <= 1e-12
-        assert np.abs(latents[i] - want_latent.data).max() <= 1e-12
-        assert np.argmax(logits[i]) == np.argmax(want_logits.data)
-        # predict runs x alone: its latent has the bits of x's row here,
-        # and its class is that row's
-        assert forward_prefixes(model, [x])[1][0].tobytes() == latents[i].tobytes()
+        assert want_logits.data.tobytes() == logits[i].tobytes()
+        assert want_latent.data.tobytes() == latents[i].tobytes()
+        lone_logits, lone_latents = forward_prefixes(model, [x])
+        assert lone_logits[0].tobytes() == logits[i].tobytes()
+        assert lone_latents[0].tobytes() == latents[i].tobytes()
+        assert predict(model, x) == np.argmax(logits[i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.sampled_from([1, 2, 8, 16, 32, 64]), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_head_rows_have_the_bits_of_each_row_alone(rows, d_model, n_classes, seed):
+    # BLAS's (rows, d) @ (d, c) product rounds by the row count; the head's
+    # product must not, or a prefix's logits would depend on its group's size
+    rng = np.random.default_rng(seed)
+    latent = param(rng.normal(size=(rows, d_model)))
+    w = param(rng.normal(size=(d_model, n_classes)))
+    out = model_module.head_product(latent, w)
+    for i in range(rows):
+        alone = model_module.head_product(param(latent.data[i:i + 1]), w)
+        assert alone.data.tobytes() == out.data[i:i + 1].tobytes(), i
+    assert np.abs(out.data - latent.data @ w.data).max() <= 1e-12 * max(1.0, d_model)
+    # its backward is matmul's, product for product
+    g = rng.normal(size=(rows, n_classes))
+    backward(ad.sum_all(ad.mul(out, const(g))))
+    want_latent, want_w = param(latent.data), param(w.data)
+    backward(ad.sum_all(ad.mul(ad.matmul(want_latent, want_w), const(g))))
+    assert latent.grad.tobytes() == want_latent.grad.tobytes()
+    assert w.grad.tobytes() == want_w.grad.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(1, 24), min_size=1, max_size=40), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_predict_has_the_bits_of_evaluates_rows_on_ragged_prefixes(lengths, use_freq, seed):
+    # evaluate runs prefixes in length groups, predict one prefix alone: both
+    # must give each prefix the same logits and latent, bit for bit
+    rng = np.random.default_rng(seed)
+    model = MdtModel(toy_config(n_classes=4, d_model=16, max_len=24,
+                                use_frequency_heads=use_freq), seed=seed % 1000)
+    prefixes = [rng.normal(size=(n, 13)) for n in lengths]
+    logits, latents = forward_prefixes(model, prefixes)
+    for i, x in enumerate(prefixes):
+        lone_logits, lone_latents = forward_prefixes(model, [x])
+        assert lone_logits.tobytes() == logits[i].tobytes(), i
+        assert lone_latents.tobytes() == latents[i].tobytes(), i
         assert predict(model, x) == np.argmax(logits[i])
 
 
