@@ -23,7 +23,7 @@ from .flows import (
 from .model import MdtConfig, MdtModel, export_latents, load_checkpoint, save_checkpoint
 from .pcap import SKIP_REASONS, CaptureError, open_capture
 from .training import (
-    EXPECT_PROFILES, Hyperparams, SweepPoint, dataset_classes, evaluate,
+    EXPECT_PROFILES, Hyperparams, SweepPoint, class_sizes, dataset_classes, evaluate,
     load_external_mts, stratified_split, sweep, sweep_rows, train,
     write_history_csv,
 )
@@ -143,12 +143,16 @@ def _select_split(samples, which, seed):
 
 def cmd_eval(args) -> int:
     samples = load_external_mts(args.data, expect=args.expect)
+    if not samples:
+        raise CliError("dataset is empty")
     model = load_checkpoint(args.ckpt)
     spec = _prefix_spec(args)
     classes = model.classes or dataset_classes(samples)
     if len(classes) != model.config.n_classes:
         raise CliError("checkpoint class count does not match the dataset")
     subset = _select_split(samples, args.split, args.seed)
+    if not subset:
+        raise CliError(f"the {args.split} split is empty (class sizes {class_sizes(samples)})")
     with _naming_checkpoint(args.ckpt):
         metrics, mean_e, mean_de = evaluate(model, subset, spec, classes)
     point = SweepPoint(spec=spec, mean_earliness=mean_e,

@@ -14,6 +14,7 @@ import csv
 import math
 import numbers
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,12 @@ def stratified_split(samples, seed: int):
         val.extend(idx[n_train:n_train + n_val])
         test.extend(idx[n_train + n_val:])
     return sorted(train), sorted(val), sorted(test)
+
+
+def class_sizes(samples) -> str:
+    """The sample count of every class, as 'label'=n in label order."""
+    counts = Counter(s.label for s in samples)
+    return ", ".join(f"{label!r}={counts[label]}" for label in sorted(counts))
 
 
 def inverse_frequency_weights(labels, classes) -> np.ndarray:
@@ -243,9 +250,10 @@ def _run_sweep_point(args):
 
 def sweep(config: MdtConfig, samples, specs, hp: Hyperparams, seed: int, jobs: int) -> list:
     """Train and evaluate one fresh model per PrefixSpec in specs; rows come
-    back sorted by mean earliness. Every grid point's longest prefix over
-    the samples, as train takes it, is checked against max_len before any
-    training. With jobs > 1 the points train in a pool of
+    back sorted by mean earliness. Before any training, every grid point's
+    longest prefix over the samples, as train takes it, is checked against
+    max_len, and the test split every point is scored on must hold a
+    sample. With jobs > 1 the points train in a pool of
     min(jobs, points, CPUs) processes; the rows do not depend on its size."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -257,6 +265,8 @@ def sweep(config: MdtConfig, samples, specs, hp: Hyperparams, seed: int, jobs: i
                 if max((prefix_length(s, spec) for s in samples), default=0) > config.max_len]
     if too_long:
         raise ValueError(f"grid points exceed max_len {config.max_len}: {', '.join(too_long)}")
+    if not stratified_split(samples, seed)[2]:
+        raise ValueError(f"the test split is empty (class sizes {class_sizes(samples)})")
     tasks = [(config, samples, spec, hp, seed) for spec in specs]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

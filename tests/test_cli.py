@@ -396,6 +396,42 @@ def test_sweep_grid_past_max_len_exit_2_before_training(tmp_path, toy_dataset, c
     assert capsys.readouterr().err == f"error: grid points exceed max_len 3: {late}\n"
 
 
+def test_sweep_empty_test_split_exit_2_before_training(tmp_path, capsys, monkeypatch):
+    # 4 samples a class put 3 in train, 1 in validation and none in test
+    data_dir = tmp_path / "small"
+    write_dataset(separable_suite(0, n=8), data_dir)
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+    assert run_cli("sweep", "--data", data_dir, "--mode", "packets", "--grid", "2,4",
+                   "--config", sweep_config(tmp_path)) == 2
+    assert calls == []
+    assert capsys.readouterr().err == \
+        "error: the test split is empty (class sizes 'class0'=4, 'class1'=4)\n"
+
+
+@pytest.mark.parametrize("per_class,split", [(4, "test"), (3, "val")])
+def test_eval_empty_split_exit_2_one_line_naming_it(tmp_path, capsys, per_class, split):
+    data_dir = tmp_path / "small"
+    write_dataset(separable_suite(0, n=2 * per_class), data_dir)
+    ckpt = tmp_path / "model.ckpt"
+    assert run_cli("train", "--data", data_dir, "--prefix-packets", 2,
+                   "--config", sweep_config(tmp_path), "--out", ckpt) == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--data", data_dir, "--ckpt", ckpt, "--prefix-packets", 2,
+                   *(["--split", split] if split != "test" else [])) == 2
+    assert capsys.readouterr().err == (f"error: the {split} split is empty "
+                                       f"(class sizes 'class0'={per_class}, "
+                                       f"'class1'={per_class})\n")
+
+
+def test_eval_empty_dataset_exit_2_one_line(tmp_path, capsys):
+    # an empty dataset fails before the checkpoint is read, as in train and sweep
+    write_dataset([], tmp_path / "empty")
+    assert run_cli("eval", "--data", tmp_path / "empty", "--ckpt", tmp_path / "none.ckpt",
+                   "--prefix-packets", 2, "--split", "all") == 2
+    assert capsys.readouterr().err == "error: dataset is empty\n"
+
+
 def test_sweep_count_point_past_every_sample_trains_like_train(tmp_path, toy_dataset):
     # the toy samples have 10 rows, so a 100-packet prefix is the whole sample
     config = sweep_config(tmp_path)
