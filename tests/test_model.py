@@ -877,17 +877,17 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator thresholds")
-@pytest.mark.parametrize("call", ["predict", "forward"])
-def test_repeated_eval_forwards_reuse_freed_pages(call):
+def test_repeated_eval_forwards_reuse_freed_pages():
     # under glibc's default thresholds these ten forwards hand freed pages
     # back to the OS and fault them in again (about 650-850 faults); forward
     # keeps freed heap, so a graph-free predict and a lone recorded forward
     # alike fault in almost none
     package_root = os.path.dirname(os.path.dirname(model_module.__file__))
-    out = subprocess.run([sys.executable, "-c", REPEATED_FORWARD_FAULTS, call],
-                         capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": package_root})
-    assert int(out.stdout) < 200
+    for call in ("predict", "forward"):
+        out = subprocess.run([sys.executable, "-c", REPEATED_FORWARD_FAULTS, call],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": package_root})
+        assert int(out.stdout) < 200, call
 
 
 def _edit_manifest(path, edit):

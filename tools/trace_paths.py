@@ -125,10 +125,6 @@ def executable_lines(code) -> set:
     return lines
 
 
-def _raise_only(body) -> bool:
-    return all(isinstance(node, ast.Raise) for node in body)
-
-
 def report_module(path: Path, ran: set) -> list:
     """Report lines for the module at path, given the line numbers that ran:
     a header and one line per function, class or module body with unrun
@@ -150,7 +146,8 @@ def report_module(path: Path, ran: set) -> list:
                     functions.add(name)
             elif isinstance(child, ast.Raise):
                 skipped.update(range(child.lineno, child.end_lineno + 1))
-            elif isinstance(child, ast.ExceptHandler) and _raise_only(child.body):
+            elif isinstance(child, ast.ExceptHandler) and all(
+                    isinstance(node, ast.Raise) for node in child.body):
                 skipped.update(range(child.lineno, child.body[0].lineno))
             visit(child, name)
 
