@@ -2,15 +2,17 @@
 
 A Tensor is both the value container and the computation-graph node: ops
 record their parents and a backward closure, and backward() replays the
-graph in reverse topological order. Complex values are carried as paired
-(real, imaginary) tensors; the Fourier ops treat the transform as a linear
-map with its exact adjoint, so gradients flow through frequency-domain code
-the same way they flow through a matmul.
+graph in reverse topological order, freeing it as it goes: each op drops
+its closure, with the arrays it saved, and its parents once it has run.
+Complex values are carried as paired (real, imaginary) tensors; the Fourier
+ops treat the transform as a linear map with its exact adjoint, so
+gradients flow through frequency-domain code the same way they flow through
+a matmul.
 
 There is no implicit broadcasting: shapes must match exactly except for the
 documented bias add (a vector added along the last axis) and matmul, which
-multiplies two equal-rank stacks of matrices, or a matrix or a (batch, rows,
-cols) stack by one matrix shared by all its members.
+multiplies a matrix, or a (batch, rows, cols) stack, by one matrix shared by
+all its members.
 
 Inside ``with no_grad():`` ops record nothing: every result is a plain value
 with no parents, so a forward pass frees each intermediate as soon as the
@@ -85,6 +87,10 @@ def _node(data, parents, backward) -> Tensor:
                   backward=backward if tracked else None)
 
 
+# the _backward of an op whose graph backward() has run and freed
+_FREED = object()
+
+
 def zero_grad(tensors):
     for t in tensors:
         t.grad = None
@@ -97,7 +103,11 @@ def backward(loss: Tensor):
     parameter grads between optimization steps, not between samples of a batch.
     Only leaves (tensors no op produced, such as parameters) keep their grads:
     an op's output grad is dropped once it has been passed on, so a batched
-    graph does not hold a second copy of its activations.
+    graph does not hold a second copy of its activations. The graph is freed
+    as it goes: each op drops its backward closure, and with it the arrays
+    that closure saved, and its parents once it has run, so a node's arrays
+    live only until the last op that reads them has run. A second backward
+    through a freed graph raises ValueError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -112,6 +122,8 @@ def backward(loss: Tensor):
             continue
         if id(node) in seen:
             continue
+        if node._backward is _FREED:
+            raise ValueError("backward through a graph that an earlier backward freed")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -119,10 +131,13 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + np.ones_like(loss.data)
-    for node in reversed(topo):
+    # popped rather than iterated, so the list does not keep a run node alive
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
             node.grad = None
+            node._backward, node._parents = _FREED, ()
 
 
 # ---------------------------------------------------------------------------
@@ -184,38 +199,21 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for a matrix or a (batch, rows, cols) stack a and a matrix b."""
     ad, bd = a.data, b.data
-    if ad.ndim == bd.ndim >= 3:
-        if ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
-            raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-
-        def grad_a(g):
-            return g @ np.swapaxes(bd, -1, -2)
-
-        def grad_b(g):
-            return np.swapaxes(ad, -1, -2) @ g
-
-    elif ad.ndim in (2, 3) and bd.ndim == 2:
-        if ad.shape[-1] != bd.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-
-        def grad_a(g):
-            return g @ bd.T
-
-        # a matrix reshapes to itself, so its grad is the plain ad.T @ g
-        def grad_b(g):
-            return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-
-    else:
+    if ad.ndim not in (2, 3) or bd.ndim != 2:
         raise ValueError(f"unsupported matmul ranks: {ad.ndim} @ {bd.ndim}")
+    if ad.shape[-1] != bd.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
 
-    # a constant operand (the input features, a transform kernel) gets no grad,
-    # so its product is skipped rather than computed and dropped
+    # a constant operand (the input features) gets no grad, so its product is
+    # skipped rather than computed and dropped; a matrix a reshapes to itself,
+    # so its b grad is the plain ad.T @ g
     def bw(g):
         if a.requires_grad:
-            _accum(a, grad_a(g))
+            _accum(a, g @ bd.T)
         if b.requires_grad:
-            _accum(b, grad_b(g))
+            _accum(b, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _node(ad @ bd, (a, b), bw)
 

@@ -73,13 +73,13 @@ def _write_rows(rows, path):
 
 
 @contextlib.contextmanager
-def _naming_checkpoint(ckpt):
-    """Name the checkpoint ckpt in a numeric fault of the forwards run inside
-    (forward_prefixes raises FloatingPointError on overflow)."""
+def _naming(path, stage):
+    """Name path, the input to blame, in a numeric fault of the forwards and
+    backwards run inside (they raise FloatingPointError on overflow)."""
     try:
         yield
     except FloatingPointError as exc:
-        raise CliError(f"{ckpt}: forward pass failed: {exc}") from None
+        raise CliError(f"{path}: {stage} failed: {exc}") from None
 
 
 def cmd_extract(args) -> int:
@@ -124,7 +124,8 @@ def cmd_train(args) -> int:
     spec = _prefix_spec(args)
     config, hp = _build_model_and_hp(args, samples, spec)
     model = MdtModel(config, seed=args.seed)
-    result = train(model, samples, spec, hp, seed=args.seed, verbose=args.verbose)
+    with _naming(args.data, "training"):
+        result = train(model, samples, spec, hp, seed=args.seed, verbose=args.verbose)
     save_checkpoint(model, args.out)
     if args.history:
         write_history_csv(result.history, args.history)
@@ -153,7 +154,7 @@ def cmd_eval(args) -> int:
     subset = _select_split(samples, args.split, args.seed)
     if not subset:
         raise CliError(f"the {args.split} split is empty (class sizes {class_sizes(samples)})")
-    with _naming_checkpoint(args.ckpt):
+    with _naming(args.ckpt, "forward pass"):
         metrics, mean_e, mean_de = evaluate(model, subset, spec, classes)
     point = SweepPoint(spec=spec, mean_earliness=mean_e,
                        mean_duration_earliness=mean_de, metrics=metrics)
@@ -175,16 +176,19 @@ def cmd_sweep(args) -> int:
     make_spec = PrefixSpec.by_count if by_count else PrefixSpec.by_duration
     specs = [make_spec(v) for v in values]  # every bad grid point fails before any training
     config, hp = _build_model_and_hp(args, samples, make_spec(max(values)))
-    points = sweep(config, samples, specs, hp, seed=args.seed, jobs=args.jobs)
+    with _naming(args.data, "training"):
+        points = sweep(config, samples, specs, hp, seed=args.seed, jobs=args.jobs)
     _write_rows(sweep_rows(points), args.out)
     return 0
 
 
 def cmd_latents(args) -> int:
     samples = load_external_mts(args.data, expect=args.expect)
+    if not samples:
+        raise CliError("dataset is empty")
     model = load_checkpoint(args.ckpt)
     spec = _prefix_spec(args)
-    with _naming_checkpoint(args.ckpt):
+    with _naming(args.ckpt, "forward pass"):
         export_latents(model, samples, spec, args.out)
     print(f"wrote {args.out} rows={len(samples)} width={model.config.d_model}")
     return 0

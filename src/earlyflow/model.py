@@ -15,7 +15,7 @@ kernel, instead of transforming q, k and v apiece.
 
 Each encoder block is two autodiff nodes with hand-written backwards:
 md_mha, and block_tail for everything after it. md_mha projects the block
-input and its transform by two matmuls, scores both head families into one
+input and its transform by one product per weight, scores both head families into one
 buffer under one in-place softmax, and adds its backward products in the
 order the op-by-op composition would. block_tail runs the dropout,
 residual and layer norm around the feed-forward layer the same way. So
@@ -23,8 +23,9 @@ both give the same bits as that composition.
 
 The head reads only the classification token of the last block, so that
 block attends from its first HEAD_QUERIES = 2 positions (the token and the
-first packet): its score, softmax and mixing work shrinks from T x T to
-2 x T, and its output projection and tail run on those two rows alone.
+first packet): it projects queries on those two rows alone, its score,
+softmax and mixing work shrinks from T x T to 2 x T, and its output
+projection and tail run on those two rows alone.
 Two rows rather than one: a one-row product takes BLAS's matrix-vector
 path, which rounds differently from the same row of a wider product.
 Training and eval take this one path, so a forward that records a graph
@@ -106,6 +107,10 @@ FULL_ATTENTION_HEAD_CELL_VALUES = 6
 DFT_CACHE_CELL_VALUES = 2 * KERNEL_CACHE_SIZE * 2
 # init of a parameter_layout entry drawn uniformly in +-sqrt(6 / (rows + cols))
 GLOROT = "glorot"
+# np.errstate of training and eval forwards and backwards: an overflow, invalid
+# or divide-by-zero operation raises FloatingPointError, and underflow stays
+# silent, as the softmax relies on it
+NUMERIC_FAULTS = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
 
 
 @dataclass
@@ -300,17 +305,20 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
     One autodiff node with a hand-written backward. The frequency heads see
     q, k and v transformed along the sequence axis; that transform commutes
     with the shared projections, DFT(z W) = DFT(z) W, so z, C z and -S z
-    (the [C; -S] kernel applied once) are stacked; z and C z are projected
-    by one matmul with [w_q | w_k | w_v], and -S z by [w_q | w_k] alone,
-    since no head uses its values. The time scores q k^T and the frequency
-    scores q_re k_re^T + q_im k_im^T fill one (batch, 2 * n_heads, queries,
-    length) buffer that one in-place softmax normalizes; the time heads mix
-    v and the frequency heads the real part of the transformed values.
+    (the [C; -S] kernel applied once) are stacked and projected by one
+    product per weight: w_q and w_k project all three, w_v z and C z alone,
+    since no head uses the values of -S z. The time scores q k^T and the
+    frequency scores q_re k_re^T + q_im k_im^T fill one (batch, 2 * n_heads,
+    queries, length) buffer that one in-place softmax normalizes; the time
+    heads mix v and the frequency heads the real part of the transformed
+    values.
 
     queries: attend from the first `queries` positions only (None: every
-    position) and return those rows alone. The projections, keys and values
-    keep every position; the output projection and its weight grad run on
-    the query rows.
+    position) and return those rows alone. Queries are projected on those
+    rows alone, keys and values on every position; the output projection
+    and its weight grad run on the query rows. The backward zero-pads the
+    query grads to every row before w_q's weight and input products, since
+    BLAS rounds those products by their row count.
 
     Every product and sum is the one the op-by-op composition makes (see
     naive_md_mha in the tests), in the same order, so outputs and grads
@@ -331,27 +339,22 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
     if families == 2:
         kernel = real_dft_kernel(length)
         np.matmul(kernel.reshape(2, 1, length, length), z.data, out=stacked[1:])
-    w_qkv = np.concatenate(w_data, axis=1)
 
-    def head_rows(rows):
+    def head_rows(rows, positions=length):
         """(batch, domain, head, position, dv) view of (domain, batch,
-        length, d_model) rows."""
-        return rows.reshape(len(rows), batch, length, n_heads, dv).transpose(1, 0, 3, 2, 4)
+        positions, d_model) rows."""
+        return rows.reshape(len(rows), batch, positions, n_heads, dv).transpose(1, 0, 3, 2, 4)
 
-    def columns(proj, j):
-        return head_rows(proj[..., j * d_model:(j + 1) * d_model])
-
-    proj = stacked[:families] @ w_qkv
-    q, k, v = (columns(proj, j) for j in range(3))
-    q = q[..., :n_queries, :]
+    # queries on the query rows only, keys on every row, values on every row
+    # of z and C z: one product per weight, as the composition makes them
+    q = head_rows(stacked[:, :, :n_queries] @ w_data[0], n_queries)
+    k = head_rows(stacked @ w_data[1])
+    v = head_rows(stacked[:families] @ w_data[2])
     scores = np.empty((batch, families * n_heads, n_queries, length))
     by_family = scores.reshape(batch, families, n_heads, n_queries, length)
-    np.matmul(q, k.swapaxes(-1, -2), out=by_family)
+    np.matmul(q[:, :families], k[:, :families].swapaxes(-1, -2), out=by_family)
     if families == 2:
-        proj_im = stacked[2:] @ w_qkv[:, :2 * d_model]
-        q_im, k_im = (columns(proj_im, j)[:, 0] for j in range(2))
-        q_im = q_im[..., :n_queries, :]
-        by_family[:, 1] += q_im @ k_im.swapaxes(-1, -2)
+        by_family[:, 1] += q[:, 2] @ k[:, 2].swapaxes(-1, -2)
     ad.softmax_inplace(scores, scale=scaling)
     mixed = (by_family @ v).transpose(0, 3, 1, 2, 4).reshape(batch, n_queries, -1)
     w_o = params.w_o.data
@@ -361,42 +364,52 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
         g_mixed = (g @ w_o.T).reshape(batch, n_queries, families, n_heads, dv) \
             .transpose(0, 2, 3, 1, 4)
         g_scores = g_mixed @ v.swapaxes(-1, -2)
-        # grads of q and v as (domain, batch, length, d_model) rows; query
-        # rows past n_queries get no grad
-        g_queries = np.zeros((domains, batch, length, d_model))
+        # grads of q and v as (domain, batch, positions, d_model) rows, q's
+        # on the query rows alone
         g_values = np.empty((families, batch, length, d_model))
         np.matmul(by_family.swapaxes(-1, -2), g_mixed, out=head_rows(g_values))
+        del g_mixed
         # softmax Jacobian, then the scaling
         g_scores -= (g_scores * by_family).sum(axis=-1, keepdims=True)
         g_scores *= by_family
         g_scores *= scaling
-        g_q = head_rows(g_queries)[..., :n_queries, :]
-        np.matmul(g_scores, k, out=g_q[:, :families])
+        g_queries = np.empty((domains, batch, n_queries, d_model))
+        g_q = head_rows(g_queries, n_queries)
+        np.matmul(g_scores, k[:, :families], out=g_q[:, :families])
         # key grads come out as (dv, length) matrices, as the op graph makes
         # them; BLAS rounds a product with a transposed operand differently,
         # so the products below take them in that layout
         g_keys = np.empty((batch, domains, n_heads, dv, length))
-        np.matmul(q.swapaxes(-1, -2), g_scores, out=g_keys[:, :families])
+        np.matmul(q[:, :families].swapaxes(-1, -2), g_scores, out=g_keys[:, :families])
         if families == 2:
-            np.matmul(g_scores[:, 1], k_im, out=g_q[:, 2])
-            np.matmul(q_im.swapaxes(-1, -2), g_scores[:, 1], out=g_keys[:, 2])
-        g_rows = (g_queries,
-                  g_keys.transpose(1, 0, 4, 2, 3).reshape(domains, batch, length, d_model),
-                  g_values)
+            np.matmul(g_scores[:, 1], k[:, 2], out=g_q[:, 2])
+            np.matmul(q[:, 2].swapaxes(-1, -2), g_scores[:, 1], out=g_keys[:, 2])
+        del g_scores
 
-        # one product per weight and domain, summed in domain order
-        rows = stacked.reshape(domains, batch * length, d_model)
-        for j, w in enumerate(weights):
-            for domain in range(len(g_rows[j])):
-                _accum(w, rows[domain].T @ g_rows[j][domain].reshape(-1, d_model))
-        for j in range(3):
-            _accum(z, g_rows[j][0] @ w_data[j].T)
+        # per domain, one product per weight for its grad and one for the
+        # input's, each weight's grad added up in domain order and z's and
+        # the spectrum's in q, k, v order. The query grads are zero-padded to
+        # every row first: BLAS rounds these products by their row count
         if families == 2:
             g_spectrum = np.empty((batch, 2 * length, d_model))
-            for domain in (1, 2):
-                parts = [g_rows[j][domain] @ w_data[j].T
-                         for j in range(3) if domain < len(g_rows[j])]
-                g_spectrum[:, (domain - 1) * length:domain * length] = sum(parts[1:], parts[0])
+        g_query = np.zeros((batch, length, d_model))   # rows past n_queries stay 0
+        for domain in range(domains):
+            x = stacked[domain].reshape(-1, d_model)
+            g_query[:, :n_queries] = g_queries[domain]
+            g_key = g_keys[:, domain].transpose(0, 3, 1, 2).reshape(batch, length, d_model)
+            g_rows = [g_query, g_key] + ([g_values[domain]] if domain < families else [])
+            for j, (w, g_w) in enumerate(zip(weights, g_rows)):
+                _accum(w, x.T @ g_w.reshape(-1, d_model))
+                part = g_w @ w_data[j].T
+                if domain == 0:
+                    _accum(z, part)
+                elif j == 0:
+                    g_input = g_spectrum[:, (domain - 1) * length:domain * length]
+                    g_input[...] = part
+                else:
+                    g_input += part
+        del g_keys, g_values
+        if families == 2:
             _accum(z, kernel.T @ g_spectrum)
 
     return _node(mixed @ w_o, (z, *weights, params.w_o), bw)
@@ -414,29 +427,38 @@ def block_tail(z: Tensor, attended: Tensor, block: BlockParams, p: float, rng=No
     for bit."""
     masks = None
     if rng is not None and p > 0.0:
-        masks = [(rng.random(t.shape) >= p) / (1.0 - p) for t in (attended, z)]
+        masks = [rng.random(t.shape) >= p for t in (attended, z)]
+    # a kept value is scaled by 1/(1-p) after the mask: x * 1 * s has the bits
+    # of x * s, so this gives the bits of a float mask holding 0 and s
+    keep_scale = 1.0 / (1.0 - p)
+
+    def dropout(x, mask):
+        x = x * mask
+        x *= keep_scale
+        return x
+
     w1, b1, w2, b2 = block.ff_w1.data, block.ff_b1.data, block.ff_w2.data, block.ff_b2.data
     d_model, d_ff = w1.shape
-    dropped = attended.data if masks is None else attended.data * masks[0]
+    dropped = attended.data if masks is None else dropout(attended.data, masks[0])
     h, xhat1, inv1 = ad.layer_norm_forward(z.data + dropped, block.ln1_gain.data,
                                            block.ln1_bias.data)
     pre = h @ w1 + b1
-    keep = pre > 0
-    hidden = np.where(keep, pre, 0.0)
+    hidden = np.where(pre > 0, pre, 0.0)
     ff = hidden @ w2 + b2
     if masks is not None:
-        ff *= masks[1]
+        ff = dropout(ff, masks[1])
     out, xhat2, inv2 = ad.layer_norm_forward(h + ff, block.ln2_gain.data, block.ln2_bias.data)
 
     def bw(g):
         g_residual, g_gain2, g_bias2 = ad.layer_norm_backward(g, block.ln2_gain.data, xhat2, inv2)
         _accum(block.ln2_bias, g_bias2)
         _accum(block.ln2_gain, g_gain2)
-        g_ff = g_residual if masks is None else g_residual * masks[1]
+        g_ff = g_residual if masks is None else dropout(g_residual, masks[1])
         _accum(block.ff_b2, g_ff.reshape(-1, d_model).sum(axis=0))
         g_hidden = g_ff @ w2.T
         _accum(block.ff_w2, hidden.reshape(-1, d_ff).T @ g_ff.reshape(-1, d_model))
-        g_pre = g_hidden * keep
+        # hidden > 0 exactly where its pre-activation is
+        g_pre = g_hidden * (hidden > 0)
         _accum(block.ff_b1, g_pre.reshape(-1, d_ff).sum(axis=0))
         g_h = g_residual + g_pre @ w1.T
         _accum(block.ff_w1, h.reshape(-1, d_model).T @ g_pre.reshape(-1, d_ff))
@@ -444,7 +466,7 @@ def block_tail(z: Tensor, attended: Tensor, block: BlockParams, p: float, rng=No
         _accum(block.ln1_bias, g_bias1)
         _accum(block.ln1_gain, g_gain1)
         _accum(z, g_sum)
-        _accum(attended, g_sum if masks is None else g_sum * masks[0])
+        _accum(attended, g_sum if masks is None else dropout(g_sum, masks[0]))
 
     parents = (z, attended, block.ln1_gain, block.ln1_bias, block.ff_w1, block.ff_b1,
                block.ff_w2, block.ff_b2, block.ln2_gain, block.ln2_bias)
@@ -572,14 +594,12 @@ def keep_freed_heap():
 
 def forward_prefixes(model: MdtModel, prefixes):
     """Eval-mode logits (n, n_classes) and latents (n, d_model) as arrays,
-    in input order, for ragged (l, d_in) prefixes run as length buckets.
-    An overflow, invalid or divide-by-zero operation raises
-    FloatingPointError; underflow stays silent, as the softmax relies on
-    it."""
+    in input order, for ragged (l, d_in) prefixes run as length buckets,
+    under NUMERIC_FAULTS."""
     c = model.config
     logits = np.empty((len(prefixes), c.n_classes))
     latents = np.empty((len(prefixes), c.d_model))
-    with ad.no_grad(), np.errstate(over="raise", invalid="raise", divide="raise"):
+    with ad.no_grad(), np.errstate(**NUMERIC_FAULTS):
         for group in length_buckets([len(p) for p in prefixes]):
             group_logits, group_latents = forward(model, np.stack([prefixes[i] for i in group]))
             logits[group] = group_logits.data

@@ -23,8 +23,8 @@ from .autodiff import backward, cross_entropy, scale, zero_grad
 from .earliness import PrefixSpec, aggregate_earliness, prefix_length, take_prefix
 from .features import DatasetFormatError, read_dataset
 from .metrics import Metrics, compute_metrics
-from .model import (MdtConfig, MdtModel, check_int_fields, forward, forward_prefixes,
-                    length_buckets)
+from .model import (NUMERIC_FAULTS, MdtConfig, MdtModel, check_int_fields, forward,
+                    forward_prefixes, length_buckets)
 
 SPLIT = (0.70, 0.15, 0.15)   # train, validation, test shares of each class
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -139,19 +139,20 @@ def _prefix_arrays(samples, spec):
 def minibatch_gradients(model: MdtModel, prefixes, targets, weights, rng):
     """Add to the parameter grads the gradient of sum(w * nll) / sum(w) over
     one training minibatch, w being each target's class weight, with dropout
-    drawn from rng. Prefixes of one length run as one graph. Returns
-    (sum(w * nll), sum(w))."""
+    drawn from rng. Prefixes of one length run as one graph, forward and
+    backward under NUMERIC_FAULTS. Returns (sum(w * nll), sum(w))."""
     targets = np.asarray(targets, dtype=np.intp)
     batch_w = float(weights[targets].sum())
     loss_sum = 0.0
-    for group in length_buckets([len(p) for p in prefixes]):
-        # rng positionally: the benchmark's tracer tells training forwards by args[2]
-        logits, _ = forward(model, np.stack([prefixes[i] for i in group]), rng)
-        nll = cross_entropy(logits, targets[group], class_weights=weights)
-        # the group's weighted mean nll times its share of the batch weight
-        group_w = float(weights[targets[group]].sum())
-        backward(scale(nll, group_w / batch_w))
-        loss_sum += group_w * float(nll.data)
+    with np.errstate(**NUMERIC_FAULTS):
+        for group in length_buckets([len(p) for p in prefixes]):
+            # rng positionally: the benchmark's tracer tells training forwards by args[2]
+            logits, _ = forward(model, np.stack([prefixes[i] for i in group]), rng)
+            nll = cross_entropy(logits, targets[group], class_weights=weights)
+            # the group's weighted mean nll times its share of the batch weight
+            group_w = float(weights[targets[group]].sum())
+            backward(scale(nll, group_w / batch_w))
+            loss_sum += group_w * float(nll.data)
     return loss_sum, batch_w
 
 

@@ -61,13 +61,31 @@ def naive_layer_norm(x, gain, bias, eps):
 # ---------------------------------------------------------------------------
 # multi-domain attention as a graph of autodiff ops
 
-def naive_md_mha(z, params, n_heads):
+def stacked_matmul(a, b):
+    """a @ b for two equal-rank stacks of matrices, as an autodiff node:
+    the batched product of the attention oracles, which ad.matmul (a stack
+    by one shared matrix) does not take. A constant operand gets no grad."""
+    ad_data, bd = a.data, b.data
+
+    def bw(g):
+        if a.requires_grad:
+            ad._accum(a, g @ np.swapaxes(bd, -1, -2))
+        if b.requires_grad:
+            ad._accum(b, np.swapaxes(ad_data, -1, -2) @ g)
+
+    return ad._node(ad_data @ bd, (a, b), bw)
+
+
+def naive_md_mha(z, params, n_heads, queries=None):
     """model.md_mha composed from about 50 autodiff ops, so autodiff derives
     its backward: nine projections (z, C z and -S z by w_q and w_k, z and
     C z by w_v), one ad.softmax per head family, and a concat of the merged
     heads before w_o. As in md_mha, a w_o of 2 * d_model rows adds the
-    frequency heads."""
+    frequency heads. queries: project queries at every position, then keep
+    the first `queries` rows of each (None: every row), so the output has
+    those rows alone."""
     batch, length, d_model = z.shape
+    rows = length if queries is None else min(queries, length)
     use_frequency = params.w_o.shape[0] == 2 * d_model
     dv = d_model // n_heads
     scaling = 1.0 / math.sqrt(d_model)
@@ -75,25 +93,29 @@ def naive_md_mha(z, params, n_heads):
     def split(t):
         return ad.transpose(ad.reshape(t, (batch, length, n_heads, dv)), (0, 2, 1, 3))
 
+    def query_rows(t):
+        return t if rows == length else ad.slice_axis(t, 2, 0, rows)
+
     def merge(t):
-        return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (batch, length, d_model))
+        return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (batch, rows, d_model))
 
     def keys(t):
         return ad.transpose(t, (0, 1, 3, 2))
 
     q, k, v = (split(ad.matmul(z, w)) for w in (params.w_q, params.w_k, params.w_v))
-    time_scores = ad.softmax(ad.scale(ad.matmul(q, keys(k)), scaling), axis=-1)
-    heads = [merge(ad.matmul(time_scores, v))]
+    time_scores = ad.softmax(ad.scale(stacked_matmul(query_rows(q), keys(k)), scaling), axis=-1)
+    heads = [merge(stacked_matmul(time_scores, v))]
     if use_frequency:
         kernel = np.broadcast_to(real_dft_kernel(length), (batch, 2 * length, length))
-        spectrum = ad.matmul(ad.const(kernel), z)
+        spectrum = stacked_matmul(ad.const(kernel), z)
         spec_re, spec_im = (ad.slice_axis(spectrum, 1, start, length) for start in (0, length))
         q_re, q_im = split(ad.matmul(spec_re, params.w_q)), split(ad.matmul(spec_im, params.w_q))
         k_re, k_im = split(ad.matmul(spec_re, params.w_k)), split(ad.matmul(spec_im, params.w_k))
         v_re = split(ad.matmul(spec_re, params.w_v))
-        cross = ad.add(ad.matmul(q_re, keys(k_re)), ad.matmul(q_im, keys(k_im)))
+        cross = ad.add(stacked_matmul(query_rows(q_re), keys(k_re)),
+                       stacked_matmul(query_rows(q_im), keys(k_im)))
         freq_scores = ad.softmax(ad.scale(cross, scaling), axis=-1)
-        heads.append(merge(ad.matmul(freq_scores, v_re)))
+        heads.append(merge(stacked_matmul(freq_scores, v_re)))
     merged = ad.concat(heads, axis=2) if use_frequency else heads[0]
     return ad.matmul(merged, params.w_o)
 

@@ -432,6 +432,17 @@ def test_eval_empty_dataset_exit_2_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: dataset is empty\n"
 
 
+def test_latents_empty_dataset_exit_2_one_line(tmp_path, capsys):
+    # as in eval: an empty dataset fails before the checkpoint is read, and no
+    # header-only CSV is written
+    write_dataset([], tmp_path / "empty")
+    out = tmp_path / "latents.csv"
+    assert run_cli("latents", "--data", tmp_path / "empty", "--ckpt", tmp_path / "none.ckpt",
+                   "--prefix-packets", 2, "--out", out) == 2
+    assert capsys.readouterr().err == "error: dataset is empty\n"
+    assert not out.exists()
+
+
 def test_sweep_count_point_past_every_sample_trains_like_train(tmp_path, toy_dataset):
     # the toy samples have 10 rows, so a 100-packet prefix is the whole sample
     config = sweep_config(tmp_path)
@@ -818,6 +829,32 @@ def test_overflowing_checkpoint_exit_2_one_line(tmp_path, tiny_dataset, tiny_che
         assert re.fullmatch(rf"error: {re.escape(str(ckpt))}: forward pass failed: "
                             r"overflow encountered in \w+\n", err), err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_overflowing_data_exit_2_one_line_naming_it(tmp_path, tiny_dataset, capsys, command):
+    # a finite series.csv cell of 1e300 passes read_dataset and overflows
+    # the first attention scores; training raises on it at once, with no
+    # RuntimeWarning first, and the one line names the data directory
+    data_dir = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data_dir)
+    series = data_dir / "series.csv"
+    lines = series.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    cells[2] = "1e300"
+    lines[2] = ",".join(cells)
+    series.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = {"train": ["--prefix-packets", 4, "--out", tmp_path / "model.ckpt"],
+            "sweep": ["--mode", "packets", "--grid", "2,4"]}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(command, "--data", data_dir, "--config", sweep_config(tmp_path),
+                       *args) == 2
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert re.fullmatch(rf"error: {re.escape(str(data_dir))}: training failed: "
+                        r"overflow encountered in \w+\n", err), err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 @settings(max_examples=60)

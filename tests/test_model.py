@@ -29,7 +29,7 @@ from earlyflow.model import (
 from earlyflow.training import Hyperparams, minibatch_gradients, train
 
 from gradcheck import assert_grads_match
-from naive import naive_dft, naive_dft_2d, naive_encoder_block, naive_md_mha
+from naive import naive_dft, naive_dft_2d, naive_encoder_block, naive_md_mha, stacked_matmul
 
 
 def toy_config(**overrides):
@@ -240,14 +240,14 @@ def fft_pair_md_mha(z, params, n_heads, queries=None):
         return ad.transpose(t, (0, 1, 3, 2))
 
     q, k, v = heads(params.w_q), heads(params.w_k), heads(params.w_v)
-    time_scores = ad.softmax(ad.scale(ad.matmul(q, keys(k)), scaling))
+    time_scores = ad.softmax(ad.scale(stacked_matmul(q, keys(k)), scaling))
     q_re, q_im = ad.fft_pair(q, None, axis=2)
     k_re, k_im = ad.fft_pair(k, None, axis=2)
     v_re, _ = ad.fft_pair(v, None, axis=2)
-    cross = ad.add(ad.matmul(q_re, keys(k_re)), ad.matmul(q_im, keys(k_im)))
+    cross = ad.add(stacked_matmul(q_re, keys(k_re)), stacked_matmul(q_im, keys(k_im)))
     freq_scores = ad.softmax(ad.scale(cross, scaling))
-    merged = ad.concat([merge(ad.matmul(time_scores, v)), merge(ad.matmul(freq_scores, v_re))],
-                       axis=2)
+    merged = ad.concat([merge(stacked_matmul(time_scores, v)),
+                        merge(stacked_matmul(freq_scores, v_re))], axis=2)
     return ad.matmul(merged, params.w_o)
 
 
@@ -372,6 +372,29 @@ def test_md_mha_leading_rows_match_full_rows(batch, length, use_freq):
     for name, a, b in zip(("z", "w_q", "w_k", "w_v", "w_o"), got[1:], want[1:]):
         tol = 1e-11 if name in ("w_q", "w_k") else 1e-12
         assert np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max()), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 20), st.booleans())
+# BLAS rounds a product by its row count: past 37 rows the input product of
+# the query grads, past about 980 (batch x length) their weight product
+@example(4, 250, True)
+def test_md_mha_head_rows_equal_full_query_composition_bit_for_bit(batch, length, use_freq):
+    # md_mha projects queries on the HEAD_QUERIES rows alone; its output and
+    # the grads of z and every weight keep the bits of the composition that
+    # projects queries on every row and then keeps those rows
+    rng = np.random.default_rng([batch, length, use_freq])
+    z = param(rng.normal(size=(batch, length, 32)))
+    p = make_attn_params(rng, 32, 4, use_freq)
+    upstream = const(rng.normal(size=(batch, min(HEAD_QUERIES, length), 32)))
+
+    def head_rows(attention):
+        return lambda z, p, n_heads: attention(z, p, n_heads, HEAD_QUERIES)
+
+    got = attention_and_grads(head_rows(md_mha), z, p, upstream, n_heads=4)
+    want = attention_and_grads(head_rows(naive_md_mha), z, p, upstream, n_heads=4)
+    for name, a, b in zip(("out", "z", "w_q", "w_k", "w_v", "w_o"), got, want):
+        assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -671,6 +694,34 @@ def test_config_values_bound_a_training_step(n_heads, head_width, n_blocks, ff_f
     finally:
         tracemalloc.stop()
     assert peak <= 8 * config_values(config)
+
+
+def test_training_step_peak_at_the_benchmark_shape():
+    # tracemalloc's peak over one minibatch_gradients call at the shape the
+    # train_packets benchmark trains: 32 prefixes of 16 packets, d_model 32,
+    # 2 blocks, dropout drawn. Backward frees each node's arrays once it has
+    # run, and the last block keeps its query rows alone; a backward that
+    # held the whole graph until it returned peaked at 9.6 MB
+    config = MdtConfig(d_in=13, n_classes=3, d_model=32, n_heads=4, n_blocks=2, d_ff=64,
+                       max_len=16, dropout=0.1)
+    model = MdtModel(config, seed=0)
+    rng = np.random.default_rng(0)
+    prefixes = [rng.normal(size=(16, 13)) for _ in range(32)]
+    targets = rng.integers(0, 3, size=32)
+
+    def step():
+        zero_grad(model.parameters())
+        minibatch_gradients(model, prefixes, targets, np.ones(3), np.random.default_rng(1))
+
+    step()   # builds the cached DFT kernels, which later steps reuse
+    zero_grad(model.parameters())
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5e6
 
 
 @settings(max_examples=15, deadline=None)
