@@ -134,6 +134,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_fitting_checkpoint(args, samples):
+    """The checkpoint at args.ckpt, once it is known to take the samples'
+    width, so a mismatch fails before any forward pass."""
+    model = load_checkpoint(args.ckpt)
+    if samples[0].width != model.config.d_in:
+        raise CliError(f"{args.ckpt}: takes {model.config.d_in} features per packet, "
+                       f"{args.data} has {samples[0].width}")
+    return model
+
+
 def _select_split(samples, which, seed):
     if which == "all":
         return samples
@@ -146,14 +156,19 @@ def cmd_eval(args) -> int:
     samples = load_external_mts(args.data, expect=args.expect)
     if not samples:
         raise CliError("dataset is empty")
-    model = load_checkpoint(args.ckpt)
+    model = _load_fitting_checkpoint(args, samples)
     spec = _prefix_spec(args)
     classes = model.classes or dataset_classes(samples)
     if len(classes) != model.config.n_classes:
-        raise CliError("checkpoint class count does not match the dataset")
+        raise CliError(f"{args.ckpt}: has {model.config.n_classes} classes, "
+                       f"{args.data} has {len(classes)}")
     subset = _select_split(samples, args.split, args.seed)
     if not subset:
         raise CliError(f"the {args.split} split is empty (class sizes {class_sizes(samples)})")
+    unknown = sorted({s.label for s in subset} - set(classes))
+    if unknown:
+        raise CliError(f"{args.ckpt}: {args.data} has labels {unknown} outside the "
+                       f"checkpoint's classes {list(classes)}")
     with _naming(args.ckpt, "forward pass"):
         metrics, mean_e, mean_de = evaluate(model, subset, spec, classes)
     point = SweepPoint(spec=spec, mean_earliness=mean_e,
@@ -186,7 +201,7 @@ def cmd_latents(args) -> int:
     samples = load_external_mts(args.data, expect=args.expect)
     if not samples:
         raise CliError("dataset is empty")
-    model = load_checkpoint(args.ckpt)
+    model = _load_fitting_checkpoint(args, samples)
     spec = _prefix_spec(args)
     with _naming(args.ckpt, "forward pass"):
         export_latents(model, samples, spec, args.out)

@@ -315,14 +315,13 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
 
     queries: attend from the first `queries` positions only (None: every
     position) and return those rows alone. Queries are projected on those
-    rows alone, keys and values on every position; the output projection
-    and its weight grad run on the query rows. The backward zero-pads the
-    query grads to every row before w_q's weight and input products, since
-    BLAS rounds those products by their row count.
+    rows alone, keys and values on every position. The backward takes one
+    product per weight for its grad and one for the input's over the same
+    stacked rows the forward projects.
 
     Every product and sum is the one the op-by-op composition makes (see
     naive_md_mha in the tests), in the same order, so outputs and grads
-    match it bit for bit and training reruns do not drift."""
+    match it bit for bit and the tests can compare them byte for byte."""
     batch, length, d_model = z.shape
     n_queries = length if queries is None else min(queries, length)
     dv = d_model // n_heads
@@ -331,8 +330,7 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
     families = params.w_o.shape[0] // d_model   # score families: time, frequency
     domains = 3 if families == 2 else 1         # stacked inputs: z, C z, -S z
     scaling = 1.0 / math.sqrt(d_model)
-    weights = (params.w_q, params.w_k, params.w_v)
-    w_data = [w.data for w in weights]
+    w_q, w_k, w_v, w_o = (w.data for w in (params.w_q, params.w_k, params.w_v, params.w_o))
 
     stacked = np.empty((domains, batch, length, d_model))
     stacked[0] = z.data
@@ -347,9 +345,9 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
 
     # queries on the query rows only, keys on every row, values on every row
     # of z and C z: one product per weight, as the composition makes them
-    q = head_rows(stacked[:, :, :n_queries] @ w_data[0], n_queries)
-    k = head_rows(stacked @ w_data[1])
-    v = head_rows(stacked[:families] @ w_data[2])
+    q = head_rows(stacked[:, :, :n_queries] @ w_q, n_queries)
+    k = head_rows(stacked @ w_k)
+    v = head_rows(stacked[:families] @ w_v)
     scores = np.empty((batch, families * n_heads, n_queries, length))
     by_family = scores.reshape(batch, families, n_heads, n_queries, length)
     np.matmul(q[:, :families], k[:, :families].swapaxes(-1, -2), out=by_family)
@@ -357,7 +355,6 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
         by_family[:, 1] += q[:, 2] @ k[:, 2].swapaxes(-1, -2)
     ad.softmax_inplace(scores, scale=scaling)
     mixed = (by_family @ v).transpose(0, 3, 1, 2, 4).reshape(batch, n_queries, -1)
-    w_o = params.w_o.data
 
     def bw(g):
         _accum(params.w_o, mixed.reshape(-1, families * d_model).T @ g.reshape(-1, d_model))
@@ -377,42 +374,38 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
         g_q = head_rows(g_queries, n_queries)
         np.matmul(g_scores, k[:, :families], out=g_q[:, :families])
         # key grads come out as (dv, length) matrices, as the op graph makes
-        # them; BLAS rounds a product with a transposed operand differently,
-        # so the products below take them in that layout
+        # them; BLAS rounds a product with a transposed operand differently
         g_keys = np.empty((batch, domains, n_heads, dv, length))
         np.matmul(q[:, :families].swapaxes(-1, -2), g_scores, out=g_keys[:, :families])
         if families == 2:
             np.matmul(g_scores[:, 1], k[:, 2], out=g_q[:, 2])
             np.matmul(q[:, 2].swapaxes(-1, -2), g_scores[:, 1], out=g_keys[:, 2])
         del g_scores
+        # then copied to contiguous rows, as the graph's slices leave them:
+        # BLAS rounds a product over a strided view differently too
+        g_keys = np.ascontiguousarray(g_keys.transpose(1, 0, 4, 2, 3)).reshape(stacked.shape)
 
-        # per domain, one product per weight for its grad and one for the
-        # input's, each weight's grad added up in domain order and z's and
-        # the spectrum's in q, k, v order. The query grads are zero-padded to
-        # every row first: BLAS rounds these products by their row count
+        # one product per weight for its grad and one for the input's, over
+        # the stacked domains: w_q on the query rows, w_k on every row, w_v on
+        # the rows of z and C z. The input grad adds the q and k parts, then
+        # v's; z takes domain 0's and then the kernel product of the others
+        def rows(a):
+            return a.reshape(-1, d_model)
+
+        _accum(params.w_q, rows(stacked[:, :, :n_queries]).T @ rows(g_queries))
+        _accum(params.w_k, rows(stacked).T @ rows(g_keys))
+        _accum(params.w_v, rows(stacked[:families]).T @ rows(g_values))
+        g_input = g_keys @ w_k.T
+        del g_keys
+        g_input[:, :, :n_queries] += g_queries @ w_q.T
+        g_input[:families] += g_values @ w_v.T
+        del g_queries, g_values
+        _accum(z, g_input[0])
         if families == 2:
-            g_spectrum = np.empty((batch, 2 * length, d_model))
-        g_query = np.zeros((batch, length, d_model))   # rows past n_queries stay 0
-        for domain in range(domains):
-            x = stacked[domain].reshape(-1, d_model)
-            g_query[:, :n_queries] = g_queries[domain]
-            g_key = g_keys[:, domain].transpose(0, 3, 1, 2).reshape(batch, length, d_model)
-            g_rows = [g_query, g_key] + ([g_values[domain]] if domain < families else [])
-            for j, (w, g_w) in enumerate(zip(weights, g_rows)):
-                _accum(w, x.T @ g_w.reshape(-1, d_model))
-                part = g_w @ w_data[j].T
-                if domain == 0:
-                    _accum(z, part)
-                elif j == 0:
-                    g_input = g_spectrum[:, (domain - 1) * length:domain * length]
-                    g_input[...] = part
-                else:
-                    g_input += part
-        del g_keys, g_values
-        if families == 2:
+            g_spectrum = g_input[1:].transpose(1, 0, 2, 3).reshape(batch, 2 * length, d_model)
             _accum(z, kernel.T @ g_spectrum)
 
-    return _node(mixed @ w_o, (z, *weights, params.w_o), bw)
+    return _node(mixed @ w_o, (z, params.w_q, params.w_k, params.w_v, params.w_o), bw)
 
 
 def block_tail(z: Tensor, attended: Tensor, block: BlockParams, p: float, rng=None) -> Tensor:

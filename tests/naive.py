@@ -77,24 +77,25 @@ def stacked_matmul(a, b):
 
 
 def naive_md_mha(z, params, n_heads, queries=None):
-    """model.md_mha composed from about 50 autodiff ops, so autodiff derives
-    its backward: nine projections (z, C z and -S z by w_q and w_k, z and
-    C z by w_v), one ad.softmax per head family, and a concat of the merged
-    heads before w_o. As in md_mha, a w_o of 2 * d_model rows adds the
-    frequency heads. queries: project queries at every position, then keep
-    the first `queries` rows of each (None: every row), so the output has
-    those rows alone."""
+    """model.md_mha composed from autodiff ops, so autodiff derives its
+    backward: z, C z and -S z concatenated on the batch axis and projected
+    by one ad.matmul per weight (w_q on the first `queries` rows, None: every
+    row; w_k on every row; w_v on z and C z), sliced back into domains, one
+    ad.softmax per head family, and a concat of the merged heads before w_o.
+    As in md_mha, a w_o of 2 * d_model rows adds the frequency heads, and the
+    output has the query rows alone."""
     batch, length, d_model = z.shape
     rows = length if queries is None else min(queries, length)
-    use_frequency = params.w_o.shape[0] == 2 * d_model
+    families = params.w_o.shape[0] // d_model   # score families: time, frequency
     dv = d_model // n_heads
     scaling = 1.0 / math.sqrt(d_model)
 
-    def split(t):
-        return ad.transpose(ad.reshape(t, (batch, length, n_heads, dv)), (0, 2, 1, 3))
+    def split(t, positions=length):
+        return ad.transpose(ad.reshape(t, (t.shape[0], positions, n_heads, dv)), (0, 2, 1, 3))
 
-    def query_rows(t):
-        return t if rows == length else ad.slice_axis(t, 2, 0, rows)
+    def domain(t, i):
+        """The batch members of domain i: z, C z, -S z."""
+        return ad.slice_axis(t, 0, i * batch, batch)
 
     def merge(t):
         return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (batch, rows, d_model))
@@ -102,21 +103,24 @@ def naive_md_mha(z, params, n_heads, queries=None):
     def keys(t):
         return ad.transpose(t, (0, 1, 3, 2))
 
-    q, k, v = (split(ad.matmul(z, w)) for w in (params.w_q, params.w_k, params.w_v))
-    time_scores = ad.softmax(ad.scale(stacked_matmul(query_rows(q), keys(k)), scaling), axis=-1)
-    heads = [merge(stacked_matmul(time_scores, v))]
-    if use_frequency:
+    x = z
+    if families == 2:
         kernel = np.broadcast_to(real_dft_kernel(length), (batch, 2 * length, length))
         spectrum = stacked_matmul(ad.const(kernel), z)
-        spec_re, spec_im = (ad.slice_axis(spectrum, 1, start, length) for start in (0, length))
-        q_re, q_im = split(ad.matmul(spec_re, params.w_q)), split(ad.matmul(spec_im, params.w_q))
-        k_re, k_im = split(ad.matmul(spec_re, params.w_k)), split(ad.matmul(spec_im, params.w_k))
-        v_re = split(ad.matmul(spec_re, params.w_v))
-        cross = ad.add(stacked_matmul(query_rows(q_re), keys(k_re)),
-                       stacked_matmul(query_rows(q_im), keys(k_im)))
+        x = ad.concat([z] + [ad.slice_axis(spectrum, 1, start, length) for start in (0, length)],
+                      axis=0)
+    q = split(ad.matmul(ad.slice_axis(x, 1, 0, rows), params.w_q), rows)
+    k = split(ad.matmul(x, params.w_k))
+    v = split(ad.matmul(ad.slice_axis(x, 0, 0, families * batch), params.w_v))
+    time_scores = ad.softmax(ad.scale(stacked_matmul(domain(q, 0), keys(domain(k, 0))), scaling),
+                             axis=-1)
+    heads = [merge(stacked_matmul(time_scores, domain(v, 0)))]
+    if families == 2:
+        cross = ad.add(stacked_matmul(domain(q, 1), keys(domain(k, 1))),
+                       stacked_matmul(domain(q, 2), keys(domain(k, 2))))
         freq_scores = ad.softmax(ad.scale(cross, scaling), axis=-1)
-        heads.append(merge(stacked_matmul(freq_scores, v_re)))
-    merged = ad.concat(heads, axis=2) if use_frequency else heads[0]
+        heads.append(merge(stacked_matmul(freq_scores, domain(v, 1))))
+    merged = ad.concat(heads, axis=2) if families == 2 else heads[0]
     return ad.matmul(merged, params.w_o)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earlyflow import earliness, features, training
+from earlyflow import cli, earliness, features, training
 from earlyflow.cli import MODEL_KEYS, TRAINING_KEYS, main
 from earlyflow.features import MtsSample, read_dataset, write_dataset
 
@@ -855,6 +855,58 @@ def test_overflowing_data_exit_2_one_line_naming_it(tmp_path, tiny_dataset, caps
     assert re.fullmatch(rf"error: {re.escape(str(data_dir))}: training failed: "
                         r"overflow encountered in \w+\n", err), err
     assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.fixture
+def no_forward(monkeypatch):
+    """Fail any eval or latents forward pass the CLI starts."""
+    def forward(*args, **kwargs):
+        raise AssertionError("a forward pass ran")
+
+    monkeypatch.setattr(cli, "evaluate", forward)
+    monkeypatch.setattr(cli, "export_latents", forward)
+
+
+@pytest.mark.parametrize("command", ["eval", "latents"])
+def test_checkpoint_of_another_width_exit_2_one_line(tmp_path, tiny_checkpoint, capsys,
+                                                     no_forward, command):
+    # the checkpoint takes 3 features per packet, the data has 4
+    data_dir = tmp_path / "wide"
+    write_dataset(separable_suite(1, n=12, length=6, d=4), data_dir)
+    assert run_cli(command, "--data", data_dir, "--ckpt", tiny_checkpoint, "--prefix-packets", 4,
+                   "--out", tmp_path / "out.csv") == 2
+    assert capsys.readouterr().err == \
+        f"error: {tiny_checkpoint}: takes 3 features per packet, {data_dir} has 4\n"
+
+
+def test_eval_label_outside_checkpoint_classes_exit_2_one_line(tmp_path, tiny_checkpoint,
+                                                              capsys, no_forward):
+    samples = separable_suite(1, n=12, length=6, d=3)
+    samples[5].label = "other"
+    data_dir = tmp_path / "relabeled"
+    write_dataset(samples, data_dir)
+    assert run_cli("eval", "--data", data_dir, "--ckpt", tiny_checkpoint, "--prefix-packets", 4,
+                   "--split", "all") == 2
+    assert capsys.readouterr().err == (
+        f"error: {tiny_checkpoint}: {data_dir} has labels ['other'] outside the "
+        f"checkpoint's classes ['class0', 'class1']\n")
+
+
+def test_eval_class_count_mismatch_exit_2_one_line(tmp_path, tiny_checkpoint, capsys,
+                                                   no_forward):
+    # a checkpoint without a class list takes the dataset's, which must
+    # number as many as the head's outputs
+    manifest = json.loads(tiny_checkpoint.read_text(encoding="utf-8"))
+    manifest["classes"] = None
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_text(json.dumps(manifest), encoding="utf-8")
+    shutil.copyfile(f"{tiny_checkpoint}.bin", f"{ckpt}.bin")
+    samples = separable_suite(1, n=12, length=6, d=3)
+    samples[5].label = "other"
+    data_dir = tmp_path / "three_classes"
+    write_dataset(samples, data_dir)
+    assert run_cli("eval", "--data", data_dir, "--ckpt", ckpt, "--prefix-packets", 4) == 2
+    assert capsys.readouterr().err == f"error: {ckpt}: has 2 classes, {data_dir} has 3\n"
 
 
 @settings(max_examples=60)

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,8 @@ def test_trace_paths_lists_test_only_code_and_not_the_forward():
     # every path runs the forward, so no line of it is listed
     assert "forward" not in sections.get("src/earlyflow/model.py", [])
     assert "head_product" not in sections.get("src/earlyflow/model.py", [])
+    # train's early stop runs, and sweep's process pool where there are 2 CPUs
+    training = sections.get("src/earlyflow/training.py", [])
+    assert "train" not in training
+    if (os.cpu_count() or 1) >= 2:
+        assert "sweep" not in training

@@ -11,8 +11,10 @@ temporary directory (tests/gen_pcap.py, tests/gen_mts.py):
   microsecond and big-endian nanosecond, with IPv6, 802.1Q and skipped
   frames, and a flow longer than --window-secs) with label rules; train by
   packet count (multi-domain) and by duration (the plain ablation), with
-  --verbose; eval (of the test split, and of all samples under --expect)
-  and latents of each checkpoint; and sweep --jobs 1;
+  --verbose; a train at learning rate 0 and patience 1, which stops
+  early; eval (of the test split, and of all samples under --expect) and
+  latents of each checkpoint; and sweep --jobs 1 and --jobs 2 (a process
+  pool where the machine has 2 CPUs);
 - as the benchmark calls them: model.predict and model.forward on one
   prefix.
 
@@ -43,7 +45,7 @@ PACKAGE = ROOT / "src" / "earlyflow"
 
 def _write_inputs(work: Path):
     """Two captures with a label-rules file, and a long-format dataset that
-    fits the ecg profile, with two model configs."""
+    fits the ecg profile, with three model configs."""
     from gen_mts import separable_suite
     from gen_pcap import (arp_frame, icmp_frame, ipv6_tcp_frame, ipv6_udp_frame, tcp_frame,
                           udp_frame, vlan_wrap, write_pcap)
@@ -68,10 +70,14 @@ def _write_inputs(work: Path):
         "src_ip,src_port,dst_ip,dst_port,start_ts,end_ts,label\n"
         "10.0.0.1,*,10.0.0.2,80,0,1000,Probe\n", encoding="utf-8")
     write_dataset(separable_suite(0, n=24, length=8, d=2), work / "data")
-    for name, model in (("freq", {}), ("plain", {"use_frequency_heads": False})):
+    # at learning rate 0 the validation F1 stays flat, so patience 1 stops
+    # training after its second epoch
+    for name, model, training in (
+            ("freq", {}, {}), ("plain", {"use_frequency_heads": False}, {}),
+            ("stop", {}, {"learning_rate": 0.0, "patience": 1, "max_epochs": 3})):
         (work / f"{name}.json").write_text(json.dumps({
             "model": {"d_model": 8, "n_heads": 2, "n_blocks": 2, "d_ff": 16, **model},
-            "training": {"max_epochs": 2, "patience": 2},
+            "training": {"max_epochs": 2, "patience": 2, **training},
         }), encoding="utf-8")
 
 
@@ -101,8 +107,10 @@ def run_paths(work: Path):
             ["latents", "--data", data, "--ckpt", ckpt, *prefix,
              "--out", str(work / "latents.csv")],
         ]
-    commands.append(["sweep", "--data", data, "--mode", "packets", "--grid", "2,4",
-                     "--config", str(work / "freq.json"), "--jobs", "1"])
+    commands.append(["train", "--data", data, "--prefix-packets", "4",
+                     "--config", str(work / "stop.json"), "--out", str(work / "stop.ckpt")])
+    commands += [["sweep", "--data", data, "--mode", "packets", "--grid", "2,4",
+                  "--config", str(work / "freq.json"), "--jobs", jobs] for jobs in ("1", "2")]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in commands:
             if cli.main(argv) != 0:
