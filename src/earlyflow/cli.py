@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import fields
 
-from .earliness import BY_COUNT, BY_DURATION, PrefixSpec, prefix_length
+from .earliness import BY_COUNT, BY_DURATION, PrefixSpec, longest_prefix
 from .features import DatasetFormatError, extract_mts, write_dataset
 from .flows import (
     FlowTable, LabelRuleError, OrderingError, flow_order, join_labels, load_label_rules,
@@ -110,7 +110,7 @@ def cmd_extract(args) -> int:
 def _build_model_and_hp(args, samples, spec):
     model_kwargs, train_kwargs = _load_config_file(args.config) if args.config else ({}, {})
     if "max_len" not in model_kwargs:
-        model_kwargs["max_len"] = max(prefix_length(s, spec) for s in samples)
+        model_kwargs["max_len"] = longest_prefix(samples, spec)
     # one dataset has one width: the loader reads it from the series header
     config = MdtConfig(d_in=samples[0].width, n_classes=len(dataset_classes(samples)),
                        **model_kwargs)
@@ -134,13 +134,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_fitting_checkpoint(args, samples):
+def _load_fitting_checkpoint(args, samples, spec):
     """The checkpoint at args.ckpt, once it is known to take the samples'
-    width, so a mismatch fails before any forward pass."""
+    width and their longest prefix under spec, so a mismatch fails before
+    any forward pass."""
     model = load_checkpoint(args.ckpt)
     if samples[0].width != model.config.d_in:
         raise CliError(f"{args.ckpt}: takes {model.config.d_in} features per packet, "
                        f"{args.data} has {samples[0].width}")
+    longest = longest_prefix(samples, spec)
+    if longest > model.config.max_len:
+        raise CliError(f"{args.ckpt}: takes prefixes of at most {model.config.max_len} packets, "
+                       f"{args.data} has one of {longest}")
     return model
 
 
@@ -156,15 +161,15 @@ def cmd_eval(args) -> int:
     samples = load_external_mts(args.data, expect=args.expect)
     if not samples:
         raise CliError("dataset is empty")
-    model = _load_fitting_checkpoint(args, samples)
     spec = _prefix_spec(args)
+    subset = _select_split(samples, args.split, args.seed)
+    if not subset:
+        raise CliError(f"the {args.split} split is empty (class sizes {class_sizes(samples)})")
+    model = _load_fitting_checkpoint(args, subset, spec)
     classes = model.classes or dataset_classes(samples)
     if len(classes) != model.config.n_classes:
         raise CliError(f"{args.ckpt}: has {model.config.n_classes} classes, "
                        f"{args.data} has {len(classes)}")
-    subset = _select_split(samples, args.split, args.seed)
-    if not subset:
-        raise CliError(f"the {args.split} split is empty (class sizes {class_sizes(samples)})")
     unknown = sorted({s.label for s in subset} - set(classes))
     if unknown:
         raise CliError(f"{args.ckpt}: {args.data} has labels {unknown} outside the "
@@ -201,8 +206,8 @@ def cmd_latents(args) -> int:
     samples = load_external_mts(args.data, expect=args.expect)
     if not samples:
         raise CliError("dataset is empty")
-    model = _load_fitting_checkpoint(args, samples)
     spec = _prefix_spec(args)
+    model = _load_fitting_checkpoint(args, samples, spec)
     with _naming(args.ckpt, "forward pass"):
         export_latents(model, samples, spec, args.out)
     print(f"wrote {args.out} rows={len(samples)} width={model.config.d_model}")

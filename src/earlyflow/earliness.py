@@ -68,6 +68,11 @@ def prefix_length(sample: MtsSample, spec: PrefixSpec) -> int:
     return max(int(np.searchsorted(rel, spec.duration_secs, side="right")), 1)
 
 
+def longest_prefix(samples, spec: PrefixSpec) -> int:
+    """The longest prefix_length of any of samples under spec, 0 for none."""
+    return max((prefix_length(s, spec) for s in samples), default=0)
+
+
 def take_prefix(sample: MtsSample, spec: PrefixSpec):
     """Return (prefix sample, earliness report) for the first
     prefix_length(sample, spec) rows."""

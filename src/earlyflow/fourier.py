@@ -2,15 +2,18 @@
 
 Forward transform uses exp(-2*pi*i*j*k/n) and is unnormalized; the inverse
 uses the conjugate kernel scaled by 1/n, so ifft(fft(x)) == x. Every length
-runs as one product with a cached (n, n) kernel matrix, so no input ever
-needs padding. real_dft_kernel gives the forward transform of real input as
-one real matrix, for callers that fold it into other matmuls.
+runs as one product with an (n, n) kernel matrix, so no input ever needs
+padding. real_dft_kernel gives the forward transform of real input as one
+real matrix [C; -S], for callers that fold it into other matmuls, and is the
+one kernel that is built and cached: fft_along assembles its complex kernel
+C - iS (or C + iS for the inverse) from it for each call, by exact copies and
+negations.
 
-Each kernel cache keeps what one model forward reuses, and no more: a
-forward at prefix length L needs _dft_matrix(d_in) and _dft_matrix(L) for
-its input widening and one real_dft_kernel(L + 1) that every encoder block
-shares. Ragged eval moves to a new length with nearly every forward, so
-older kernels would only be held, never hit again.
+The cache keeps what one model forward reuses, and no more: a forward at
+prefix length L needs real_dft_kernel(d_in) and real_dft_kernel(L) for its
+input widening and real_dft_kernel(L + 1), which every encoder block shares.
+Ragged eval moves to a new length with nearly every forward, so older
+kernels would only be held, never hit again.
 """
 
 from __future__ import annotations
@@ -19,38 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-# Kernels each lru_cache below keeps (see the module docstring);
+# Kernels the lru_cache below keeps (see the module docstring);
 # model.DFT_CACHE_CELL_VALUES charges them.
-KERNEL_CACHE_SIZE = 2
-
-
-def _angle_table(n: int):
-    """cos and sin of 2*pi*m/n for m = 0..n-1, and the (n, n) index j*k mod
-    n into them, so kernel angles stay exact for large n. The index is
-    int32 while every product j*k fits, since that builds it faster than
-    int64."""
-    angle = 2 * np.pi * np.arange(n) / n
-    j = np.arange(n, dtype=np.int32 if (n - 1) ** 2 < 2 ** 31 else np.int64)
-    jk = np.outer(j, j)
-    jk %= n
-    return np.cos(angle), np.sin(angle), jk
-
-
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _dft_matrix(n: int, sign: int) -> np.ndarray:
-    """Read-only (n, n) kernel exp(sign*2*pi*i*j*k/n), gathered from an
-    n-entry table. The cache keeps two kernels, the two that the inverse 2D
-    transform of one (length, d_in) prefix uses: one for its feature axis
-    and one for its sequence axis. A kernel for n = 512 is 4 MB, and ragged
-    eval rarely comes back to an older length before it is evicted.
-    """
-    cos, sin, jk = _angle_table(n)
-    table = np.empty(n, dtype=np.complex128)
-    table.real = cos
-    table.imag = sign * sin
-    kernel = table.take(jk)
-    kernel.flags.writeable = False
-    return kernel
+KERNEL_CACHE_SIZE = 3
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -58,10 +32,14 @@ def real_dft_kernel(n: int) -> np.ndarray:
     """Read-only (2n, n) matrix [C; -S], C[j, k] = cos(2*pi*j*k/n) and S the
     matching sines: kernel @ x stacks the real part of the forward transform
     of a real x (along its first axis) on top of the imaginary part. It is
-    gathered straight from the cos/sin table, with the same values as the
-    real and imaginary parts of the complex forward kernel."""
-    cos, sin, jk = _angle_table(n)
-    kernel = np.stack([cos, -sin]).take(jk, axis=1).reshape(2 * n, n)
+    gathered from an n-entry cos/sin table by the index j*k mod n, so kernel
+    angles stay exact for large n. The index is int32 while every product
+    j*k fits, since that builds it faster than int64."""
+    angle = 2 * np.pi * np.arange(n) / n
+    j = np.arange(n, dtype=np.int32 if (n - 1) ** 2 < 2 ** 31 else np.int64)
+    jk = np.outer(j, j)
+    jk %= n
+    kernel = np.stack([np.cos(angle), -np.sin(angle)]).take(jk, axis=1).reshape(2 * n, n)
     kernel.flags.writeable = False
     return kernel
 
@@ -84,8 +62,15 @@ def fft_along(x, axis: int, inverse: bool = False) -> np.ndarray:
     n = x.shape[axis]
     if n == 0:
         raise ValueError("fft_along over an empty axis")
+    real = real_dft_kernel(n)
+    kernel = np.empty((n, n), dtype=np.complex128)
+    kernel.real = real[:n]
+    if inverse:
+        np.negative(real[n:], out=kernel.imag)
+    else:
+        kernel.imag = real[n:]
     # the kernel is symmetric, so a right-multiply transforms the last axis
-    out = np.swapaxes(x, axis, -1) @ _dft_matrix(n, +1 if inverse else -1)
+    out = np.swapaxes(x, axis, -1) @ kernel
     if inverse:
         out /= n
     return np.swapaxes(out, axis, -1)

@@ -102,9 +102,10 @@ BLOCK_ROW_FF_VALUES = 4
 # (2 * n_heads, T, T) scores are kept for backward.
 ATTENTION_CELL_VALUES = 8
 FULL_ATTENTION_HEAD_CELL_VALUES = 6
-# Values per cell of the kernels fourier's two lru_caches keep: KERNEL_CACHE_SIZE
-# kernels of at most 2 * T^2 values each, what one forward reuses (see fourier).
-DFT_CACHE_CELL_VALUES = 2 * KERNEL_CACHE_SIZE * 2
+# Values per cell of the DFT kernels: the KERNEL_CACHE_SIZE real kernels
+# fourier's lru_cache keeps, what one forward reuses (see fourier), and the
+# complex kernel fft_along assembles for one call, of at most 2 * T^2 values each.
+DFT_CACHE_CELL_VALUES = 2 * (KERNEL_CACHE_SIZE + 1)
 # init of a parameter_layout entry drawn uniformly in +-sqrt(6 / (rows + cols))
 GLOROT = "glorot"
 # np.errstate of training and eval forwards and backwards: an overflow, invalid

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward, cross_entropy, scale, zero_grad
-from .earliness import PrefixSpec, aggregate_earliness, prefix_length, take_prefix
+from .earliness import PrefixSpec, aggregate_earliness, longest_prefix, take_prefix
 from .features import DatasetFormatError, read_dataset
 from .metrics import Metrics, compute_metrics
 from .model import (NUMERIC_FAULTS, MdtConfig, MdtModel, check_int_fields, forward,
@@ -263,7 +263,7 @@ def sweep(config: MdtConfig, samples, specs, hp: Hyperparams, seed: int, jobs: i
         raise ValueError("empty sweep grid")
     samples = list(samples)
     too_long = [spec.describe() for spec in specs
-                if max((prefix_length(s, spec) for s in samples), default=0) > config.max_len]
+                if longest_prefix(samples, spec) > config.max_len]
     if too_long:
         raise ValueError(f"grid points exceed max_len {config.max_len}: {', '.join(too_long)}")
     if not stratified_split(samples, seed)[2]:

@@ -879,6 +879,40 @@ def test_checkpoint_of_another_width_exit_2_one_line(tmp_path, tiny_checkpoint, 
         f"error: {tiny_checkpoint}: takes 3 features per packet, {data_dir} has 4\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "latents"])
+def test_prefix_beyond_checkpoint_max_len_exit_2_one_line(tmp_path, tiny_dataset,
+                                                          tiny_checkpoint, capsys, no_forward,
+                                                          command):
+    # the checkpoint was trained on 4-packet prefixes, so its max_len is 4;
+    # every sample has 6 packets
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--data", tiny_dataset, "--ckpt", tiny_checkpoint,
+                   "--prefix-packets", 10, "--out", out) == 2
+    assert capsys.readouterr().err == (f"error: {tiny_checkpoint}: takes prefixes of at most "
+                                       f"4 packets, {tiny_dataset} has one of 6\n")
+    assert not out.exists()
+
+
+def test_eval_checks_prefix_lengths_of_its_split_alone(tmp_path, tiny_checkpoint, capsys):
+    # 4-packet samples but one training sample of 9 packets: the test
+    # split's prefixes fit the checkpoint's max_len of 4, all of them do not
+    samples = separable_suite(1, n=12, length=4, d=3)
+    long = training.stratified_split(samples, 42)[0][0]
+    values = np.concatenate([samples[long].values] * 3)[:9]
+    samples[long] = MtsSample(flow_id=samples[long].flow_id, values=values,
+                              timestamps=np.arange(9, dtype=np.float64),
+                              label=samples[long].label)
+    data_dir = tmp_path / "one_long"
+    write_dataset(samples, data_dir)
+    assert run_cli("eval", "--data", data_dir, "--ckpt", tiny_checkpoint,
+                   "--prefix-packets", 9) == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--data", data_dir, "--ckpt", tiny_checkpoint,
+                   "--prefix-packets", 9, "--split", "all") == 2
+    assert capsys.readouterr().err == (f"error: {tiny_checkpoint}: takes prefixes of at most "
+                                       f"4 packets, {data_dir} has one of 9\n")
+
+
 def test_eval_label_outside_checkpoint_classes_exit_2_one_line(tmp_path, tiny_checkpoint,
                                                               capsys, no_forward):
     samples = separable_suite(1, n=12, length=6, d=3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from earlyflow.fourier import _dft_matrix, fft_1d, fft_2d, fft_along, real_dft_kernel
+from earlyflow.fourier import fft_1d, fft_2d, fft_along, real_dft_kernel
 
 from naive import naive_dft, naive_dft_2d
 
@@ -54,11 +54,10 @@ def test_long_lengths_match_numpy_fft(n):
 
 @pytest.mark.parametrize("n", [1, 7, 64, 65, 250])
 def test_dft_kernels_are_read_only(n):
-    for sign in (-1, +1):
-        kernel = _dft_matrix(n, sign)
-        assert kernel.shape == (n, n) and not kernel.flags.writeable
-        with pytest.raises(ValueError):
-            kernel[0, 0] = 0.0
+    kernel = real_dft_kernel(n)
+    assert kernel.shape == (2 * n, n) and not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64, 67, 257, 513])
@@ -74,22 +73,25 @@ def test_real_dft_kernel_matches_naive_dft(n):
 
 def test_real_dft_kernel_bit_identical_to_complex_kernel():
     """The real kernel, gathered from the cos/sin table, holds the very bits
-    of [K.real; K.imag] for the complex forward kernel K. The kernels index
-    that table by j*k mod n in int32, and K gathered by an int64 index from
-    the same table has the same bits too."""
+    of [K.real; K.imag] for the complex forward kernel K gathered from the
+    same table by an int64 index, and the transforms, which assemble their
+    complex kernel from it, have the bits of x @ K forward and of
+    (x @ conj(K)) / n inverse."""
     def same_bits(a, b):
-        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
+    rng = np.random.default_rng(5)
     for n in range(1, 601):
         angle = 2 * np.pi * np.arange(n) / n
         table = np.empty(n, dtype=np.complex128)
         table.real, table.imag = np.cos(angle), -np.sin(angle)
         k = table[np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n]
-        assert same_bits(_dft_matrix(n, -1), k), n
-        assert same_bits(_dft_matrix(n, 1), np.conj(k)), n
         kernel = real_dft_kernel(n)
         assert kernel.flags.c_contiguous
         assert same_bits(kernel, np.concatenate([k.real, k.imag])), n
+        x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        assert same_bits(fft_along(x, -1), x @ k), n
+        assert same_bits(fft_along(x, -1, inverse=True), (x @ np.conj(k)) / n), n
 
 
 def test_empty_vector_rejected():

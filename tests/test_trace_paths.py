@@ -25,5 +25,7 @@ def test_trace_paths_lists_test_only_code_and_not_the_forward():
     # train's early stop runs, and sweep's process pool where there are 2 CPUs
     training = sections.get("src/earlyflow/training.py", [])
     assert "train" not in training
+    # an eval of an empty test split runs class_sizes for its message
+    assert "class_sizes" not in training
     if (os.cpu_count() or 1) >= 2:
         assert "sweep" not in training

@@ -13,8 +13,9 @@ temporary directory (tests/gen_pcap.py, tests/gen_mts.py):
   packet count (multi-domain) and by duration (the plain ablation), with
   --verbose; a train at learning rate 0 and patience 1, which stops
   early; eval (of the test split, and of all samples under --expect) and
-  latents of each checkpoint; and sweep --jobs 1 and --jobs 2 (a process
-  pool where the machine has 2 CPUs);
+  latents of each checkpoint; sweep --jobs 1 and --jobs 2 (a process
+  pool where the machine has 2 CPUs); and an eval of an empty test split,
+  which exits 2;
 - as the benchmark calls them: model.predict and model.forward on one
   prefix.
 
@@ -70,6 +71,8 @@ def _write_inputs(work: Path):
         "src_ip,src_port,dst_ip,dst_port,start_ts,end_ts,label\n"
         "10.0.0.1,*,10.0.0.2,80,0,1000,Probe\n", encoding="utf-8")
     write_dataset(separable_suite(0, n=24, length=8, d=2), work / "data")
+    # 4 samples a class put 3 in train, 1 in validation and none in test
+    write_dataset(separable_suite(0, n=8, length=8, d=2), work / "small")
     # at learning rate 0 the validation F1 stays flat, so patience 1 stops
     # training after its second epoch
     for name, model, training in (
@@ -111,10 +114,13 @@ def run_paths(work: Path):
                      "--config", str(work / "stop.json"), "--out", str(work / "stop.ckpt")])
     commands += [["sweep", "--data", data, "--mode", "packets", "--grid", "2,4",
                   "--config", str(work / "freq.json"), "--jobs", jobs] for jobs in ("1", "2")]
+    runs = [(argv, 0) for argv in commands]
+    runs.append((["eval", "--data", str(work / "small"), "--ckpt", str(work / "freq.ckpt"),
+                  "--prefix-packets", "4", "--split", "test"], 2))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        for argv in commands:
-            if cli.main(argv) != 0:
-                raise RuntimeError(f"earlyflow {' '.join(argv)} failed")
+        for argv, expected in runs:
+            if cli.main(argv) != expected:
+                raise RuntimeError(f"earlyflow {' '.join(argv)} did not exit {expected}")
     trained = model.load_checkpoint(work / "freq.ckpt")
     sample = training.load_external_mts(data)[0]
     prefix, _ = earliness.take_prefix(sample, earliness.PrefixSpec.by_count(4))
