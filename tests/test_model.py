@@ -22,9 +22,9 @@ from earlyflow.model import (
     ADAM_TEMPORARY_COPIES, ARRAY_OVERHEAD_VALUES, ATTENTION_CELL_VALUES, BLOCK_ROW_FF_VALUES,
     BLOCK_ROW_VALUES, DFT_CACHE_CELL_VALUES, FULL_ATTENTION_HEAD_CELL_VALUES, MAX_CONFIG_VALUES,
     HEAD_QUERIES, MAX_GROUP, PARAMETER_COPIES, ROW_VALUES, TRAINING_COPIES,
-    BlockParams, MdMhaParams, MdtConfig, MdtModel, config_values, encoder_block, export_latents, forward,
-    forward_prefixes, ifft_augment, length_buckets, load_checkpoint, md_mha, parameter_layout,
-    predict, save_checkpoint,
+    BlockParams, MdMhaParams, MdtConfig, MdtModel, config_values, encoder_block, export_latents,
+    forward, forward_prefixes, ifft_augment, length_buckets, load_checkpoint, md_mha,
+    parameter_layout, predict, save_checkpoint,
 )
 from earlyflow.training import Hyperparams, minibatch_gradients, train
 
@@ -803,7 +803,10 @@ def test_kernel_caches_miss_once_per_kernel_in_training_and_ragged_eval():
     clear_kernel_caches()
     forward_prefixes(MdtModel(config, seed=1), [rng.normal(size=(n, 4)) for n in lengths])
     info = fourier.real_dft_kernel.cache_info()
+    # misses: d_in, and L and L + 1 of each group but the length-3 group's L + 1
     assert info.misses == 1 + 2 * groups - 1
+    # hits: d_in in every group but the first, L + 1 in each group's later
+    # blocks, and the length-3 group's L + 1
     assert info.hits == (groups - 1) + groups * (config.n_blocks - 1) + 1
 
 
