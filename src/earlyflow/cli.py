@@ -20,7 +20,9 @@ from .features import DatasetFormatError, extract_mts, write_dataset
 from .flows import (
     FlowTable, LabelRuleError, OrderingError, flow_order, join_labels, load_label_rules,
 )
-from .model import MdtConfig, MdtModel, export_latents, load_checkpoint, save_checkpoint
+from .model import (
+    MdtConfig, MdtModel, PrefixFault, export_latents, load_checkpoint, save_checkpoint,
+)
 from .pcap import SKIP_REASONS, CaptureError, open_capture
 from .training import (
     EXPECT_PROFILES, Hyperparams, SweepPoint, class_sizes, dataset_classes, evaluate,
@@ -73,13 +75,18 @@ def _write_rows(rows, path):
 
 
 @contextlib.contextmanager
-def _naming(path, stage):
-    """Name path, the input to blame, in a numeric fault of the forwards and
-    backwards run inside (they raise FloatingPointError on overflow)."""
+def _naming(stage, data, samples, blamed=None):
+    """Name the input to blame in a numeric fault of the forwards and
+    backwards run inside (they raise FloatingPointError on overflow): the
+    flow of samples, read from data, that a PrefixFault points to, and
+    otherwise blamed (default data)."""
     try:
         yield
+    except PrefixFault as exc:
+        flow_id = samples[exc.index].flow_id
+        raise CliError(f"{data}: flow {flow_id!r}: {stage} failed: {exc}") from None
     except FloatingPointError as exc:
-        raise CliError(f"{path}: {stage} failed: {exc}") from None
+        raise CliError(f"{blamed or data}: {stage} failed: {exc}") from None
 
 
 def cmd_extract(args) -> int:
@@ -124,7 +131,7 @@ def cmd_train(args) -> int:
     spec = _prefix_spec(args)
     config, hp = _build_model_and_hp(args, samples, spec)
     model = MdtModel(config, seed=args.seed)
-    with _naming(args.data, "training"):
+    with _naming("training", args.data, samples):
         result = train(model, samples, spec, hp, seed=args.seed, verbose=args.verbose)
     save_checkpoint(model, args.out)
     if args.history:
@@ -174,7 +181,7 @@ def cmd_eval(args) -> int:
     if unknown:
         raise CliError(f"{args.ckpt}: {args.data} has labels {unknown} outside the "
                        f"checkpoint's classes {list(classes)}")
-    with _naming(args.ckpt, "forward pass"):
+    with _naming("forward pass", args.data, subset, blamed=args.ckpt):
         metrics, mean_e, mean_de = evaluate(model, subset, spec, classes)
     point = SweepPoint(spec=spec, mean_earliness=mean_e,
                        mean_duration_earliness=mean_de, metrics=metrics)
@@ -196,7 +203,7 @@ def cmd_sweep(args) -> int:
     make_spec = PrefixSpec.by_count if by_count else PrefixSpec.by_duration
     specs = [make_spec(v) for v in values]  # every bad grid point fails before any training
     config, hp = _build_model_and_hp(args, samples, make_spec(max(values)))
-    with _naming(args.data, "training"):
+    with _naming("training", args.data, samples):
         points = sweep(config, samples, specs, hp, seed=args.seed, jobs=args.jobs)
     _write_rows(sweep_rows(points), args.out)
     return 0
@@ -208,7 +215,7 @@ def cmd_latents(args) -> int:
         raise CliError("dataset is empty")
     spec = _prefix_spec(args)
     model = _load_fitting_checkpoint(args, samples, spec)
-    with _naming(args.ckpt, "forward pass"):
+    with _naming("forward pass", args.data, samples, blamed=args.ckpt):
         export_latents(model, samples, spec, args.out)
     print(f"wrote {args.out} rows={len(samples)} width={model.config.d_model}")
     return 0

@@ -15,9 +15,13 @@ kernel, instead of transforming q, k and v apiece.
 
 Each encoder block is two autodiff nodes with hand-written backwards:
 md_mha, and block_tail for everything after it. md_mha projects the block
-input and its transform by one product per weight, scores both head families into one
-buffer under one in-place softmax, and adds its backward products in the
-order the op-by-op composition would. block_tail runs the dropout,
+input and its transform by one product per weight, and scores, softmaxes
+and mixes its heads in chunks of at most MAX_GROUP_CELLS score cells (at
+least one head, both families of a head together), one buffer and one
+in-place softmax a chunk. A call that fits one chunk keeps its
+probabilities for the backward; a longer one keeps none, and its backward
+recomputes each chunk's from q and k. md_mha adds its backward products in
+the order the op-by-op composition would. block_tail runs the dropout,
 residual and layer norm around the feed-forward layer the same way. So
 both give the same bits as that composition.
 
@@ -62,7 +66,8 @@ CHECKPOINT_FORMAT = "earlyflow-checkpoint-v1"
 # Most prefixes one graph holds, and the most B * T^2 attention cells (T =
 # prefix length + the classification token): 32 prefixes at attention length
 # 65. Longer prefixes run in smaller groups, so no graph allocates more rows
-# or bigger score tensors than that group does.
+# than that group does. MAX_GROUP_CELLS also bounds the score cells of one
+# chunk of md_mha's heads, unless one head alone holds more.
 MAX_GROUP = 32
 MAX_GROUP_CELLS = MAX_GROUP * 65 ** 2
 # Most attention rows a group holds: MAX_GROUP prefixes at attention length 65.
@@ -99,7 +104,9 @@ BLOCK_ROW_VALUES = 16
 BLOCK_ROW_FF_VALUES = 4
 # Values per cell of one prefix's T^2 attention: the base, and per head for
 # each block but the last (which attends from HEAD_QUERIES rows only), whose
-# (2 * n_heads, T, T) scores are kept for backward.
+# (2 * n_heads, T, T) probabilities backward reads. md_mha keeps those only
+# when they fit one chunk of MAX_GROUP_CELLS score cells, and recomputes them
+# in chunks beyond, so these over-cover long prefixes.
 ATTENTION_CELL_VALUES = 8
 FULL_ATTENTION_HEAD_CELL_VALUES = 6
 # Values per cell of the DFT kernels: the KERNEL_CACHE_SIZE real kernels
@@ -308,11 +315,18 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
     with the shared projections, DFT(z W) = DFT(z) W, so z, C z and -S z
     (the [C; -S] kernel applied once) are stacked and projected by one
     product per weight: w_q and w_k project all three, w_v z and C z alone,
-    since no head uses the values of -S z. The time scores q k^T and the
-    frequency scores q_re k_re^T + q_im k_im^T fill one (batch, 2 * n_heads,
-    queries, length) buffer that one in-place softmax normalizes; the time
-    heads mix v and the frequency heads the real part of the transformed
-    values.
+    since no head uses the values of -S z. The heads run in chunks of at
+    most MAX_GROUP_CELLS score cells, and at least one head: the time scores
+    q k^T and the frequency scores q_re k_re^T + q_im k_im^T of a chunk's
+    heads fill one (batch, 2 * heads, queries, length) buffer, time heads
+    first, that one in-place softmax normalizes; the time heads mix v and
+    the frequency heads the real part of the transformed values, straight
+    into the output rows. When the call is one chunk, its probabilities are
+    kept for the backward. When it is several, none are kept, and the
+    backward recomputes each chunk's from the saved q and k by the same
+    products and softmax, then takes that chunk's score, query and key
+    grads before the next; so no buffer holds every head's scores of a long
+    prefix.
 
     queries: attend from the first `queries` positions only (None: every
     position) and return those rows alone. Queries are projected on those
@@ -321,8 +335,10 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
     stacked rows the forward projects.
 
     Every product and sum is the one the op-by-op composition makes (see
-    naive_md_mha in the tests), in the same order, so outputs and grads
-    match it bit for bit and the tests can compare them byte for byte."""
+    naive_md_mha in the tests), in the same order: a chunk's products are
+    the per-(batch, family, head) products numpy's stacked matmul makes, and
+    no softmax row is split. So outputs and grads match it bit for bit, in
+    any chunking, and the tests can compare them byte for byte."""
     batch, length, d_model = z.shape
     n_queries = length if queries is None else min(queries, length)
     dv = d_model // n_heads
@@ -349,39 +365,68 @@ def md_mha(z: Tensor, params: MdMhaParams, n_heads: int, queries: int | None = N
     q = head_rows(stacked[:, :, :n_queries] @ w_q, n_queries)
     k = head_rows(stacked @ w_k)
     v = head_rows(stacked[:families] @ w_v)
-    scores = np.empty((batch, families * n_heads, n_queries, length))
-    by_family = scores.reshape(batch, families, n_heads, n_queries, length)
-    np.matmul(q[:, :families], k[:, :families].swapaxes(-1, -2), out=by_family)
-    if families == 2:
-        by_family[:, 1] += q[:, 2] @ k[:, 2].swapaxes(-1, -2)
-    ad.softmax_inplace(scores, scale=scaling)
-    mixed = (by_family @ v).transpose(0, 3, 1, 2, 4).reshape(batch, n_queries, -1)
+
+    # heads run in chunks of at most MAX_GROUP_CELLS score cells, and at
+    # least one head, both families of a head in the same chunk
+    step = max(1, min(n_heads, MAX_GROUP_CELLS // (batch * families * n_queries * length)))
+    chunks = [slice(h, min(h + step, n_heads)) for h in range(0, n_heads, step)]
+
+    def probabilities(heads):
+        """Softmaxed scores of the heads in slice `heads`: a (batch, family,
+        head, query, position) view of one (batch, families * heads,
+        queries, length) buffer, time heads first."""
+        count = heads.stop - heads.start
+        scores = np.empty((batch, families * count, n_queries, length))
+        by_family = scores.reshape(batch, families, count, n_queries, length)
+        np.matmul(q[:, :families, heads], k[:, :families, heads].swapaxes(-1, -2), out=by_family)
+        if families == 2:
+            by_family[:, 1] += q[:, 2, heads] @ k[:, 2, heads].swapaxes(-1, -2)
+        ad.softmax_inplace(scores, scale=scaling)
+        return by_family
+
+    # one chunk keeps its probabilities for the backward; several keep none,
+    # and the backward recomputes each chunk's from q and k
+    kept = probabilities(chunks[0]) if len(chunks) == 1 else None
+    # each chunk mixes its values straight into the output rows
+    mixed = np.empty((batch, n_queries, families, n_heads, dv))
+    mixed_heads = mixed.transpose(0, 2, 3, 1, 4)
+    for heads in chunks:
+        np.matmul(probabilities(heads) if kept is None else kept, v[:, :, heads],
+                  out=mixed_heads[:, :, heads])
+    mixed = mixed.reshape(batch, n_queries, -1)
 
     def bw(g):
         _accum(params.w_o, mixed.reshape(-1, families * d_model).T @ g.reshape(-1, d_model))
         g_mixed = (g @ w_o.T).reshape(batch, n_queries, families, n_heads, dv) \
             .transpose(0, 2, 3, 1, 4)
-        g_scores = g_mixed @ v.swapaxes(-1, -2)
         # grads of q and v as (domain, batch, positions, d_model) rows, q's
-        # on the query rows alone
+        # on the query rows alone; key grads come out as (dv, length)
+        # matrices, as the op graph makes them: BLAS rounds a product with a
+        # transposed operand differently
         g_values = np.empty((families, batch, length, d_model))
-        np.matmul(by_family.swapaxes(-1, -2), g_mixed, out=head_rows(g_values))
-        del g_mixed
-        # softmax Jacobian, then the scaling
-        g_scores -= (g_scores * by_family).sum(axis=-1, keepdims=True)
-        g_scores *= by_family
-        g_scores *= scaling
         g_queries = np.empty((domains, batch, n_queries, d_model))
-        g_q = head_rows(g_queries, n_queries)
-        np.matmul(g_scores, k[:, :families], out=g_q[:, :families])
-        # key grads come out as (dv, length) matrices, as the op graph makes
-        # them; BLAS rounds a product with a transposed operand differently
         g_keys = np.empty((batch, domains, n_heads, dv, length))
-        np.matmul(q[:, :families].swapaxes(-1, -2), g_scores, out=g_keys[:, :families])
-        if families == 2:
-            np.matmul(g_scores[:, 1], k[:, 2], out=g_q[:, 2])
-            np.matmul(q[:, 2].swapaxes(-1, -2), g_scores[:, 1], out=g_keys[:, 2])
-        del g_scores
+        g_v, g_q = head_rows(g_values), head_rows(g_queries, n_queries)
+        for heads in chunks:
+            by_family = kept
+            if by_family is None:
+                by_family = probabilities(heads)
+            g_chunk = g_mixed[:, :, heads]
+            g_scores = g_chunk @ v[:, :, heads].swapaxes(-1, -2)
+            np.matmul(by_family.swapaxes(-1, -2), g_chunk, out=g_v[:, :, heads])
+            # softmax Jacobian, then the scaling
+            g_scores -= (g_scores * by_family).sum(axis=-1, keepdims=True)
+            g_scores *= by_family
+            del by_family
+            g_scores *= scaling
+            np.matmul(g_scores, k[:, :families, heads], out=g_q[:, :families, heads])
+            np.matmul(q[:, :families, heads].swapaxes(-1, -2), g_scores,
+                      out=g_keys[:, :families, heads])
+            if families == 2:
+                np.matmul(g_scores[:, 1], k[:, 2, heads], out=g_q[:, 2, heads])
+                np.matmul(q[:, 2, heads].swapaxes(-1, -2), g_scores[:, 1], out=g_keys[:, 2, heads])
+            del g_scores
+        del g_mixed
         # then copied to contiguous rows, as the graph's slices leave them:
         # BLAS rounds a product over a strided view differently too
         g_keys = np.ascontiguousarray(g_keys.transpose(1, 0, 4, 2, 3)).reshape(stacked.shape)
@@ -586,16 +631,56 @@ def keep_freed_heap():
     mallopt(_M_TRIM_THRESHOLD, 2 * HEAP_BLOCK_BYTES)
 
 
+class PrefixFault(FloatingPointError):
+    """A numeric fault of one prefix: run alone it faults, while another
+    prefix of its length group runs clean, so the input is to blame and not
+    the model. `index` is its position in the prefixes the call was given."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message, index)
+        self.index = index
+
+    def __str__(self):
+        return self.args[0]
+
+    def at(self, positions) -> PrefixFault:
+        """This fault with its index looked up in positions: the caller's
+        position of the prefix."""
+        return PrefixFault(self.args[0], int(positions[self.index]))
+
+
+def lone_fault(members, run_alone) -> PrefixFault | None:
+    """After a length group's FloatingPointError: run_alone(i) runs each of
+    the group's members (positions) by itself until one has faulted and
+    another run clean, and the first that faulted comes back as a
+    PrefixFault; None when no member runs clean or none faults alone."""
+    fault = clean = None
+    for i in members:
+        try:
+            run_alone(i)
+        except FloatingPointError as exc:
+            fault = fault or PrefixFault(str(exc), i)
+        else:
+            clean = True
+        if fault and clean:
+            return fault
+    return None
+
+
 def forward_prefixes(model: MdtModel, prefixes):
     """Eval-mode logits (n, n_classes) and latents (n, d_model) as arrays,
     in input order, for ragged (l, d_in) prefixes run as length buckets,
-    under NUMERIC_FAULTS."""
+    under NUMERIC_FAULTS. A group's FloatingPointError becomes the
+    PrefixFault of lone_fault where a prefix is to blame."""
     c = model.config
     logits = np.empty((len(prefixes), c.n_classes))
     latents = np.empty((len(prefixes), c.d_model))
     with ad.no_grad(), np.errstate(**NUMERIC_FAULTS):
         for group in length_buckets([len(p) for p in prefixes]):
-            group_logits, group_latents = forward(model, np.stack([prefixes[i] for i in group]))
+            try:
+                group_logits, group_latents = forward(model, np.stack([prefixes[i] for i in group]))
+            except FloatingPointError as exc:
+                raise lone_fault(group, lambda i: forward(model, prefixes[i][None])) or exc
             logits[group] = group_logits.data
             latents[group] = group_latents.data
     return logits, latents
@@ -685,7 +770,8 @@ def load_checkpoint(path) -> MdtModel:
 
 def export_latents(model: MdtModel, samples, spec: PrefixSpec, out_path):
     """CSV of flow_id, label, and the d_model latent values per sample, so an
-    external classifier can replace the built-in head."""
+    external classifier can replace the built-in head. A PrefixFault gives
+    the sample's position in samples."""
     samples = list(samples)
     prefixes = [take_prefix(sample, spec)[0].values for sample in samples]
     _, latents = forward_prefixes(model, prefixes)

@@ -23,8 +23,8 @@ from .autodiff import backward, cross_entropy, scale, zero_grad
 from .earliness import PrefixSpec, aggregate_earliness, longest_prefix, take_prefix
 from .features import DatasetFormatError, read_dataset
 from .metrics import Metrics, compute_metrics
-from .model import (NUMERIC_FAULTS, MdtConfig, MdtModel, check_int_fields, forward,
-                    forward_prefixes, length_buckets)
+from .model import (NUMERIC_FAULTS, MdtConfig, MdtModel, PrefixFault, check_int_fields,
+                    forward, forward_prefixes, length_buckets, lone_fault)
 
 SPLIT = (0.70, 0.15, 0.15)   # train, validation, test shares of each class
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -140,24 +140,38 @@ def minibatch_gradients(model: MdtModel, prefixes, targets, weights, rng):
     """Add to the parameter grads the gradient of sum(w * nll) / sum(w) over
     one training minibatch, w being each target's class weight, with dropout
     drawn from rng. Prefixes of one length run as one graph, forward and
-    backward under NUMERIC_FAULTS. Returns (sum(w * nll), sum(w))."""
+    backward under NUMERIC_FAULTS. Returns (sum(w * nll), sum(w)). A
+    group's FloatingPointError becomes the PrefixFault of lone_fault, each
+    member rerun without dropout, where a prefix is to blame."""
     targets = np.asarray(targets, dtype=np.intp)
     batch_w = float(weights[targets].sum())
+
+    def run(group, rng):
+        """Forward and backward of the prefixes at positions group as one
+        graph; returns the group's weight times its weighted mean nll."""
+        # rng positionally: the benchmark's tracer tells training forwards by args[2]
+        logits, _ = forward(model, np.stack([prefixes[i] for i in group]), rng)
+        nll = cross_entropy(logits, targets[group], class_weights=weights)
+        # the group's weighted mean nll times its share of the batch weight
+        group_w = float(weights[targets[group]].sum())
+        backward(scale(nll, group_w / batch_w))
+        return group_w * float(nll.data)
+
     loss_sum = 0.0
     with np.errstate(**NUMERIC_FAULTS):
         for group in length_buckets([len(p) for p in prefixes]):
-            # rng positionally: the benchmark's tracer tells training forwards by args[2]
-            logits, _ = forward(model, np.stack([prefixes[i] for i in group]), rng)
-            nll = cross_entropy(logits, targets[group], class_weights=weights)
-            # the group's weighted mean nll times its share of the batch weight
-            group_w = float(weights[targets[group]].sum())
-            backward(scale(nll, group_w / batch_w))
-            loss_sum += group_w * float(nll.data)
+            try:
+                loss_sum += run(group, rng)
+            except FloatingPointError as exc:
+                raise lone_fault(group, lambda i: run([i], None)) or exc
     return loss_sum, batch_w
 
 
 def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
           seed: int, verbose: bool = False) -> TrainResult:
+    """Train model on samples' prefixes under spec and restore its best
+    epoch. A PrefixFault raised here gives the sample's position in
+    samples."""
     samples = list(samples)
     classes = dataset_classes(samples)
     if len(classes) != model.config.n_classes:
@@ -194,14 +208,20 @@ def train(model: MdtModel, samples, spec: PrefixSpec, hp: Hyperparams,
         for start in range(0, len(order), hp.batch_size):
             batch = order[start:start + hp.batch_size]
             zero_grad(params)
-            batch_loss, batch_w = minibatch_gradients(
-                model, [prefixes[i] for i in batch], targets[batch], weights, rng)
+            try:
+                batch_loss, batch_w = minibatch_gradients(
+                    model, [prefixes[i] for i in batch], targets[batch], weights, rng)
+            except PrefixFault as exc:
+                raise exc.at(batch) from None
             loss_sum += batch_loss
             weight_sum += batch_w
             optimizer.step()
 
-        val_f1 = compute_metrics(_predict_labels(model, val_prefixes, classes), val_labels,
-                                 classes).macro_f1 if val_ids else 0.0
+        try:
+            val_f1 = compute_metrics(_predict_labels(model, val_prefixes, classes), val_labels,
+                                     classes).macro_f1 if val_ids else 0.0
+        except PrefixFault as exc:
+            raise exc.at(val_ids) from None
         epoch_loss = loss_sum / weight_sum
         history.append(EpochStats(epoch=epoch, loss=epoch_loss, val_macro_f1=val_f1))
         if verbose:
@@ -228,7 +248,8 @@ def _predict_labels(model, prefixes, classes) -> list:
 
 
 def evaluate(model: MdtModel, samples, spec: PrefixSpec, classes):
-    """Metrics plus mean earliness over the given samples."""
+    """Metrics plus mean earliness over the given samples; a PrefixFault
+    gives the sample's position in them."""
     samples = list(samples)
     if not samples:
         raise ValueError("nothing to evaluate")
@@ -244,7 +265,10 @@ def _run_sweep_point(args):
     model = MdtModel(config, seed=seed)
     result = train(model, samples, spec, hp, seed=seed)
     test_samples = [samples[i] for i in result.test_ids]
-    metrics, mean_e, mean_de = evaluate(model, test_samples, spec, result.classes)
+    try:
+        metrics, mean_e, mean_de = evaluate(model, test_samples, spec, result.classes)
+    except PrefixFault as exc:
+        raise exc.at(result.test_ids) from None
     return SweepPoint(spec=spec, mean_earliness=mean_e,
                       mean_duration_earliness=mean_de, metrics=metrics)
 
@@ -255,7 +279,8 @@ def sweep(config: MdtConfig, samples, specs, hp: Hyperparams, seed: int, jobs: i
     longest prefix over the samples, as train takes it, is checked against
     max_len, and the test split every point is scored on must hold a
     sample. With jobs > 1 the points train in a pool of
-    min(jobs, points, CPUs) processes; the rows do not depend on its size."""
+    min(jobs, points, CPUs) processes; the rows do not depend on its size. A
+    PrefixFault gives the sample's position in samples."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     specs = list(specs)

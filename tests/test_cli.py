@@ -831,11 +831,13 @@ def test_overflowing_checkpoint_exit_2_one_line(tmp_path, tiny_dataset, tiny_che
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "sweep"])
-def test_overflowing_data_exit_2_one_line_naming_it(tmp_path, tiny_dataset, capsys, command):
+@pytest.mark.parametrize("command", ["train", "sweep", "eval", "latents"])
+def test_overflowing_data_exit_2_one_line_naming_it(tmp_path, tiny_dataset, tiny_checkpoint,
+                                                    capsys, command):
     # a finite series.csv cell of 1e300 passes read_dataset and overflows
-    # the first attention scores; training raises on it at once, with no
-    # RuntimeWarning first, and the one line names the data directory
+    # the first attention scores; the forward raises on it at once, with no
+    # RuntimeWarning first. Its length group's other prefixes run clean on
+    # their own, so the one line names the data directory and the flow
     data_dir = tmp_path / "data"
     shutil.copytree(tiny_dataset, data_dir)
     series = data_dir / "series.csv"
@@ -844,17 +846,23 @@ def test_overflowing_data_exit_2_one_line_naming_it(tmp_path, tiny_dataset, caps
     cells[2] = "1e300"
     lines[2] = ",".join(cells)
     series.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    args = {"train": ["--prefix-packets", 4, "--out", tmp_path / "model.ckpt"],
-            "sweep": ["--mode", "packets", "--grid", "2,4"]}[command]
+    flow_id = cells[0]
+    out = tmp_path / "out.csv"
+    args = {"train": ["--prefix-packets", 4, "--config", sweep_config(tmp_path), "--out", out],
+            "sweep": ["--mode", "packets", "--grid", "2,4", "--config", sweep_config(tmp_path),
+                      "--out", out],
+            "eval": ["--ckpt", tiny_checkpoint, "--prefix-packets", 4, "--split", "all",
+                     "--out", out],
+            "latents": ["--ckpt", tiny_checkpoint, "--prefix-packets", 4, "--out", out]}[command]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run_cli(command, "--data", data_dir, "--config", sweep_config(tmp_path),
-                       *args) == 2
+        assert run_cli(command, "--data", data_dir, *args) == 2
     err = capsys.readouterr().err
     assert not caught, [str(w.message) for w in caught]
-    assert re.fullmatch(rf"error: {re.escape(str(data_dir))}: training failed: "
-                        r"overflow encountered in \w+\n", err), err
-    assert not (tmp_path / "model.ckpt").exists()
+    stage = "training" if command in ("train", "sweep") else "forward pass"
+    assert re.fullmatch(rf"error: {re.escape(str(data_dir))}: flow {re.escape(repr(flow_id))}: "
+                        rf"{stage} failed: overflow encountered in \w+\n", err), err
+    assert not out.exists()
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from earlyflow import autodiff as ad, fourier
 from earlyflow import model as model_module
@@ -172,8 +172,10 @@ def test_md_mha_length_one_passes_values_through():
 @pytest.fixture
 def softmax_outputs(monkeypatch):
     """A copy of every buffer ad.softmax_inplace normalizes, in call order.
-    A fused md_mha call writes one (batch, 2 * n_heads, T, T) buffer: time
-    heads, then frequency heads (split them with time_and_freq). Each
+    A fused md_mha forward writes one (batch, 2 * heads, T, T) buffer per
+    chunk of heads, time heads then frequency heads (split one with
+    time_and_freq, join a call's with joined_time_and_freq); below about
+    130 positions at batch 1 and 2 heads, a call is one chunk. Each
     ad.softmax call, as in the fft_pair reference, adds one buffer of its own."""
     recorded = []
     softmax_inplace = ad.softmax_inplace
@@ -191,6 +193,23 @@ def time_and_freq(scores, n_heads):
     """Time-head and frequency-head halves of a fused md_mha score buffer."""
     assert scores.shape[1] == 2 * n_heads
     return scores[:, :n_heads], scores[:, n_heads:]
+
+
+def joined_time_and_freq(buffers):
+    """Time-head and frequency-head scores of one md_mha call's chunk
+    buffers, each family's heads joined along the head axis in chunk order."""
+    halves = [time_and_freq(scores, scores.shape[1] // 2) for scores in buffers]
+    return tuple(np.concatenate(family, axis=1) for family in zip(*halves))
+
+
+@pytest.fixture(params=["one_chunk", "chunk_per_head"])
+def chunk_bound(request, monkeypatch):
+    """md_mha's chunk bound as the model sets it (most shapes here fit one
+    chunk, whose probabilities the backward reuses), or 1, which makes each
+    head its own chunk, so the backward recomputes every chunk's
+    probabilities from q and k."""
+    if request.param == "chunk_per_head":
+        monkeypatch.setattr(model_module, "MAX_GROUP_CELLS", 1)
 
 
 def test_md_mha_identical_rows_give_uniform_scores(softmax_outputs):
@@ -265,8 +284,10 @@ def test_md_mha_matches_fft_pair_path_ragged(softmax_outputs):
         got = md_mha(z, p, n_heads=2).data
         want = fft_pair_md_mha(z, p, n_heads=2).data
         assert np.abs(got - want).max() < 1e-9
-        scores, want_time, want_freq = softmax_outputs
-        got_time, got_freq = time_and_freq(scores, 2)
+        # 2 heads at length 257 exceed one chunk: a buffer per head
+        *chunks, want_time, want_freq = softmax_outputs
+        assert len(chunks) == (2 if length == 257 else 1)
+        got_time, got_freq = joined_time_and_freq(chunks)
         assert np.abs(got_time - want_time).max() < 1e-9, length
         assert np.abs(got_freq - want_freq).max() < 1e-9, length
 
@@ -294,7 +315,7 @@ def attention_and_grads(attention, z, p, weights, n_heads=2):
 
 @pytest.mark.parametrize("use_freq", [True, False])
 @pytest.mark.parametrize("batch", [1, 3])
-def test_md_mha_matches_graph_oracle_with_grads(batch, use_freq):
+def test_md_mha_matches_graph_oracle_with_grads(batch, use_freq, chunk_bound):
     rng = np.random.default_rng(40 + batch)
     for length in RAGGED_LENGTHS:
         z = param(rng.normal(size=(batch, length, 8)))
@@ -309,7 +330,7 @@ def test_md_mha_matches_graph_oracle_with_grads(batch, use_freq):
 @pytest.mark.parametrize("queries", [None, HEAD_QUERIES])
 @pytest.mark.parametrize("use_freq", [True, False])
 @pytest.mark.parametrize("batch,length", [(1, 17), (32, 17), (4, 65), (1, 234)])
-def test_md_mha_equals_graph_oracle_bit_for_bit(batch, length, use_freq, queries):
+def test_md_mha_equals_graph_oracle_bit_for_bit(batch, length, use_freq, queries, chunk_bound):
     # the fused node makes the graph's products and sums in the graph's
     # order, so its output and grads can be compared byte for byte
     rng = np.random.default_rng(43)
@@ -342,7 +363,7 @@ def leading_rows_and_full(z, p, n_heads, queries):
 
 @pytest.mark.parametrize("use_freq", [True, False])
 @pytest.mark.parametrize("batch", [1, 32])
-def test_md_mha_leading_rows_equal_full_rows_bit_for_bit(batch, use_freq):
+def test_md_mha_leading_rows_equal_full_rows_bit_for_bit(batch, use_freq, chunk_bound):
     # the criterion-6 shape: attending from two rows gives the full node's
     # first two rows, and the same grads when only those rows get one. The
     # grads of w_q and w_o sum 2 rows per sequence instead of 17 (15 of them
@@ -381,12 +402,14 @@ def test_md_mha_leading_rows_match_full_rows(batch, length, use_freq):
         assert np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max()), name
 
 
-@settings(max_examples=40, deadline=None)
+# chunk_bound is set once for every example
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(1, 4), st.integers(1, 20), st.booleans())
 # BLAS rounds a product by its row count: at batch 4 and 250 positions the
 # weight products of the key and value grads run over 3000 and 2000 rows
 @example(4, 250, True)
-def test_md_mha_head_rows_equal_graph_oracle_bit_for_bit(batch, length, use_freq):
+def test_md_mha_head_rows_equal_graph_oracle_bit_for_bit(chunk_bound, batch, length, use_freq):
     # md_mha projects queries on the HEAD_QUERIES rows alone; its output and
     # the grads of z and every weight keep the bits of the composition that
     # projects queries on those rows alone too
@@ -428,7 +451,7 @@ def test_md_mha_reads_head_families_off_w_o(rows):
 
 @pytest.mark.parametrize("queries", [None, HEAD_QUERIES])
 @pytest.mark.parametrize("use_freq", [True, False])
-def test_md_mha_gradients_match_finite_differences(use_freq, queries):
+def test_md_mha_gradients_match_finite_differences(use_freq, queries, chunk_bound):
     rng = np.random.default_rng(9)
     for length in (4, 17, 67):
         z = param(rng.normal(size=(2, length, 8)) * 0.5)
@@ -738,6 +761,36 @@ def test_training_step_peak_at_the_benchmark_shape():
     finally:
         tracemalloc.stop()
     assert peak <= 7.5e6
+
+
+def test_long_prefix_forward_scores_one_chunk_of_heads_at_a_time():
+    # the infer_duration benchmark's model on one 256-packet prefix: its 4
+    # heads of two families score 2 * 4 * 257^2 cells, more than
+    # MAX_GROUP_CELLS, so md_mha runs one head at a time and a recorded
+    # forward keeps no probabilities. tracemalloc's peak of a graph-free
+    # forward and the memory a recorded forward's graph holds read about 2.6
+    # and 2.2 MB; one (8, 257, 257) score buffer for every head took them to
+    # about 7 and 6.5 MB
+    config = MdtConfig(d_in=13, n_classes=3, d_model=32, n_heads=4, n_blocks=2, d_ff=64,
+                       max_len=256)
+    model = MdtModel(config, seed=0)
+    x = np.random.default_rng(0).normal(size=(256, 13))
+    with ad.no_grad():
+        forward(model, x)   # builds the cached DFT kernels, which later forwards reuse
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            forward(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+        before, _ = tracemalloc.get_traced_memory()
+        logits, _ = forward(model, x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    assert held - before <= 4e6
+    backward(sum_all(logits))
+    assert all(p.grad is not None for p in model.parameters())
 
 
 @settings(max_examples=15, deadline=None)

@@ -22,6 +22,12 @@ def test_trace_paths_lists_test_only_code_and_not_the_forward():
     # every path runs the forward, so no line of it is listed
     assert "forward" not in sections.get("src/earlyflow/model.py", [])
     assert "head_product" not in sections.get("src/earlyflow/model.py", [])
+    # a train on 130-packet prefixes scores heads in chunks and recomputes
+    # their probabilities in backward; an overflowing cell is blamed on its flow
+    assert not {"md_mha", "md_mha.bw", "md_mha.probabilities", "PrefixFault.at"} \
+        & set(sections.get("src/earlyflow/model.py", []))
+    # a ragged series.csv row is named by its line
+    assert "_raise_bad_row" not in sections.get("src/earlyflow/features.py", [])
     # train's early stop runs, and sweep's process pool where there are 2 CPUs
     training = sections.get("src/earlyflow/training.py", [])
     assert "train" not in training

@@ -13,9 +13,12 @@ temporary directory (tests/gen_pcap.py, tests/gen_mts.py):
   packet count (multi-domain) and by duration (the plain ablation), with
   --verbose; a train at learning rate 0 and patience 1, which stops
   early; eval (of the test split, and of all samples under --expect) and
-  latents of each checkpoint; sweep --jobs 1 and --jobs 2 (a process
-  pool where the machine has 2 CPUs); and an eval of an empty test split,
-  which exits 2;
+  latents of each checkpoint; a train on 130-packet prefixes, whose
+  first block scores its heads in two chunks and recomputes their
+  probabilities in backward; sweep --jobs 1 and --jobs 2 (a process pool
+  where the machine has 2 CPUs); and three runs that exit 2: an eval of an
+  empty test split, and trains on a series.csv with a ragged row and on
+  one whose cell of 1e300 overflows one flow's forward;
 - as the benchmark calls them: model.predict and model.forward on one
   prefix.
 
@@ -45,8 +48,10 @@ PACKAGE = ROOT / "src" / "earlyflow"
 
 
 def _write_inputs(work: Path):
-    """Two captures with a label-rules file, and a long-format dataset that
-    fits the ecg profile, with three model configs."""
+    """Two captures with a label-rules file, a long-format dataset that fits
+    the ecg profile, with three model configs, and small datasets: one too
+    small for a test split, one of long flows, one with a ragged row and one
+    with an overflowing cell."""
     from gen_mts import separable_suite
     from gen_pcap import (arp_frame, icmp_frame, ipv6_tcp_frame, ipv6_udp_frame, tcp_frame,
                           udp_frame, vlan_wrap, write_pcap)
@@ -73,6 +78,16 @@ def _write_inputs(work: Path):
     write_dataset(separable_suite(0, n=24, length=8, d=2), work / "data")
     # 4 samples a class put 3 in train, 1 in validation and none in test
     write_dataset(separable_suite(0, n=8, length=8, d=2), work / "small")
+    # 6 training prefixes of 130 packets at 2 heads of 2 families are 4 * 6 *
+    # 131^2 score cells, more than one chunk holds
+    write_dataset(separable_suite(0, n=8, length=130, d=2), work / "long")
+    for name, edit in (("ragged", lambda cells: cells + ["0"]),
+                       ("overflow", lambda cells: cells[:2] + ["1e300"] + cells[3:])):
+        write_dataset(separable_suite(0, n=24, length=8, d=2), work / name)
+        series = work / name / "series.csv"
+        lines = series.read_text(encoding="utf-8").splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        series.write_text("\n".join(lines) + "\n", encoding="utf-8")
     # at learning rate 0 the validation F1 stays flat, so patience 1 stops
     # training after its second epoch
     for name, model, training in (
@@ -112,11 +127,16 @@ def run_paths(work: Path):
         ]
     commands.append(["train", "--data", data, "--prefix-packets", "4",
                      "--config", str(work / "stop.json"), "--out", str(work / "stop.ckpt")])
+    commands.append(["train", "--data", str(work / "long"), "--prefix-packets", "130",
+                     "--config", str(work / "freq.json"), "--out", str(work / "long.ckpt")])
     commands += [["sweep", "--data", data, "--mode", "packets", "--grid", "2,4",
                   "--config", str(work / "freq.json"), "--jobs", jobs] for jobs in ("1", "2")]
     runs = [(argv, 0) for argv in commands]
     runs.append((["eval", "--data", str(work / "small"), "--ckpt", str(work / "freq.ckpt"),
                   "--prefix-packets", "4", "--split", "test"], 2))
+    runs += [(["train", "--data", str(work / name), "--prefix-packets", "4",
+               "--config", str(work / "freq.json"), "--out", str(work / f"{name}.ckpt")], 2)
+             for name in ("ragged", "overflow")]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv, expected in runs:
             if cli.main(argv) != expected:
