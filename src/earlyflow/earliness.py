@@ -75,12 +75,12 @@ def longest_prefix(samples, spec: PrefixSpec) -> int:
 
 def take_prefix(sample: MtsSample, spec: PrefixSpec):
     """Return (prefix sample, earliness report) for the first
-    prefix_length(sample, spec) rows."""
+    prefix_length(sample, spec) rows; only those rows are decoded."""
     total = sample.length
     used = prefix_length(sample, spec)
     prefix = MtsSample(
         flow_id=sample.flow_id,
-        values=sample.values[:used],
+        values=sample.rows(0, used),
         timestamps=sample.timestamps[:used],
         label=sample.label,
         endpoints=sample.endpoints,

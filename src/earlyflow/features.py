@@ -8,23 +8,35 @@ metadata, series.csv holds the long-format feature rows with 9 fractional
 digits. The series columns are named after the sample width: FEATURE_NAMES
 at the extractor's 13, feature_0 ... feature_{d-1} at any other width d.
 
+An MtsSample holds its rows as dtype parts, and this module is the one that
+knows them: each part is a tuple of column indices and an (L, k) array, one
+part per dtype, narrowest first. Each column is held at the narrowest of
+int8, int16, int32 and int64 that holds all its values exactly, and at
+float64 otherwise: fractions, -0.0, NaN, +-inf and magnitudes past 2^53
+stay float64. The extractor's direction and flags take 1 byte a packet,
+its size 2 and its IAT 8, against 104 for 13 float64 cells. `values` and
+rows(start, stop) decode the rows to float64, read-only; a sample whose
+columns are all float64 is one part, and `values` is a view of it.
+
 extract_mts turns a list of flows into samples in one pass: it builds the
-(N, 13) feature array of the N packets of the flushed packet columns
-(pcap.PacketBlock) at once, reading each flow's rows where FlowTable.flush
-left them, and gives each sample its slice; no Python object is made per
-packet and the columns are not copied into flow order. write_dataset
-formats series rows in chunks of whole flows, each by one row template
-whose per-column formats are chosen from the chunk's cells, so only
-non-integral cells pay for '%.9f'. One long-format
-reader, read_dataset, reads both the extractor layout and external series
+parts of the N packets of the flushed packet columns (pcap.PacketBlock) at
+once, reading each flow's rows where FlowTable.flush left them, and each
+sample holds its run of rows of them; no Python object is made per packet
+and the columns are not copied into flow order. write_dataset formats
+series rows in chunks of whole flows, gathered part by part, each chunk by
+one row template whose per-column formats are chosen from the chunk's
+cells, so only non-integral cells pay for '%.9f'. One long-format reader,
+read_dataset, reads both the extractor layout and external series
 (training.load_external_mts adds a profile check): it takes d from the
 series header and parses series.csv in blocks of BLOCK_ROWS records, each
 read by one quote-aware np.loadtxt call (ids and numbers together) and
-appended to the columns the samples are sliced from: each row's series,
-seq_index, a contiguous (rows, d) values array and rel_ts, each grown in
-place. A file whose rows are grouped in flows.csv order, as write_dataset
-writes them, is sliced as read; only interleaved rows pay one stable sort
-and one gather, so either way the samples are the same bytes.
+appended to the columns the samples are cut from: each row's series and
+seq_index, the parts and rel_ts, each grown in place. Each block narrows
+the columns: a column that meets a wider value in a later block is moved
+to a wider part once, so no float64 table of every cell is held. A file
+whose rows are grouped in flows.csv order, as write_dataset writes them, is
+cut as read; only interleaved rows pay one stable sort and one gather per
+part, so either way the samples are the same bytes.
 """
 
 from __future__ import annotations
@@ -33,9 +45,8 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,25 +82,96 @@ class DatasetFormatError(Exception):
     pass
 
 
-@dataclass
+# the dtypes a feature column is held at, narrowest first (see _narrowest)
+_DTYPES = tuple(np.dtype(t) for t in ("i1", "i2", "i4", "i8", "f8"))
+_FLOAT = len(_DTYPES) - 1
+
+
 class MtsSample:
-    """One labeled time series: values is (L, d), timestamps absolute seconds.
-    endpoints, when known, is (src_ip, src_port, dst_ip, dst_port, transport)
-    in initiator orientation."""
+    """One labeled time series of `length` rows of `width` features, with
+    absolute timestamps in seconds. endpoints, when known, is (src_ip,
+    src_port, dst_ip, dst_port, transport) in initiator orientation.
 
-    flow_id: str
-    values: np.ndarray
-    timestamps: np.ndarray
-    label: str
-    endpoints: tuple | None = field(default=None)
+    The rows are held as dtype parts (see the module docstring): `values`
+    and rows(start, stop) give them as read-only float64 arrays. A sample
+    built from a values array holds it as its one float64 part, and `values`
+    is a view of it."""
+
+    __slots__ = ("flow_id", "timestamps", "label", "endpoints", "length", "width",
+                 "_layout", "_arrays", "_start")
+
+    def __init__(self, flow_id, values, timestamps, label, endpoints=None):
+        values = np.asarray(values, dtype=np.float64)
+        self._set(flow_id, (tuple(range(values.shape[1])),), (values,), 0, len(values),
+                  timestamps, label, endpoints)
+
+    @classmethod
+    def _of_parts(cls, flow_id, layout, arrays, start, length, timestamps, label, endpoints):
+        """The sample of rows start:start + length of the parts whose column
+        indices are layout and whose (rows, k) arrays are arrays."""
+        sample = cls.__new__(cls)
+        sample._set(flow_id, layout, arrays, start, length, timestamps, label, endpoints)
+        return sample
+
+    def _set(self, flow_id, layout, arrays, start, length, timestamps, label, endpoints):
+        self.flow_id, self.timestamps, self.label, self.endpoints = \
+            flow_id, timestamps, label, endpoints
+        self.length, self.width = length, sum(map(len, layout))
+        self._layout, self._arrays, self._start = layout, arrays, start
 
     @property
-    def length(self) -> int:
-        return self.values.shape[0]
+    def parts(self) -> tuple:
+        """(column indices, (length, k) array) per dtype, narrowest first."""
+        a, b = self._start, self._start + self.length
+        return tuple((cols, array[a:b]) for cols, array in zip(self._layout, self._arrays))
 
     @property
-    def width(self) -> int:
-        return self.values.shape[1]
+    def values(self) -> np.ndarray:
+        """The (length, width) float64 rows, read-only."""
+        return self.rows(0, self.length)
+
+    def rows(self, start, stop) -> np.ndarray:
+        """Rows start:stop, clamped as a slice is, as a read-only float64
+        array: a view where the sample is one float64 part, else decoded
+        part by part."""
+        start, stop, _ = slice(start, stop).indices(self.length)
+        stop = max(start, stop)
+        parts = self.parts
+        if len(parts) == 1 and parts[0][1].dtype == _DTYPES[_FLOAT]:
+            rows = parts[0][1][start:stop]
+        else:
+            rows = np.empty((stop - start, self.width))
+            for cols, part in parts:
+                rows[:, cols] = part[start:stop]
+        rows.flags.writeable = False
+        return rows
+
+
+def _narrowest(block) -> list:
+    """Per column of the float64 (rows, k) block, the position in _DTYPES
+    of the narrowest dtype that holds each of its cells exactly: an integer
+    dtype when the cells are integral, of magnitude at most 2^53 and none
+    is -0.0, else float64 (fractions, -0.0, NaN, +-inf and larger
+    magnitudes). The ranges come first, and the columns whose range an
+    integer dtype holds are cast to the widest of theirs and compared back,
+    so no float64 copy of the block is made."""
+    kinds = [_int_kind(lo, hi) if -2.0 ** 53 <= lo <= hi <= 2.0 ** 53 else _FLOAT
+             for lo, hi in zip(block.min(axis=0).tolist(), block.max(axis=0).tolist())]
+    ints = [j for j, k in enumerate(kinds) if k < _FLOAT]
+    if ints:
+        cells = block if len(ints) == len(kinds) else block[:, ints]
+        cast = cells.astype(_DTYPES[max(kinds[j] for j in ints)])
+        exact = ((cast == cells) & ~(np.signbit(cells) & (cast == 0))).all(axis=0)
+        for j, whole in zip(ints, exact.tolist()):
+            if not whole:
+                kinds[j] = _FLOAT
+    return kinds
+
+
+def _int_kind(lo, hi) -> int:
+    """The position in _DTYPES of the narrowest integer dtype holding lo..hi."""
+    return next(k for k, dtype in enumerate(_DTYPES[:_FLOAT])
+                if -(1 << 8 * dtype.itemsize - 1) <= lo and hi < 1 << 8 * dtype.itemsize - 1)
 
 
 def extract_mts(flows) -> list:
@@ -97,9 +179,9 @@ def extract_mts(flows) -> list:
     the feature vector of packet i; the first IAT entry is 0. The flow id is
     initiator-responder-transport@start.
 
-    The (N, 13) feature array is built in one pass over the N rows of the
+    The parts of the N packets are built in one pass over the N rows of the
     flows' packet columns where flush left them (flows.flow_packets), and
-    each sample is a slice of it: a packet's direction is +1 where its
+    each sample holds its rows of them: a packet's direction is +1 where its
     sender is its flow's first packet's, the IAT column is one difference
     over the timestamps (set to 0 where each flow starts), the flag columns
     are filled one bit of the flag codes at a time, at the bits of
@@ -119,26 +201,33 @@ def extract_mts(flows) -> list:
     for column in (packets.src_hi, packets.src_lo, packets.src_port):
         from_initiator &= column == column[head]
     del head
-    values = np.empty((n, NUM_FEATURES))
-    values[:, 0] = np.where(from_initiator, 1.0, -1.0)
-    np.subtract(timestamps[1:], timestamps[:-1], out=values[1:, 1])
-    values[first, 1] = 0.0
-    values[:, 2] = packets.total_bytes
+    # the parts: direction and the flags as int8, size at the narrowest
+    # integer dtype that holds it, IAT as float64
+    codes = np.empty((n, 1 + len(FLAG_SHIFTS)), np.int8)
+    codes[:, 0] = np.where(from_initiator, 1, -1)
     for j, shift in enumerate(FLAG_SHIFTS.tolist()):
-        values[:, 3 + j] = packets.flag_code >> shift & 1
+        codes[:, 1 + j] = packets.flag_code >> shift & 1
+    iat = np.empty((n, 1))
+    np.subtract(timestamps[1:], timestamps[:-1], out=iat[1:, 0])
+    iat[first, 0] = 0.0
+    kinds = [0] * NUM_FEATURES
+    kinds[1] = _FLOAT
+    kinds[2] = _int_kind(int(packets.total_bytes.min()), int(packets.total_bytes.max()))
+    size = packets.total_bytes.astype(_DTYPES[kinds[2]])[:, None]
+    parts = _regroup([((0, *range(3, NUM_FEATURES)), codes), ((2,), size), ((1,), iat)], kinds, n)
+    del codes, size, iat
+    layout, arrays = tuple(zip(*parts))
     names = {ip: ip_to_str(ip) for ip in {ip for flow in flows
                                           for ip, _ in (flow.key.endpoint_a, flow.key.endpoint_b)}}
     samples = []
     for flow, start, end in zip(flows, first.tolist(), stop.tolist()):
         (src_ip, src_port), (dst_ip, dst_port) = flow.initiator, flow.responder
         src, dst, transport = names[src_ip], names[dst_ip], flow.key.transport.value
-        samples.append(MtsSample(
-            flow_id=f"{src}:{src_port}-{dst}:{dst_port}-{transport}@{flow.start_ts:.6f}",
-            values=values[start:end],
-            timestamps=timestamps[start:end],
-            label=flow.label if flow.label is not None else "BENIGN",
-            endpoints=(src, src_port, dst, dst_port, transport),
-        ))
+        samples.append(MtsSample._of_parts(
+            f"{src}:{src_port}-{dst}:{dst_port}-{transport}@{flow.start_ts:.6f}",
+            layout, arrays, start, end - start, timestamps[start:end],
+            flow.label if flow.label is not None else "BENIGN",
+            (src, src_port, dst, dst_port, transport)))
     return samples
 
 
@@ -204,7 +293,9 @@ def _series_chunks(samples):
 def _format_chunk(pieces, d) -> str:
     """The series.csv rows of one chunk, formatted by one % call.
 
-    The template is chosen per column from the chunk's cells, each choice
+    The chunk's cells are gathered part by part, one concatenation per part
+    for each run of pieces whose samples share a layout, into one float64
+    table with rel_ts. The template is chosen per column from the chunk's cells, each choice
     printing the bytes '%.9f' would: a run of adjacent columns whose cells
     are all +0.0 or 1.0 is one %s argument looked up by the bits of the run,
     an integral column without -0.0 is ',%d.000000000' over ints, and only
@@ -214,7 +305,14 @@ def _format_chunk(pieces, d) -> str:
     lengths = [stop - start for _, start, stop in pieces]
     rows = sum(lengths)
     table = np.empty((rows, d + 1))   # the d features, then rel_ts
-    table[:, :d] = np.concatenate([s.values[a:b] for s, a, b in pieces])
+    row = 0
+    for layout, run in groupby(pieces, key=lambda piece: piece[0]._layout):
+        run = list(run)
+        end = row + sum(b - a for _, a, b in run)
+        for p, cols in enumerate(layout):
+            table[row:end, cols] = np.concatenate(
+                [s._arrays[p][s._start + a:s._start + b] for s, a, b in run])
+        row = end
     table[:, d] = np.concatenate([s.timestamps[a:b] - s.timestamps[0] for s, a, b in pieces])
     zero = table == 0.0
     zero_one = ((zero & ~np.signbit(table)) | (table == 1.0)).all(axis=0).tolist()
@@ -295,11 +393,11 @@ def read_dataset(directory) -> list:
     # each row's series is its id's position in flows.csv
     position = {entry[0]: k for k, entry in enumerate(entries)}
     try:
-        header, series, seq, values, rel, non_finite, unknown = _read_series(series_path, position)
+        header, series, seq, d, parts, rel, non_finite, unknown = \
+            _read_series(series_path, position)
     except UnicodeDecodeError as exc:
         # its byte position counts from the start of a decoded chunk, not of the file
         raise DatasetFormatError(f"{series_path}: not UTF-8 text ({exc.reason})") from None
-    d = values.shape[1]
     if extractor and header != series_header(len(header) - 3):
         raise DatasetFormatError(f"{series_path}: unexpected header")
     if d < 1:
@@ -331,7 +429,7 @@ def read_dataset(directory) -> list:
         order = None
     # each row's position within its series: 1 per row, restarting at 0 at
     # each series' first row (every series has one)
-    index = np.ones(len(series), dtype=np.intp)
+    index = np.ones(len(series), dtype=np.int32)
     index[:1] = 0
     index[starts[1:]] = 1 - counts[:-1]
     np.cumsum(index, out=index)
@@ -352,14 +450,16 @@ def read_dataset(directory) -> list:
                 f"{series_path}: rel_ts decreases within the series of {flow_id!r}")
     del series, index
     if order is not None:
-        values = values[order]
-        del order
+        # one part at a time, each freed once gathered
+        for i, (cols, array) in enumerate(parts):
+            parts[i] = cols, array[order]
+        del order, array
     if extractor:
         times += np.repeat([entry[3] for entry in entries], counts)
-    return [MtsSample(flow_id=flow_id, values=values[a:b], timestamps=times[a:b], label=label,
-                      endpoints=endpoints)
-            for (flow_id, label, endpoints, _, _), a, b
-            in zip(entries, starts.tolist(), (starts + counts).tolist())]
+    layout, arrays = tuple(zip(*parts))
+    return [MtsSample._of_parts(flow_id, layout, arrays, a, n, times[a:a + n], label, endpoints)
+            for (flow_id, label, endpoints, _, _), a, n
+            in zip(entries, starts.tolist(), counts.tolist())]
 
 
 def _read_metadata(path):
@@ -410,10 +510,12 @@ def _first_duplicate(ids):
 
 
 def _read_series(path, position):
-    """series.csv -> (header, series, seq, values, rel, non_finite,
+    """series.csv -> (header, series, seq, d, parts, rel, non_finite,
     unknown): the header; each row's series, the position of its id in
-    `position` (-1 for an id it lacks); its seq_index cell; the (rows, d)
-    array of its d feature cells; its rel_ts cell, or None without a rel_ts
+    `position` (-1 for an id it lacks); its seq_index cell (_row_number);
+    the number d of feature columns and their cells as parts, a list of
+    (column indices, (rows, k) array), each column at the narrowest dtype
+    that holds all its cells; its rel_ts cell, or None without a rel_ts
     column; and the ids of the first row holding a non-finite cell and of
     the first row whose id `position` lacks, each None when there is no
     such row.
@@ -424,8 +526,10 @@ def _read_series(path, position):
     (doubled quotes, quoted commas and line ends, CR line ends) and takes
     just the lines of whole records, so a quoted id may span two blocks;
     its numbers are the same doubles as float(). Each block's cells are
-    appended to the four columns, each grown in place, so no table of every
-    cell is held beside them."""
+    appended to the columns and parts, each grown in place, so no table of
+    every cell is held beside them. A column whose block holds a cell its
+    dtype cannot is moved to a wider part first (_regroup), once per
+    widening."""
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
         if len(header) < 3 or header[0] not in ("flow_id", "series_id") \
@@ -435,8 +539,11 @@ def _read_series(path, position):
         has_rel = header[-1] == "rel_ts"
         d = width - 1 - has_rel
         lines = _blank_checked(fh, path, len(header))
-        series, seq, values = np.zeros(0, np.intp), np.zeros(0), np.zeros((0, d))
+        series, seq = np.zeros(0, np.int32), np.zeros(0, np.int32)
         rel = np.zeros(0) if has_rel else None
+        # each feature column's position in _DTYPES, and the parts that hold them
+        kinds = [0] * d
+        parts = [(tuple(range(d)), np.zeros((0, d), _DTYPES[0]))] if d else []
         non_finite = unknown = None
         with warnings.catch_warnings():
             # the call after a last full block finds no rows
@@ -452,20 +559,67 @@ def _read_series(path, position):
                     raise DatasetFormatError(f"{path}: unparseable numeric cells") from None
                 rows, n = len(series), len(block)
                 ids, cells = block["id"], block["cells"]
-                where = np.fromiter(map(position.get, ids, repeat(-1)), np.intp, n)
+                where = np.fromiter(map(position.get, ids, repeat(-1)), np.int32, n)
                 if unknown is None and (where < 0).any():
                     unknown = ids[np.argmax(where < 0)]
                 finite = np.isfinite(cells).all(axis=1)
                 if non_finite is None and not finite.all():
                     non_finite = ids[np.argmin(finite)]
+                features = cells[:, 1:1 + d]
+                blocks = [_columns(features, cols) for cols, _ in parts]
+                wider = list(kinds)
+                for (cols, array), part in zip(parts, blocks) if n else ():
+                    if array.dtype != _DTYPES[_FLOAT]:
+                        for j, k in zip(cols, _narrowest(part)):
+                            wider[j] = max(wider[j], k)
+                if wider != kinds:
+                    parts, kinds = _regroup(parts, wider, rows), wider
+                    blocks = [_columns(features, cols) for cols, _ in parts]
                 # resize reallocates in place where it can: no copy of earlier blocks
-                for column, part in ((series, where), (seq, cells[:, 0]),
-                                     (values, cells[:, 1:1 + d]), (rel, cells[:, -1])):
+                for column, part in ((series, where), (seq, _row_number(cells[:, 0])),
+                                     (rel, cells[:, -1]),
+                                     *zip((array for _, array in parts), blocks)):
                     if column is not None:
                         column.resize((rows + n, *column.shape[1:]), refcheck=False)
                         column[rows:] = part
-                del block, ids, cells, part   # before the next block is read
-    return header, series, seq, values, rel, non_finite, unknown
+                # before the next block is read
+                del block, ids, cells, features, blocks, part
+    return header, series, seq, d, parts, rel, non_finite, unknown
+
+
+def _regroup(parts, kinds, rows) -> list:
+    """parts, of `rows` rows each, regrouped by kinds, each column's position
+    in _DTYPES: one part per kind, narrowest first, its columns in order. A
+    part whose columns and dtype stay is kept; every other column is copied
+    once, cast, into its new part."""
+    held = {j: (array, i) for cols, array in parts for i, j in enumerate(cols)}
+    kept = {(cols, array.dtype): array for cols, array in parts}
+    regrouped = []
+    for k in sorted(set(kinds)):
+        cols = tuple(j for j, kind in enumerate(kinds) if kind == k)
+        array = kept.get((cols, _DTYPES[k]))
+        if array is None:
+            array = np.empty((rows, len(cols)), _DTYPES[k])
+            for i, j in enumerate(cols):
+                source, at = held[j]
+                array[:, i] = source[:, at]
+        regrouped.append((cols, array))
+    return regrouped
+
+
+def _row_number(cells) -> np.ndarray:
+    """cells as int32: an integral cell in 0..2^31-1 as itself, any other
+    as -1, so it equals a row's index within its series where the cell
+    does."""
+    whole = (cells >= 0) & (cells < 2.0 ** 31) & (cells == np.trunc(cells))
+    return np.where(whole, cells, -1).astype(np.int32)
+
+
+def _columns(table, cols):
+    """table[:, cols] for ascending cols: a view where they are adjacent."""
+    if cols[-1] - cols[0] == len(cols) - 1:
+        return table[:, cols[0]:cols[-1] + 1]
+    return table[:, cols]
 
 
 def _blank_checked(fh, path, n_fields):

@@ -649,13 +649,17 @@ class PrefixFault(FloatingPointError):
         return PrefixFault(self.args[0], int(positions[self.index]))
 
 
-def lone_fault(members, run_alone) -> PrefixFault | None:
-    """After a length group's FloatingPointError: run_alone(i) runs each of
-    the group's members (positions) by itself until one has faulted and
-    another run clean, and the first that faulted comes back as a
-    PrefixFault; None when no member runs clean or none faults alone."""
-    fault = clean = None
-    for i in members:
+def lone_fault(groups, g, run_alone) -> PrefixFault | None:
+    """After a FloatingPointError of groups[g], groups being lists of
+    positions run in order: run_alone(i) runs each member of groups[g] by
+    itself until one has faulted and another prefix is known to run clean,
+    and the first that faulted comes back as a PrefixFault. That other
+    prefix is a member, any prefix of an earlier group (they ran clean), or
+    else the first of a later group that runs clean alone, one per group
+    tried in order. None when no member faults alone or no other prefix
+    runs clean."""
+    fault, clean = None, g > 0
+    for i in groups[g]:
         try:
             run_alone(i)
         except FloatingPointError as exc:
@@ -664,6 +668,12 @@ def lone_fault(members, run_alone) -> PrefixFault | None:
             clean = True
         if fault and clean:
             return fault
+    for later in groups[g + 1:] if fault else ():
+        try:
+            run_alone(later[0])
+        except FloatingPointError:
+            continue
+        return fault
     return None
 
 
@@ -676,11 +686,12 @@ def forward_prefixes(model: MdtModel, prefixes):
     logits = np.empty((len(prefixes), c.n_classes))
     latents = np.empty((len(prefixes), c.d_model))
     with ad.no_grad(), np.errstate(**NUMERIC_FAULTS):
-        for group in length_buckets([len(p) for p in prefixes]):
+        groups = length_buckets([len(p) for p in prefixes])
+        for g, group in enumerate(groups):
             try:
                 group_logits, group_latents = forward(model, np.stack([prefixes[i] for i in group]))
             except FloatingPointError as exc:
-                raise lone_fault(group, lambda i: forward(model, prefixes[i][None])) or exc
+                raise lone_fault(groups, g, lambda i: forward(model, prefixes[i][None])) or exc
             logits[group] = group_logits.data
             latents[group] = group_latents.data
     return logits, latents

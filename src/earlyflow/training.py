@@ -159,11 +159,12 @@ def minibatch_gradients(model: MdtModel, prefixes, targets, weights, rng):
 
     loss_sum = 0.0
     with np.errstate(**NUMERIC_FAULTS):
-        for group in length_buckets([len(p) for p in prefixes]):
+        groups = length_buckets([len(p) for p in prefixes])
+        for g, group in enumerate(groups):
             try:
                 loss_sum += run(group, rng)
             except FloatingPointError as exc:
-                raise lone_fault(group, lambda i: run([i], None)) or exc
+                raise lone_fault(groups, g, lambda i: run([i], None)) or exc
     return loss_sum, batch_w
 
 

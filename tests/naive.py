@@ -230,6 +230,17 @@ def naive_write_dataset(samples, out_dir):
                 fh_series.write(naive_csv_row(row))
 
 
+def naive_narrowest(cells) -> str:
+    """The dtype a feature column of these float cells is held at: the
+    narrowest of int8..int64 that holds every cell, for integral cells of
+    magnitude at most 2^53 with no -0.0 among them; else float64."""
+    if any(not math.isfinite(c) or c != math.trunc(c) or abs(c) > 2 ** 53
+           or (c == 0 and math.copysign(1.0, c) < 0) for c in cells):
+        return "float64"
+    return next(f"int{bits}" for bits in (8, 16, 32, 64)
+                if -2 ** (bits - 1) <= min(cells) and max(cells) < 2 ** (bits - 1))
+
+
 def naive_read_long_format(directory):
     """Samples as (id, label, endpoints, values, timestamps) in flows.csv
     order: rows grouped by id in a dict, every number parsed by float().

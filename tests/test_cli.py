@@ -200,9 +200,11 @@ def write_conversations(path):
 def test_extract_peak_memory_per_packet(tmp_path, capsys):
     # tracemalloc's peak over one extract of 20,000 packets in 500 flows:
     # the flushed packet columns (about 81 bytes a packet) and the feature
-    # array (104) with no gathered copy of the columns beside them. Gathering
-    # the columns into flow order, as extract once did, peaks at about 385
-    # bytes a packet.
+    # parts (20: these sizes fit int8, so IAT alone is float64) with no
+    # gathered copy of the columns beside them, about 199 bytes a packet in
+    # all. A float64 feature array (104) peaked at about 285, and gathering
+    # the columns into flow order, as extract once did, at about 385 bytes
+    # a packet.
     packets = write_conversations(tmp_path / "capture.pcap")
     tracemalloc.start()
     try:
@@ -218,11 +220,12 @@ def test_extract_peak_memory_per_packet(tmp_path, capsys):
 def test_read_dataset_peak_memory_per_byte_returned(tmp_path):
     # tracemalloc's peak over one read_dataset of an extract of 20,000
     # packets in 500 flows, read in blocks of 2,048 rows, as a multiple of
-    # the values and timestamps it returns: about 1.42, the columns the
-    # samples are sliced from with each row's series and seq_index beside
-    # them, one block of rows, and the metadata. Reading a table of every
-    # cell and gathering the samples from it, as read_dataset once did,
-    # peaks at about 2.40.
+    # the values, as float64, and timestamps it returns: about 0.73, the
+    # parts the samples hold (these packets' sizes fit int8, so every column
+    # but IAT is one int8 part) with each row's series and seq_index beside
+    # them, one block of rows, and the metadata. Holding every cell as
+    # float64 peaked at about 1.42, and reading a table of every cell and
+    # gathering the samples from it, as read_dataset once did, at about 2.40.
     write_conversations(tmp_path / "capture.pcap")
     assert run_cli("extract", "--pcap", tmp_path / "capture.pcap", "--out", tmp_path / "out") == 0
     with mock.patch.object(features, "BLOCK_ROWS", 2048):
@@ -831,22 +834,35 @@ def test_overflowing_checkpoint_exit_2_one_line(tmp_path, tiny_dataset, tiny_che
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "sweep", "eval", "latents"])
+@pytest.mark.parametrize("command, alone", [
+    *(pytest.param(c, False, id=c) for c in ("train", "sweep", "eval", "latents")),
+    *(pytest.param(c, True, id=f"{c}-alone") for c in ("train", "eval", "latents"))])
 def test_overflowing_data_exit_2_one_line_naming_it(tmp_path, tiny_dataset, tiny_checkpoint,
-                                                    capsys, command):
+                                                    capsys, command, alone):
     # a finite series.csv cell of 1e300 passes read_dataset and overflows
     # the first attention scores; the forward raises on it at once, with no
     # RuntimeWarning first. Its length group's other prefixes run clean on
-    # their own, so the one line names the data directory and the flow
+    # their own, so the one line names the data directory and the flow.
+    # Alone, the flow has 2 packets, so its prefix is the only one of its
+    # length; prefixes of the other length run clean and settle it the same
     data_dir = tmp_path / "data"
-    shutil.copytree(tiny_dataset, data_dir)
-    series = data_dir / "series.csv"
-    lines = series.read_text(encoding="utf-8").splitlines()
-    cells = lines[2].split(",")
-    cells[2] = "1e300"
-    lines[2] = ",".join(cells)
-    series.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    flow_id = cells[0]
+    if alone:
+        samples = read_dataset(tiny_dataset)
+        short = samples[0]
+        values = short.rows(0, 2).copy()
+        values[1, 0] = 1e300
+        samples[0] = MtsSample(short.flow_id, values, short.timestamps[:2], short.label)
+        write_dataset(samples, data_dir)
+        flow_id = short.flow_id
+    else:
+        shutil.copytree(tiny_dataset, data_dir)
+        series = data_dir / "series.csv"
+        lines = series.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[2] = "1e300"
+        lines[2] = ",".join(cells)
+        series.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        flow_id = cells[0]
     out = tmp_path / "out.csv"
     args = {"train": ["--prefix-packets", 4, "--config", sweep_config(tmp_path), "--out", out],
             "sweep": ["--mode", "packets", "--grid", "2,4", "--config", sweep_config(tmp_path),

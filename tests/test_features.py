@@ -20,7 +20,8 @@ from earlyflow.pcap import PacketRecord, Transport, ip_to_int, ip_to_str
 from earlyflow.training import load_external_mts
 
 from gen_mts import separable_suite
-from naive import naive_extract_values, naive_read_long_format, naive_write_dataset
+from naive import (naive_extract_values, naive_narrowest, naive_read_long_format,
+                   naive_write_dataset)
 from test_flows import rec
 
 
@@ -138,10 +139,10 @@ def test_extract_mts_of_no_flows_is_empty():
     assert extract_mts([]) == []
 
 
-def make_samples(rng, count, max_len=12):
+def make_samples(rng, count, max_len=12, min_len=1):
     samples = []
     for i in range(count):
-        n = int(rng.integers(1, max_len + 1))
+        n = int(rng.integers(min_len, max_len + 1))
         values = np.zeros((n, len(FEATURE_NAMES)))
         values[:, 0] = rng.choice([-1, 1], size=n)
         iat = np.abs(rng.uniform(0, 0.5, size=n))
@@ -170,7 +171,8 @@ def test_write_empty_dataset(tmp_path):
 def test_two_packet_sample_row_counts(tmp_path):
     rng = np.random.default_rng(0)
     sample = make_samples(rng, 1, max_len=2)[0]
-    sample.values = sample.values[:2]
+    sample = MtsSample(sample.flow_id, sample.values[:2], sample.timestamps, sample.label,
+                       sample.endpoints)
     write_dataset([sample], tmp_path)
     series_lines = (tmp_path / "series.csv").read_text(encoding="utf-8").strip().splitlines()
     flows_lines = (tmp_path / "flows.csv").read_text(encoding="utf-8").strip().splitlines()
@@ -315,7 +317,7 @@ def sample_sets(draw, finite=True):
              else COLUMN_CELLS[kind] for kind in columns]
     ids = draw(st.lists(ID_TEXT, min_size=1, max_size=4, unique=True))
     integral_time = draw(st.booleans())
-    samples = []
+    fields = []
     for flow_id in ids:
         n = draw(st.integers(1, 40))
         values = np.column_stack([draw(arrays(np.float64, n, elements=elements))
@@ -329,18 +331,17 @@ def sample_sets(draw, finite=True):
         endpoints = draw(st.one_of(st.none(), st.tuples(
             NASTY_TEXT, st.integers(0, 65535), NASTY_TEXT, st.integers(0, 65535),
             st.sampled_from(["tcp", "udp"]))))
-        samples.append(MtsSample(flow_id=flow_id, values=values,
-                                 timestamps=start + offsets - offsets[0],
-                                 label=draw(NASTY_TEXT), endpoints=endpoints))
+        fields.append((flow_id, values, start + offsets - offsets[0], draw(NASTY_TEXT), endpoints))
+    # the odd cells go into the arrays before the samples hold them
     for j, kind in enumerate(columns):
         if kind == NEGATIVE_ZERO:
-            sample = draw(st.sampled_from(samples))
-            sample.values[draw(st.integers(0, sample.length - 1)), j] = -0.0
+            values = draw(st.sampled_from([f[1] for f in fields]))
+            values[draw(st.integers(0, len(values) - 1)), j] = -0.0
         elif kind == NON_FINITE:
-            sample = draw(st.sampled_from(samples))
-            sample.values[draw(st.integers(0, sample.length - 1)), j] = \
+            values = draw(st.sampled_from([f[1] for f in fields]))
+            values[draw(st.integers(0, len(values) - 1)), j] = \
                 draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    return samples
+    return [MtsSample(*f) for f in fields]
 
 
 @settings(max_examples=150, deadline=None)
@@ -454,6 +455,64 @@ def test_reader_same_bits_for_any_merge_of_series_rows(samples, data, block_rows
         merged = read_dataset(tmp)
         assert_bit_equal(merged, in_order)
         assert_bit_equal(merged, naive_read_long_format(tmp))
+
+
+# cells at the edges of the part dtypes: the largest and smallest of int8
+# and int16, one past each, 2^31 (int64), 2^53 (the largest int64 part
+# value) and cells that stay float64: a fraction, -0.0, 2^53 + 2 and 1e300
+EDGE_CELLS = [1.0, -1.0, 127.0, -128.0, 128.0, 32767.0, 32768.0, -32769.0, 2.0 ** 31,
+              -2.0 ** 31, 2.0 ** 53, -2.0 ** 53, 0.5, -0.0, 2.0 ** 53 + 2, 1e300]
+
+
+@st.composite
+def edge_sample_sets(draw):
+    """Up to four samples of up to 6 columns, each column 0/1 cells and up
+    to two EDGE_CELLS values, so that the first rows of a file may narrow a
+    column that a later row widens."""
+    d = draw(st.integers(1, 6))
+    cells = [st.sampled_from([0.0, 1.0, *draw(st.lists(st.sampled_from(EDGE_CELLS), max_size=2))])
+             for _ in range(d)]
+    samples = []
+    for k, flow_id in enumerate(draw(st.lists(ID_TEXT, min_size=1, max_size=4, unique=True))):
+        n = draw(st.integers(1, 30))
+        values = np.column_stack([draw(arrays(np.float64, n, elements=column))
+                                  for column in cells])
+        samples.append(MtsSample(flow_id, values, 1.7e9 + k + np.arange(n), "x"))
+    return samples
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_sample_sets(), st.booleans(), st.integers(1, 8), st.data())
+def test_reader_narrows_each_column_exactly(samples, mix, block_rows, data):
+    # blocks of a few rows put a column's widest cell after its first
+    # block, so the column is read narrow and widened mid-file; grouped or
+    # merged rows, the samples hold the cells float() reads, each column at
+    # the narrowest dtype that holds all of them
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(features, "BLOCK_ROWS", block_rows):
+        write_dataset(samples, tmp)
+        if mix:
+            merge_rows(Path(tmp, "series.csv"), lambda picks: data.draw(st.permutations(picks)))
+        ref = naive_read_long_format(tmp)
+        back = read_dataset(tmp)
+        assert_bit_equal(back, ref)
+        table = np.concatenate([values for _, _, _, values, _ in ref])
+        dtypes = [naive_narrowest(table[:, j].tolist()) for j in range(table.shape[1])]
+        want = [(tuple(j for j, t in enumerate(dtypes) if t == dtype), dtype)
+                for dtype in ("int8", "int16", "int32", "int64", "float64") if dtype in dtypes]
+        for s in back:
+            assert [(cols, part.dtype.name) for cols, part in s.parts] == want
+            assert all(part.shape == (s.length, len(cols)) for cols, part in s.parts)
+
+
+def test_samples_are_read_only():
+    sample = make_samples(np.random.default_rng(0), 1)[0]
+    with pytest.raises(AttributeError):
+        sample.values = sample.values[:1]
+    with pytest.raises(ValueError, match="read-only"):
+        sample.values[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        sample.rows(0, 1)[0, 0] = 2.0
 
 
 def break_rows(series_path, faults):
@@ -705,6 +764,41 @@ def test_read_dataset_peak_memory_within_four_times_its_samples(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * sum(s.values.nbytes + s.timestamps.nbytes for s in samples)
+
+
+def traced_read(directory):
+    """read_dataset's samples, with tracemalloc's memory held after the
+    call and its peak during it, in bytes."""
+    tracemalloc.start()
+    try:
+        samples = read_dataset(directory)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return samples, kept, peak
+
+
+def test_read_dataset_keeps_extractor_rows_in_under_32_bytes(tmp_path):
+    # 13 extractor features a row: direction and flags fit int8, bytes
+    # int16, and IAT stays float64, so a row's values take 21 B and its
+    # timestamp 8; held as float64, values and timestamp took 112 B
+    samples = make_samples(np.random.default_rng(10), 50, max_len=800, min_len=800)
+    write_dataset(samples, tmp_path / "ints")
+    back, kept, _ = traced_read(tmp_path / "ints")
+    rows = sum(s.length for s in back)
+    assert rows >= 20000
+    assert kept < 32 * rows
+    assert [(cols, part.dtype.name) for cols, part in back[0].parts] == [
+        ((0, *range(3, 13)), "int8"), ((2,), "int16"), ((1,), "float64")]
+    # all-float cells are one float64 part, read without a second copy of
+    # them: the float64 table before parts peaked at 1.45x what it kept
+    floats = [MtsSample(s.flow_id, np.random.default_rng(k).normal(size=(s.length, s.width)),
+                        s.timestamps, s.label, s.endpoints) for k, s in enumerate(samples)]
+    write_dataset(floats, tmp_path / "floats")
+    back, kept, peak = traced_read(tmp_path / "floats")
+    assert [(cols, part.dtype.name) for cols, part in back[0].parts] == [
+        (tuple(range(13)), "float64")]
+    assert peak <= 1.45 * kept
 
 
 def test_unknown_series_id_rejected(tmp_path):

@@ -27,7 +27,14 @@ def test_trace_paths_lists_test_only_code_and_not_the_forward():
     assert not {"md_mha", "md_mha.bw", "md_mha.probabilities", "PrefixFault.at"} \
         & set(sections.get("src/earlyflow/model.py", []))
     # a ragged series.csv row is named by its line
-    assert "_raise_bad_row" not in sections.get("src/earlyflow/features.py", [])
+    features = sections.get("src/earlyflow/features.py", [])
+    assert "_raise_bad_row" not in features
+    # an all-float dataset is read as one part and its rows are views; a
+    # dataset of integral columns as parts regrouped when a column widens
+    # (the non-adjacent int8 columns taken from each block by index), its
+    # rows decoded
+    assert not {"MtsSample.rows", "_narrowest", "_int_kind", "_regroup", "_columns"} \
+        & set(features)
     # train's early stop runs, and sweep's process pool where there are 2 CPUs
     training = sections.get("src/earlyflow/training.py", [])
     assert "train" not in training

@@ -13,12 +13,16 @@ temporary directory (tests/gen_pcap.py, tests/gen_mts.py):
   packet count (multi-domain) and by duration (the plain ablation), with
   --verbose; a train at learning rate 0 and patience 1, which stops
   early; eval (of the test split, and of all samples under --expect) and
-  latents of each checkpoint; a train on 130-packet prefixes, whose
-  first block scores its heads in two chunks and recomputes their
-  probabilities in backward; sweep --jobs 1 and --jobs 2 (a process pool
-  where the machine has 2 CPUs); and three runs that exit 2: an eval of an
-  empty test split, and trains on a series.csv with a ragged row and on
-  one whose cell of 1e300 overflows one flow's forward;
+  latents of each checkpoint, all on a dataset of Gaussian cells, which
+  read_dataset holds as one float64 part; a train on a dataset of 9,600
+  rows with two integral columns, held as int8 parts until a cell of 300
+  past the first block of rows widens one to int16; a train on 130-packet
+  prefixes, whose first block scores its heads in two chunks and
+  recomputes their probabilities in backward; sweep --jobs 1 and --jobs 2
+  (a process pool where the machine has 2 CPUs); and four runs that exit
+  2: an eval of an empty test split, trains on a series.csv with a ragged
+  row and on one whose cell of 1e300 overflows one flow's forward, and an
+  eval on a dataset where that flow is alone at its prefix length;
 - as the benchmark calls them: model.predict and model.forward on one
   prefix.
 
@@ -50,13 +54,15 @@ PACKAGE = ROOT / "src" / "earlyflow"
 def _write_inputs(work: Path):
     """Two captures with a label-rules file, a long-format dataset that fits
     the ecg profile, with three model configs, and small datasets: one too
-    small for a test split, one of long flows, one with a ragged row and one
-    with an overflowing cell."""
+    small for a test split, one of long flows, one whose integral column
+    widens past the first block of rows, one with a ragged row and two with
+    an overflowing cell, one of them in a flow shorter than the others."""
+    import numpy as np
     from gen_mts import separable_suite
     from gen_pcap import (arp_frame, icmp_frame, ipv6_tcp_frame, ipv6_udp_frame, tcp_frame,
                           udp_frame, vlan_wrap, write_pcap)
 
-    from earlyflow.features import write_dataset
+    from earlyflow.features import BLOCK_ROWS, MtsSample, write_dataset
 
     frames = []
     for i in range(6):
@@ -81,6 +87,17 @@ def _write_inputs(work: Path):
     # 6 training prefixes of 130 packets at 2 heads of 2 families are 4 * 6 *
     # 131^2 score cells, more than one chunk holds
     write_dataset(separable_suite(0, n=8, length=130, d=2), work / "long")
+    # columns 0 and 2 integral, 0/1 and small but for a 300 in the last row,
+    # past the first BLOCK_ROWS rows: int8 parts, column 2 then widened to int16
+    wide = []
+    for sample in separable_suite(0, n=12, length=800, d=3):
+        values = sample.values.copy()
+        values[:, 0] = values[:, 0] > 0
+        values[:, 2] = np.round(10 * values[:, 2])
+        wide.append(MtsSample(sample.flow_id, values, sample.timestamps, sample.label))
+    values[-1, 2] = 300.0
+    assert 11 * 800 >= BLOCK_ROWS
+    write_dataset(wide, work / "wide")
     for name, edit in (("ragged", lambda cells: cells + ["0"]),
                        ("overflow", lambda cells: cells[:2] + ["1e300"] + cells[3:])):
         write_dataset(separable_suite(0, n=24, length=8, d=2), work / name)
@@ -88,6 +105,12 @@ def _write_inputs(work: Path):
         lines = series.read_text(encoding="utf-8").splitlines()
         lines[2] = ",".join(edit(lines[2].split(",")))
         series.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # the same cell, its flow cut to 2 packets
+    lone = separable_suite(0, n=24, length=8, d=2)
+    values = lone[0].rows(0, 2).copy()
+    values[1, 0] = 1e300
+    lone[0] = MtsSample(lone[0].flow_id, values, lone[0].timestamps[:2], lone[0].label)
+    write_dataset(lone, work / "lone")
     # at learning rate 0 the validation F1 stays flat, so patience 1 stops
     # training after its second epoch
     for name, model, training in (
@@ -129,6 +152,8 @@ def run_paths(work: Path):
                      "--config", str(work / "stop.json"), "--out", str(work / "stop.ckpt")])
     commands.append(["train", "--data", str(work / "long"), "--prefix-packets", "130",
                      "--config", str(work / "freq.json"), "--out", str(work / "long.ckpt")])
+    commands.append(["train", "--data", str(work / "wide"), "--prefix-packets", "4",
+                     "--config", str(work / "freq.json"), "--out", str(work / "wide.ckpt")])
     commands += [["sweep", "--data", data, "--mode", "packets", "--grid", "2,4",
                   "--config", str(work / "freq.json"), "--jobs", jobs] for jobs in ("1", "2")]
     runs = [(argv, 0) for argv in commands]
@@ -137,6 +162,8 @@ def run_paths(work: Path):
     runs += [(["train", "--data", str(work / name), "--prefix-packets", "4",
                "--config", str(work / "freq.json"), "--out", str(work / f"{name}.ckpt")], 2)
              for name in ("ragged", "overflow")]
+    runs.append((["eval", "--data", str(work / "lone"), "--ckpt", str(work / "freq.ckpt"),
+                  "--prefix-packets", "4", "--split", "all"], 2))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv, expected in runs:
             if cli.main(argv) != expected:
